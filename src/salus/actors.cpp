@@ -1,7 +1,7 @@
 #include "salus/actors.hpp"
 
 #include <algorithm>
-#include <deque>
+#include <vector>
 
 #include "common/errors.hpp"
 #include "obs/trace.hpp"
@@ -20,26 +20,13 @@ SchedulerPumpActor::attach(sim::Engine &engine, const std::string &name)
 }
 
 void
-SchedulerPumpActor::startPeriodic(sim::Engine &engine, sim::Nanos period,
-                                  uint64_t sweeps)
-{
-    if (actorId_ == 0 || sweeps == 0)
-        return;
-    period_ = period;
-    remaining_ = sweeps;
-    engine.postIn(period_, sim::kPriorityControl, actorId_, kSweep);
-}
-
-void
-SchedulerPumpActor::onEvent(sim::Engine &engine, const sim::Event &event)
+SchedulerPumpActor::onEvent(sim::Engine &, const sim::Event &event)
 {
     if (event.kind != kSweep)
         return;
     ++sweeps_;
     if (pump_)
         ops_ += pump_();
-    if (remaining_ > 0 && --remaining_ > 0)
-        engine.postIn(period_, sim::kPriorityControl, actorId_, kSweep);
 }
 
 // ---- SupervisorPollActor ---------------------------------------------
@@ -53,18 +40,7 @@ SupervisorPollActor::attach(sim::Engine &engine, const std::string &name)
 }
 
 void
-SupervisorPollActor::startPeriodic(sim::Engine &engine, sim::Nanos period,
-                                   uint64_t polls)
-{
-    if (actorId_ == 0 || polls == 0)
-        return;
-    period_ = period;
-    remaining_ = polls;
-    engine.postIn(period_, sim::kPriorityControl, actorId_, kPoll);
-}
-
-void
-SupervisorPollActor::onEvent(sim::Engine &engine, const sim::Event &event)
+SupervisorPollActor::onEvent(sim::Engine &, const sim::Event &event)
 {
     if (event.kind != kPoll)
         return;
@@ -73,14 +49,12 @@ SupervisorPollActor::onEvent(sim::Engine &engine, const sim::Event &event)
         supervisor_.pollOnce();
     } catch (const SalusError &) {
         // Failover propagation surfaces out of pollOnce as an
-        // exception in the lockstep drivers too; the event loop keeps
-        // running and the owner decides what a failover means.
+        // exception; the event loop keeps running and the owner
+        // decides what a failover means.
         ++errors_;
         if (onError_)
             onError_();
     }
-    if (remaining_ > 0 && --remaining_ > 0)
-        engine.postIn(period_, sim::kPriorityControl, actorId_, kPoll);
 }
 
 // ---- DmaLaneActor ----------------------------------------------------
@@ -96,57 +70,44 @@ DmaLaneActor::attach(sim::Engine &engine)
 sim::Nanos
 DmaLaneActor::simulateJob(sim::Nanos from, const Job &job)
 {
-    // Mirrors DmaWindowEngine::run's no-loss timing on a LANE-LOCAL
-    // timeline: `t` is this lane's clock; stalls and wire time extend
-    // it without touching the shared VirtualClock, and exposed seal
-    // crypto rides the lane too (the scale model charges crypto to
-    // the lane that needs it rather than a shared host core).
-    sim::Nanos t = from;
+    // The sealed path's window engine on a LANE-LOCAL clock: stalls
+    // and wire time extend this lane's horizon without touching the
+    // shared VirtualClock, and exposed seal crypto rides the lane too
+    // (the scale model charges crypto to the lane that needs it rather
+    // than a shared host core). No-loss hooks: nothing is delivered
+    // and every ack covers everything sent.
+    sim::VirtualClock lane;
+    lane.advance(from);
+    dmachan::DmaWindowHooks hooks;
+    hooks.sim = {&lane, &cost_};
+    hooks.readAck = [](uint64_t &ackSeq) {
+        ackSeq = ~uint64_t(0);
+        return true;
+    };
+
     size_t chunk = std::max<size_t>(job.chunkBytes, 1);
-    size_t window =
-        std::clamp<size_t>(job.window, 1, dmachan::kDmaMaxWindow);
-
-    sim::Nanos overlapBudget = 0;
-    sim::Nanos overlapCap = 2 * cost_.dmaCrypto(chunk);
-
-    auto spendCrypto = [&](sim::Nanos cost) {
-        sim::Nanos hidden = std::min(cost, overlapBudget);
-        overlapBudget -= hidden;
-        stats_.hiddenCryptoNanos += hidden;
-        sim::Nanos exposed = cost - hidden;
-        t += exposed;
-        stats_.cryptoNanos += exposed;
-    };
-    auto spendTransport = [&](sim::Nanos cost) {
-        t += cost;
-        stats_.transportNanos += cost;
-        overlapBudget = std::min(overlapBudget + cost, overlapCap);
-    };
-
-    // In-flight descriptors are a FIFO of ack-due times; only the
-    // head ever blocks (cumulative acks), so a ring of Nanos suffices.
-    std::deque<sim::Nanos> ackDue;
-    auto waitFront = [&]() {
-        if (ackDue.front() > t)
-            spendTransport(ackDue.front() - t);
-        ackDue.pop_front();
-    };
-
-    uint64_t remaining = job.bytes;
-    while (remaining > 0) {
-        size_t payload = size_t(std::min<uint64_t>(remaining, chunk));
-        remaining -= payload;
-        spendCrypto(cost_.dmaCrypto(payload));
-        while (ackDue.size() >= window)
-            waitFront();
-        spendTransport(sim::transferTime(
-            cost_.pcieBandwidth, dmachan::dmaEncodedSize(1, payload)));
-        ackDue.push_back(t + cost_.pcieRtt);
-        ++stats_.descriptors;
+    std::vector<dmachan::DmaDescriptorWork> work;
+    for (uint64_t off = 0; off < job.bytes; off += chunk) {
+        dmachan::DmaDescriptorWork w;
+        w.seq = work.size();
+        w.payloadBytes = size_t(std::min<uint64_t>(job.bytes - off, chunk));
+        work.push_back(std::move(w));
     }
-    while (!ackDue.empty())
-        waitFront();
-    return t;
+
+    dmachan::DmaWindowEngine::Options opts;
+    opts.window = job.window;
+    dmachan::DmaTransferReport report;
+    {
+        // run() reports to obs; the lane's coalesced busy spans are
+        // the fleet trace's only record of this work.
+        obs::ObsScope quiet(nullptr, nullptr);
+        report = dmachan::DmaWindowEngine(std::move(hooks), opts).run(work);
+    }
+    stats_.descriptors += report.descriptors;
+    stats_.cryptoNanos += report.cryptoNanos;
+    stats_.hiddenCryptoNanos += report.hiddenCryptoNanos;
+    stats_.transportNanos += report.transportNanos;
+    return lane.now();
 }
 
 void

@@ -1,18 +1,15 @@
 /**
  * @file
- * Event-driven actors porting the lockstep testbed loops onto the
- * sim::Engine: scheduler pump sweeps, supervisor watchdog polls, and
- * per-device DMA lanes become queued events with the engine's stable
- * (time, priority, seq) ordering, so a fleet of devices makes
- * progress CONCURRENTLY in virtual time instead of serializing on
- * whichever component's synchronous loop ran first.
+ * Event-driven actors on the sim::Engine: scheduler pump sweeps,
+ * supervisor watchdog polls, and per-device DMA lanes become queued
+ * events with the engine's stable (time, priority, seq) ordering, so
+ * a fleet of devices makes progress CONCURRENTLY in virtual time
+ * instead of serializing on whichever component's synchronous loop
+ * ran first.
  *
  * The actors deliberately spend no virtual time themselves: waiting
  * is expressed by scheduling (the clock advances to each event's due
- * time), and work charges time exactly where the lockstep path did —
- * inside the wrapped component. A lockstep call sequence replayed as
- * a same-instant event chain is therefore trace-identical to the
- * original (pinned by test_engine's regression tests).
+ * time), and work charges time inside the wrapped component.
  */
 
 #ifndef SALUS_SALUS_ACTORS_HPP
@@ -30,10 +27,7 @@ namespace salus::core {
 /**
  * Scheduler sweeps as events. Each kSweep event runs one pump (the
  * wrapped callback is typically Broker::pump or
- * BatchScheduler::pumpOnce behind the caller's error handling); with
- * startPeriodic() the actor self-reschedules every `period` for a
- * bounded number of sweeps — the event-driven replacement for the
- * lockstep `for (sweep...) pump()` loop.
+ * BatchScheduler::pumpOnce behind the caller's error handling).
  */
 class SchedulerPumpActor final : public sim::Actor
 {
@@ -49,11 +43,6 @@ class SchedulerPumpActor final : public sim::Actor
     uint32_t attach(sim::Engine &engine, const std::string &name);
     uint32_t actorId() const { return actorId_; }
 
-    /** Schedules `sweeps` self-rescheduling pump events, the first
-     *  one `period` from now. */
-    void startPeriodic(sim::Engine &engine, sim::Nanos period,
-                       uint64_t sweeps);
-
     void onEvent(sim::Engine &engine, const sim::Event &event) override;
 
     uint64_t sweeps() const { return sweeps_; }
@@ -62,18 +51,16 @@ class SchedulerPumpActor final : public sim::Actor
   private:
     std::function<size_t()> pump_;
     uint32_t actorId_ = 0;
-    sim::Nanos period_ = 0;
-    uint64_t remaining_ = 0;
     uint64_t sweeps_ = 0;
     uint64_t ops_ = 0;
 };
 
 /**
- * Supervisor watchdog polls as events — the event-driven replacement
- * for FleetSupervisor::runFor's lockstep spend-then-poll loop. Waits
- * between polls are engine-scheduled (untracked idle time), matching
- * the scenario engine's lockstep semantics where pollOnce() runs
- * between sweeps without a heartbeat spend.
+ * Supervisor watchdog polls as events: each kPoll event runs one
+ * FleetSupervisor::pollOnce(). Waits between polls are
+ * engine-scheduled (untracked idle time), unlike
+ * FleetSupervisor::runFor, which charges its waits to the clock's
+ * heartbeat phase.
  */
 class SupervisorPollActor final : public sim::Actor
 {
@@ -82,8 +69,7 @@ class SupervisorPollActor final : public sim::Actor
 
     /** @param onError invoked when pollOnce throws a SalusError
      *  (failover propagation); the exception is swallowed so the
-     *  event loop keeps running, exactly like the lockstep drivers'
-     *  try/catch. Null = swallow silently. */
+     *  event loop keeps running. Null = swallow silently. */
     explicit SupervisorPollActor(FleetSupervisor &supervisor,
                                  std::function<void()> onError = nullptr)
         : supervisor_(supervisor), onError_(std::move(onError))
@@ -91,11 +77,6 @@ class SupervisorPollActor final : public sim::Actor
 
     uint32_t attach(sim::Engine &engine, const std::string &name);
     uint32_t actorId() const { return actorId_; }
-
-    /** Schedules `polls` self-rescheduling poll events, the first one
-     *  `period` from now. */
-    void startPeriodic(sim::Engine &engine, sim::Nanos period,
-                       uint64_t polls);
 
     void onEvent(sim::Engine &engine, const sim::Event &event) override;
 
@@ -106,22 +87,20 @@ class SupervisorPollActor final : public sim::Actor
     FleetSupervisor &supervisor_;
     std::function<void()> onError_;
     uint32_t actorId_ = 0;
-    sim::Nanos period_ = 0;
-    uint64_t remaining_ = 0;
     uint64_t polls_ = 0;
     uint64_t errors_ = 0;
 };
 
 /**
- * One device's bulk-DMA lane as an event-driven pipeline. The lane
- * reproduces the DmaWindowEngine's sliding-window arithmetic — seal
- * crypto overlapped behind a transport budget (double-buffered
- * keystream precompute), `window` descriptors in flight, cumulative
- * acks one PCIe RTT behind the last wire byte — but on a LANE-LOCAL
- * timeline: wire time and window stalls extend this lane's busy
- * horizon instead of spending on the shared clock, so many devices'
- * windows stream concurrently in virtual time. Completion is an
- * engine event at the lane-local finish time.
+ * One device's bulk-DMA lane as an event-driven pipeline. Each job
+ * runs the sealed path's dmachan::DmaWindowEngine — seal crypto
+ * overlapped behind a transport budget, `window` descriptors in
+ * flight, cumulative acks one PCIe RTT behind the last wire byte —
+ * with no-loss hooks on a LANE-LOCAL clock: wire time and window
+ * stalls extend this lane's busy horizon instead of spending on the
+ * shared clock, so many devices' windows stream concurrently in
+ * virtual time. Completion is an engine event at the lane-local
+ * finish time.
  *
  * Busy periods are emitted as coalesced root-level trace spans named
  * after the lane (lanes that should aggregate share a name), so span
@@ -176,8 +155,8 @@ class DmaLaneActor final : public sim::Actor
     const LaneStats &stats() const { return stats_; }
 
   private:
-    /** Runs the window arithmetic for one job on the lane-local
-     *  timeline starting at `from`; returns the finish time. */
+    /** Runs the window engine for one job on a lane-local clock
+     *  starting at `from`; returns the finish time. */
     sim::Nanos simulateJob(sim::Nanos from, const Job &job);
 
     const sim::CostModel &cost_;

@@ -308,6 +308,10 @@ DmaWindowEngine::run(const std::vector<DmaDescriptorWork> &work)
         return cost ? sim::transferTime(cost->pcieBandwidth, bytes)
                     : sim::Nanos(0);
     };
+    auto sendTime = [&](const DmaDescriptorWork &w) -> sim::Nanos {
+        return wireTime(
+            dmaEncodedSize(w.sgCount, w.read ? 0 : w.payloadBytes));
+    };
     // The ack for a descriptor is believable one RTT after its last
     // wire byte; gathers additionally wait for the response payload
     // to cross back.
@@ -362,7 +366,7 @@ DmaWindowEngine::run(const std::vector<DmaDescriptorWork> &work)
             ++f.attempts;
             ++report.retransmits;
             obs::count("dma.retransmits");
-            spendTransport(wireTime(f.encoded.size()), report);
+            spendTransport(sendTime(work[f.workIndex]), report);
             if (hooks_.deliver)
                 hooks_.deliver(f.seq, f.encoded);
             f.ackDue = now() + ackLatency(work[f.workIndex]);
@@ -380,7 +384,7 @@ DmaWindowEngine::run(const std::vector<DmaDescriptorWork> &work)
             if (!waitFront())
                 return report;
 
-        spendTransport(wireTime(encoded.size()), report);
+        spendTransport(sendTime(w), report);
         if (hooks_.deliver)
             hooks_.deliver(w.seq, encoded);
         InFlight f;

@@ -82,8 +82,8 @@ constexpr size_t kDmaMaxEncoded = kDmaHeaderBytes +
 
 /** Encoded wire size of a descriptor carrying `sgCount` entries and
  *  `payloadBytes` of ciphertext (0 for gathers): header + sg list +
- *  payload + trailing MAC. Shared by the real encoder and the
- *  event-driven lane model so their wire-time math cannot drift. */
+ *  payload + trailing MAC. Shared by the encoder and the window
+ *  engine's wire-time charge so the two cannot drift. */
 constexpr size_t
 dmaEncodedSize(size_t sgCount, size_t payloadBytes)
 {
@@ -207,9 +207,12 @@ struct DmaDescriptorWork
 {
     uint64_t seq = 0;
     size_t payloadBytes = 0;
+    /** Scatter-gather entries of the sealed descriptor; with
+     *  payloadBytes it fixes the wire size (dmaEncodedSize). */
+    size_t sgCount = 1;
     bool read = false;
     /** Seals the descriptor; called once, the ciphertext is cached
-     *  verbatim for retransmits. */
+     *  verbatim for retransmits. Null = nothing to deliver. */
     std::function<Bytes()> seal;
     /** Reads only: fetch + verify + decrypt the response once the
      *  descriptor is acked. False = forged response (abort 0xfb). */

@@ -8,8 +8,10 @@
  * concurrently — the scale regime the lockstep testbed loop cannot
  * reach (it serializes every device on the wire model).
  *
- * Costs come straight from sim::CostModel (batch crypto, PCIe RTT and
- * bandwidth, sealed-DMA crypto with windowed overlap), and every busy
+ * A cost-model-only fleet model: the register lane is sim::CostModel
+ * arithmetic (batch crypto, PCIe RTT and bandwidth) and never runs
+ * reg_channel or the SM code; the DMA lane (DmaLaneActor) runs the
+ * sealed path's DmaWindowEngine timing on no-loss hooks. Every busy
  * period lands in the trace as a coalesced span, so the run proves
  * its own accounting: per-phase span sums must match the cost-model
  * totals the actors accrued (1% tolerance in the report's ok flag;

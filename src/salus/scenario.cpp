@@ -511,19 +511,66 @@ parseScenarioFile(const std::string &path)
 namespace {
 
 /**
- * The per-sweep steps of a campaign, shared VERBATIM between the
- * lockstep loop and the event-engine port so the two drivers cannot
- * drift. Call order per sweep is actions -> submissions -> pump ->
- * poll (when due); drain + harvest run after the last sweep.
+ * Drives one campaign's sweep loop as an engine event chain. Each
+ * kSweep event runs the scheduled actions and tenant submissions
+ * inline, then posts the broker pump, the supervisor poll (when due)
+ * and the next sweep AT THE SAME INSTANT: FIFO tie-breaking dispatches
+ * them in post order, so every sweep runs actions -> submissions ->
+ * pump -> poll. Drain and harvest run once the engine goes idle.
  */
-struct ScenarioExec
+struct SweepActor final : sim::Actor
 {
+    static constexpr uint32_t kSweep = 1;
+
     const Scenario &sc;
     Testbed &tb;
     Broker &broker;
     ScenarioOutcome &out;
     std::vector<uint32_t> tenantIds;
     std::vector<std::vector<uint32_t>> tenantSessions;
+    SchedulerPumpActor pump;
+    SupervisorPollActor poll;
+    uint32_t actorId = 0;
+
+    SweepActor(const Scenario &scenario, Testbed &testbed, Broker &b,
+               ScenarioOutcome &outcome)
+        : sc(scenario), tb(testbed), broker(b), out(outcome),
+          pump([this] { return pumpBroker(); }),
+          poll(testbed.supervisor(), [this] { ++out.failovers; })
+    {}
+
+    /** Opens tenants, runs every sweep on the testbed's engine, then
+     *  drains and evaluates the campaign's expectations. */
+    void run()
+    {
+        openTenants();
+        sim::Engine &engine = tb.engine();
+        pump.attach(engine, "broker.pump");
+        poll.attach(engine, "supervisor.poll");
+        actorId = engine.addActor(*this, "scenario.sweeps");
+        if (sc.sweeps > 0)
+            engine.postNow(actorId, kSweep, 0);
+        // Each sweep event posts at most 3 others; the budget is a
+        // runaway backstop, not a schedule.
+        if (!engine.runUntilIdle(uint64_t(sc.sweeps) * 4 + 16))
+            out.violations.push_back("engine: event budget exhausted");
+        drain();
+        harvest();
+    }
+
+    void onEvent(sim::Engine &engine, const sim::Event &event) override
+    {
+        if (event.kind != kSweep)
+            return;
+        uint32_t sweep = uint32_t(event.a);
+        actions(sweep);
+        submissions(sweep);
+        engine.postNow(pump.actorId(), SchedulerPumpActor::kSweep);
+        if (sc.pollEvery && (sweep + 1) % sc.pollEvery == 0)
+            engine.postNow(poll.actorId(), SupervisorPollActor::kPoll);
+        if (sweep + 1 < sc.sweeps)
+            engine.postNow(actorId, kSweep, sweep + 1);
+    }
 
     /** Tenants + sessions, in file order (determinism: ids are dense
      *  and the sweep loop walks this fixed layout). */
@@ -619,7 +666,7 @@ struct ScenarioExec
         }
     }
 
-    size_t pump()
+    size_t pumpBroker()
     {
         try {
             size_t done = broker.pump();
@@ -629,11 +676,6 @@ struct ScenarioExec
             ++out.failovers;
             return 0;
         }
-    }
-
-    bool pollDue(uint32_t sweep) const
-    {
-        return sc.pollEvery && (sweep + 1) % sc.pollEvery == 0;
     }
 
     /** Drain (failover-tolerant, bounded). */
@@ -709,66 +751,10 @@ struct ScenarioExec
     }
 };
 
-/**
- * Drives the sweep loop as an engine event chain. Each sweep event
- * runs actions + submissions inline, then posts the broker pump, the
- * supervisor poll (when due) and the next sweep AT THE SAME INSTANT:
- * FIFO tie-breaking dispatches them in post order, replaying the
- * lockstep call sequence exactly — which is what makes the engine
- * port trace-identical to runScenario (the determinism gate and the
- * engine regression test both diff the artifacts).
- */
-struct SweepActor final : sim::Actor
-{
-    static constexpr uint32_t kSweep = 1;
-
-    ScenarioExec &exec;
-    SchedulerPumpActor &pump;
-    SupervisorPollActor &poll;
-    uint32_t actorId = 0;
-
-    SweepActor(ScenarioExec &e, SchedulerPumpActor &pumpActor,
-               SupervisorPollActor &pollActor)
-        : exec(e), pump(pumpActor), poll(pollActor)
-    {}
-
-    void onEvent(sim::Engine &engine, const sim::Event &event) override
-    {
-        if (event.kind != kSweep)
-            return;
-        uint32_t sweep = uint32_t(event.a);
-        exec.actions(sweep);
-        exec.submissions(sweep);
-        engine.postNow(pump.actorId(), SchedulerPumpActor::kSweep);
-        if (exec.pollDue(sweep))
-            engine.postNow(poll.actorId(), SupervisorPollActor::kPoll);
-        if (sweep + 1 < exec.sc.sweeps)
-            engine.postNow(actorId, kSweep, sweep + 1);
-    }
-};
-
-void
-runSweepsOnEngine(ScenarioExec &exec)
-{
-    sim::Engine &engine = exec.tb.engine();
-    SchedulerPumpActor pump([&exec] { return exec.pump(); });
-    pump.attach(engine, "broker.pump");
-    SupervisorPollActor poll(exec.tb.supervisor(),
-                             [&exec] { ++exec.out.failovers; });
-    poll.attach(engine, "supervisor.poll");
-    SweepActor sweeps(exec, pump, poll);
-    sweeps.actorId = engine.addActor(sweeps, "scenario.sweeps");
-
-    if (exec.sc.sweeps > 0)
-        engine.postNow(sweeps.actorId, SweepActor::kSweep, 0);
-    // Each sweep event posts at most 3 others; the budget is a
-    // runaway backstop, not a schedule.
-    if (!engine.runUntilIdle(uint64_t(exec.sc.sweeps) * 4 + 16))
-        exec.out.violations.push_back("engine: event budget exhausted");
-}
+} // namespace
 
 ScenarioOutcome
-runScenarioImpl(const Scenario &scenario, bool onEngine)
+runScenarioOnEngine(const Scenario &scenario)
 {
     ScenarioOutcome out;
 
@@ -792,48 +778,12 @@ runScenarioImpl(const Scenario &scenario, bool onEngine)
             out.violations.push_back("deployment failed");
         } else {
             Broker broker(tb, scenario.broker);
-            ScenarioExec exec{scenario, tb, broker, out, {}, {}};
-            exec.openTenants();
-
-            if (onEngine) {
-                runSweepsOnEngine(exec);
-            } else {
-                for (uint32_t sweep = 0; sweep < scenario.sweeps;
-                     ++sweep) {
-                    exec.actions(sweep);
-                    exec.submissions(sweep);
-                    exec.pump();
-                    if (exec.pollDue(sweep)) {
-                        try {
-                            tb.supervisor().pollOnce();
-                        } catch (const SalusError &) {
-                            ++out.failovers;
-                        }
-                    }
-                }
-            }
-
-            exec.drain();
-            exec.harvest();
+            SweepActor(scenario, tb, broker, out).run();
         }
     }
     out.traceJson = recorder.chromeTraceJson();
     out.metricsText = metricsReg.renderText();
     return out;
-}
-
-} // namespace
-
-ScenarioOutcome
-runScenario(const Scenario &scenario)
-{
-    return runScenarioImpl(scenario, false);
-}
-
-ScenarioOutcome
-runScenarioOnEngine(const Scenario &scenario)
-{
-    return runScenarioImpl(scenario, true);
 }
 
 } // namespace salus::core

@@ -177,16 +177,12 @@ Scenario parseScenario(const std::string &text);
 /** Loads + parses a campaign file. @throws ScenarioError. */
 Scenario parseScenarioFile(const std::string &path);
 
-/** Runs one campaign end to end (deploy, sweep loop, drain,
- *  invariant evaluation). Deterministic per (file, seed). */
-ScenarioOutcome runScenario(const Scenario &scenario);
-
 /**
- * Runs one campaign with the sweep loop dispatched on the
- * deterministic event engine (sim::Engine, FIFO tie-breaking) instead
- * of the inline lockstep loop. Replays the exact lockstep call order,
- * so the artifacts are byte-identical to runScenario's — CI's
- * determinism gate diffs the two on every scenario in the gallery.
+ * Runs one campaign end to end: deploy, the sweep loop dispatched on
+ * the testbed's deterministic event engine (sim::Engine, FIFO
+ * tie-breaking), drain, invariant evaluation. Deterministic per
+ * (file, seed); tests/golden/artifacts.sha256 pins every gallery
+ * campaign's trace and metrics digests.
  */
 ScenarioOutcome runScenarioOnEngine(const Scenario &scenario);
 

@@ -1244,6 +1244,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         dmachan::DmaDescriptorWork w;
         w.seq = seq;
         w.payloadBytes = c.bytes;
+        w.sgCount = c.sg.size();
         w.read = read;
         w.seal = [aesCtx, macKey, slot, read, sync, seq, ctrBase,
                   respAddr, &c, data]() -> Bytes {

@@ -167,8 +167,8 @@ class Testbed
     /**
      * The deterministic event engine over this testbed's clock,
      * lazily built (seeded from the testbed's rngSeed; FIFO
-     * tie-breaking, so engine-driven runs replay lockstep call order
-     * exactly). Event-driven drivers register their actors here.
+     * tie-breaking, so same-instant events run in post order).
+     * Event-driven drivers register their actors here.
      */
     sim::Engine &engine();
 

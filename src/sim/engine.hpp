@@ -86,8 +86,8 @@ class Engine
         uint64_t seed = 1;
         /** Shuffle same-(time, priority) dispatch order per seed
          *  instead of FIFO — for seed sweeps hunting hidden order
-         *  dependence. OFF by default: FIFO keeps engine-driven runs
-         *  trace-identical to the lockstep call order they ported. */
+         *  dependence. OFF by default: FIFO runs same-instant events
+         *  in post order, which the scenario driver relies on. */
         bool seededTieBreak = false;
     };
 

@@ -3,10 +3,9 @@
  * Deterministic event-engine tests: stable (time, priority, seq)
  * dispatch order across seeds, seeded tie-break shuffling semantics,
  * cancel/reschedule behavior, clock advancement, event-driven DMA
- * lane concurrency across devices, periodic pump/poll actors, the
- * fleet-scale model's invariants, and the regression pin that an
- * engine-driven scenario run is byte-identical (trace + metrics) to
- * the pre-refactor lockstep path.
+ * lane concurrency across devices, the fleet-scale model's invariants
+ * and golden artifact digests, and same-seed determinism of an
+ * engine-driven scenario run.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "obs/trace.hpp"
 #include "salus/actors.hpp"
 #include "salus/fleet_sim.hpp"
@@ -193,26 +193,6 @@ TEST(Engine, RunUntilStopsAtDeadlineAndAdvancesClock)
     EXPECT_EQ(engine.now(), 300);
 }
 
-// ---- Periodic actors -------------------------------------------------
-
-TEST(Actors, PumpAndPollActorsRunTheirPeriodicSchedules)
-{
-    sim::VirtualClock clock;
-    sim::Engine engine(clock);
-    size_t pumped = 0;
-    SchedulerPumpActor pump([&pumped] {
-        ++pumped;
-        return size_t(3);
-    });
-    pump.attach(engine, "pump");
-    pump.startPeriodic(engine, 1000, 5);
-    ASSERT_TRUE(engine.runUntilIdle());
-    EXPECT_EQ(pumped, 5u);
-    EXPECT_EQ(pump.sweeps(), 5u);
-    EXPECT_EQ(pump.opsCompleted(), 15u);
-    EXPECT_EQ(engine.now(), 5000);
-}
-
 // ---- Event-driven DMA lanes ------------------------------------------
 
 TEST(Actors, DmaLanesOverlapAcrossDevices)
@@ -308,6 +288,8 @@ TEST(FleetSim, SameSeedIsByteIdenticalDifferentSeedDiverges)
     FleetSimReport b = runFleetSim(cfg);
     EXPECT_EQ(a.traceJson, b.traceJson);
     EXPECT_EQ(a.metricsText, b.metricsText);
+    test::expectGoldenDigest("fleet_sim_48x6.trace.json", a.traceJson);
+    test::expectGoldenDigest("fleet_sim_48x6.metrics.txt", a.metricsText);
     cfg.seed = 99; // think-time jitter shifts every busy period
     FleetSimReport c = runFleetSim(cfg);
     EXPECT_TRUE(c.ok);
@@ -333,7 +315,7 @@ TEST(FleetSim, SeededTieBreakKeepsMetricsInvariant)
     EXPECT_EQ(fifo.metricsText, shuffled.metricsText);
 }
 
-// ---- Lockstep vs engine regression pin -------------------------------
+// ---- Engine scenario determinism -------------------------------------
 
 namespace {
 
@@ -379,33 +361,12 @@ failovers_max = 0
 
 } // namespace
 
-TEST(ScenarioEngine, EngineRunIsTraceIdenticalToLockstep)
-{
-    Scenario sc = parseScenario(kMiniScenario);
-    ScenarioOutcome lockstep = runScenario(sc);
-    ScenarioOutcome engine = runScenarioOnEngine(sc);
-
-    ASSERT_TRUE(lockstep.passed())
-        << (lockstep.violations.empty() ? "deploy failed"
-                                        : lockstep.violations[0]);
-    ASSERT_TRUE(engine.passed())
-        << (engine.violations.empty() ? "deploy failed"
-                                      : engine.violations[0]);
-    // The engine port replays the exact lockstep call order (FIFO
-    // same-instant dispatch), so the artifacts must be IDENTICAL —
-    // any divergence means the port changed semantics.
-    EXPECT_EQ(lockstep.traceJson, engine.traceJson);
-    EXPECT_EQ(lockstep.metricsText, engine.metricsText);
-    EXPECT_EQ(lockstep.completed, engine.completed);
-    EXPECT_EQ(lockstep.failovers, engine.failovers);
-    EXPECT_EQ(lockstep.dmaBytes, engine.dmaBytes);
-    EXPECT_EQ(lockstep.clockEnd, engine.clockEnd);
-}
-
 TEST(ScenarioEngine, EngineRunsAreSameSeedDeterministic)
 {
     Scenario sc = parseScenario(kMiniScenario);
     ScenarioOutcome a = runScenarioOnEngine(sc);
+    ASSERT_TRUE(a.passed())
+        << (a.violations.empty() ? "deploy failed" : a.violations[0]);
     ScenarioOutcome b = runScenarioOnEngine(sc);
     EXPECT_EQ(a.traceJson, b.traceJson);
     EXPECT_EQ(a.metricsText, b.metricsText);

@@ -1,18 +1,22 @@
 /**
  * @file
  * Scenario-engine soak tests: every gallery campaign under
- * scenarios/ must pass its own [expect] invariants AND be
- * byte-identical across two same-seed runs (obs trace + metrics
- * dump). An inline campaign proves that a brand-new chaos
- * composition needs only a text file — no C++. Parser error paths
- * round out the strict-INI contract (typos fail loudly).
+ * scenarios/ must pass its own [expect] invariants, be byte-identical
+ * across two same-seed runs (obs trace + metrics dump), and match the
+ * digests recorded in tests/golden/artifacts.sha256. An inline
+ * campaign proves that a brand-new chaos composition needs only a
+ * text file — no C++. Parser error paths round out the strict-INI
+ * contract (typos fail loudly).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
 #include <string>
 #include <vector>
 
+#include "golden.hpp"
 #include "salus/scenario.hpp"
 
 using namespace salus;
@@ -24,17 +28,18 @@ using namespace salus::core;
 
 namespace {
 
-/** Runs a campaign twice and enforces pass + byte determinism. */
-void
+/** Runs a campaign twice, enforces pass + byte determinism, and
+ *  returns the first run. */
+ScenarioOutcome
 runTwiceAndCheck(const Scenario &sc)
 {
-    ScenarioOutcome first = runScenario(sc);
+    ScenarioOutcome first = runScenarioOnEngine(sc);
     EXPECT_TRUE(first.deployOk) << sc.name << ": deployment failed";
     for (const std::string &v : first.violations)
         ADD_FAILURE() << sc.name << ": " << v;
     EXPECT_TRUE(first.passed());
 
-    ScenarioOutcome second = runScenario(sc);
+    ScenarioOutcome second = runScenarioOnEngine(sc);
     // Same seed, same file: the full observability record must match
     // byte for byte — this is the determinism contract campaigns are
     // debugged and triaged against.
@@ -44,37 +49,54 @@ runTwiceAndCheck(const Scenario &sc)
         << sc.name << ": metrics diverged between same-seed runs";
     EXPECT_EQ(first.completed, second.completed);
     EXPECT_EQ(first.clockEnd, second.clockEnd);
+    return first;
 }
 
 std::string
-galleryPath(const char *file)
+galleryPath(const std::string &name)
 {
-    return std::string(SALUS_SCENARIO_DIR) + "/" + file;
+    return std::string(SALUS_SCENARIO_DIR) + "/" + name + ".scn";
+}
+
+/** Every campaign file in the gallery directory, by stem, sorted. */
+std::vector<std::string>
+galleryNames()
+{
+    std::vector<std::string> names;
+    for (const auto &entry :
+         std::filesystem::directory_iterator(SALUS_SCENARIO_DIR))
+        if (entry.path().extension() == ".scn")
+            names.push_back(entry.path().stem().string());
+    std::sort(names.begin(), names.end());
+    return names;
 }
 
 } // namespace
 
 // ------------------------------------------------------- gallery runs
 
-TEST(ScenarioGallery, NoisyNeighbourPassesAndIsDeterministic)
+class ScenarioFile : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(ScenarioFile, PassesIsDeterministicAndMatchesGolden)
 {
-    runTwiceAndCheck(parseScenarioFile(galleryPath("noisy_neighbour.scn")));
+    const std::string &name = GetParam();
+    ScenarioOutcome out =
+        runTwiceAndCheck(parseScenarioFile(galleryPath(name)));
+    test::expectGoldenDigest(name + ".trace.json", out.traceJson);
+    test::expectGoldenDigest(name + ".metrics.txt", out.metricsText);
 }
 
-TEST(ScenarioGallery, SeuStormPassesAndIsDeterministic)
-{
-    runTwiceAndCheck(parseScenarioFile(galleryPath("seu_storm.scn")));
-}
-
-TEST(ScenarioGallery, MassRekeyPassesAndIsDeterministic)
-{
-    runTwiceAndCheck(parseScenarioFile(galleryPath("mass_rekey.scn")));
-}
+INSTANTIATE_TEST_SUITE_P(
+    Gallery, ScenarioFile, ::testing::ValuesIn(galleryNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(ScenarioGallery, BrokerOverloadShedsAndRecovers)
 {
-    Scenario sc = parseScenarioFile(galleryPath("broker_overload.scn"));
-    ScenarioOutcome out = runScenario(sc);
+    ScenarioOutcome out =
+        runScenarioOnEngine(parseScenarioFile(galleryPath("broker_overload")));
     EXPECT_TRUE(out.passed());
     for (const std::string &v : out.violations)
         ADD_FAILURE() << v;
@@ -82,7 +104,6 @@ TEST(ScenarioGallery, BrokerOverloadShedsAndRecovers)
     // block: someone was shed, nobody stayed shed.
     EXPECT_GT(out.shedRejected, 0u);
     EXPECT_EQ(out.shedLevelEnd, 0u);
-    runTwiceAndCheck(sc);
 }
 
 // -------------------------------------- campaigns are data, not C++
@@ -146,7 +167,7 @@ ops_per_sweep = 2
 [expect]
 completed_min = 1000000
 )";
-    ScenarioOutcome out = runScenario(parseScenario(text));
+    ScenarioOutcome out = runScenarioOnEngine(parseScenario(text));
     EXPECT_TRUE(out.deployOk);
     EXPECT_FALSE(out.passed());
     ASSERT_EQ(out.violations.size(), 1u);
@@ -212,13 +233,10 @@ TEST(ScenarioParser, StructuralMistakesAreErrors)
 
 TEST(ScenarioParser, GalleryFilesParseCleanlyFromDisk)
 {
-    const char *files[] = {"noisy_neighbour.scn", "seu_storm.scn",
-                           "mass_rekey.scn", "broker_overload.scn"};
-    for (const char *f : files) {
-        Scenario fromDisk = parseScenarioFile(galleryPath(f));
-        EXPECT_FALSE(fromDisk.name.empty()) << f;
-        EXPECT_FALSE(fromDisk.tenants.empty()) << f;
+    for (const std::string &name : galleryNames()) {
+        Scenario fromDisk = parseScenarioFile(galleryPath(name));
+        EXPECT_FALSE(fromDisk.name.empty()) << name;
+        EXPECT_FALSE(fromDisk.tenants.empty()) << name;
     }
-    EXPECT_THROW(parseScenarioFile(galleryPath("missing.scn")),
-                 ScenarioError);
+    EXPECT_THROW(parseScenarioFile(galleryPath("missing")), ScenarioError);
 }

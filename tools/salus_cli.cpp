@@ -16,6 +16,8 @@
  * dump); see docs/OBSERVABILITY.md.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -257,6 +259,20 @@ cmdWorkload(const std::vector<std::string> &args)
     return 0;
 }
 
+void usage();
+
+/** Parses a whole decimal/0x-hex seed; false on anything else. */
+bool
+parseSeed(const std::string &text, uint64_t &seed)
+{
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        return false;
+    errno = 0;
+    char *end = nullptr;
+    seed = std::strtoull(text.c_str(), &end, 0);
+    return errno == 0 && *end == '\0';
+}
+
 int
 cmdRunScenario(const std::vector<std::string> &args)
 {
@@ -265,18 +281,22 @@ cmdRunScenario(const std::vector<std::string> &args)
         return 2;
     }
     bool once = false;
-    bool onEngine = false;
     bool seedOverride = false;
     uint64_t seed = 0;
     for (size_t i = 1; i < args.size(); ++i) {
         if (args[i] == "--once") {
             once = true;
-        } else if (args[i] == "--engine") {
-            onEngine = true;
-        } else if (args[i] == "--seed" && i + 1 < args.size()) {
+        } else if (args[i] == "--seed" && i + 1 < args.size() &&
+                   parseSeed(args[i + 1], seed)) {
             seedOverride = true;
-            seed = std::strtoull(args[i + 1].c_str(), nullptr, 0);
             ++i;
+        } else {
+            // A stale, mistyped or incomplete flag must not pass
+            // silently as a default run.
+            std::printf("run-scenario: bad argument '%s'\n\n",
+                        args[i].c_str());
+            usage();
+            return 2;
         }
     }
 
@@ -296,14 +316,12 @@ cmdRunScenario(const std::vector<std::string> &args)
                 static_cast<unsigned long long>(sc.seed), sc.devices,
                 sc.sweeps, sc.tenants.size());
 
-    ScenarioOutcome out =
-        onEngine ? runScenarioOnEngine(sc) : runScenario(sc);
+    ScenarioOutcome out = runScenarioOnEngine(sc);
     // Determinism is part of the contract: unless --once, the
     // campaign runs twice and the obs artifacts must byte-match.
     bool identical = true;
     if (!once) {
-        ScenarioOutcome again =
-            onEngine ? runScenarioOnEngine(sc) : runScenario(sc);
+        ScenarioOutcome again = runScenarioOnEngine(sc);
         identical = out.traceJson == again.traceJson &&
                     out.metricsText == again.metricsText;
     }
@@ -396,7 +414,7 @@ usage()
         "revoke\n"
         "  workload <name> [--scale PCT]     run one Table 4 workload "
         "in all modes\n"
-        "  run-scenario FILE [--once] [--seed N] [--engine]\n"
+        "  run-scenario FILE [--once] [--seed N]\n"
         "                                    run a declarative chaos "
         "campaign\n"
         "        (docs/SCENARIOS.md; default runs twice and checks "
