@@ -8,7 +8,8 @@
  *
  * Doubles as a correctness-of-dispatch gate: with AES-NI detected the
  * hardware path must beat scalar by >=5x (AES-CTR) and >=4x (AES-GCM)
- * at 4 KiB, and with SHA-NI SHA-256 must beat scalar by >=2x at 1 MiB.
+ * at 4 KiB, with PCLMULQDQ too AES-GCM must also beat scalar by >=4x
+ * at 1 MiB, and with SHA-NI SHA-256 must beat scalar by >=2x at 1 MiB.
  * Any violation exits non-zero.
  *
  * Results are published as hand-rolled JSON (BENCH_crypto_micro.json,
@@ -162,6 +163,10 @@ main(int argc, char **argv)
               "AES-CTR 4 KiB below the 5x hardware-vs-scalar floor");
         check(find("aes_gcm", 4096).speedup >= 4.0,
               "AES-GCM 4 KiB below the 4x hardware-vs-scalar floor");
+        if (info.pclmul) {
+            check(find("aes_gcm", size_t(1) << 20).speedup >= 4.0,
+                  "AES-GCM 1 MiB below the 4x hardware-vs-scalar floor");
+        }
     } else {
         std::printf("no AES-NI: skipping AES speedup floors\n");
     }

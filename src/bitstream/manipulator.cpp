@@ -16,7 +16,12 @@ lookup(const LogicLocationFile &ll, const std::string &cellPath,
     auto entry = ll.find(cellPath);
     if (!entry)
         throw BitstreamError("no logic location for cell " + cellPath);
-    if (entry->fileOffset + entry->length > fileSize - 4)
+    // The span must end before the trailing CRC word. Offsets come
+    // from metadata bytes, so compare without wrapping either side.
+    if (fileSize < 4)
+        throw BitstreamError("bitstream file too short");
+    const uint64_t limit = fileSize - 4;
+    if (entry->fileOffset > limit || entry->length > limit - entry->fileOffset)
         throw BitstreamError("logic location outside bitstream file");
     return *entry;
 }

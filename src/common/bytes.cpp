@@ -90,13 +90,6 @@ storeBe64(uint8_t *p, uint64_t v)
     storeBe32(p + 4, uint32_t(v));
 }
 
-uint32_t
-loadLe32(const uint8_t *p)
-{
-    return uint32_t(p[0]) | (uint32_t(p[1]) << 8) |
-           (uint32_t(p[2]) << 16) | (uint32_t(p[3]) << 24);
-}
-
 void
 storeLe32(uint8_t *p, uint32_t v)
 {
@@ -104,12 +97,6 @@ storeLe32(uint8_t *p, uint32_t v)
     p[1] = uint8_t(v >> 8);
     p[2] = uint8_t(v >> 16);
     p[3] = uint8_t(v >> 24);
-}
-
-uint64_t
-loadLe64(const uint8_t *p)
-{
-    return uint64_t(loadLe32(p)) | (uint64_t(loadLe32(p + 4)) << 32);
 }
 
 void

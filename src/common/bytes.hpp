@@ -53,14 +53,24 @@ uint64_t loadBe64(const uint8_t *p);
 /** Writes a big-endian 64-bit word. */
 void storeBe64(uint8_t *p, uint64_t v);
 
-/** Reads a little-endian 32-bit word. */
-uint32_t loadLe32(const uint8_t *p);
+/** Reads a little-endian 32-bit word. Inline: the CRC-32 and frame
+ *  ECC loops call it once per word, and it compiles to one load. */
+inline uint32_t
+loadLe32(const uint8_t *p)
+{
+    return uint32_t(p[0]) | (uint32_t(p[1]) << 8) |
+           (uint32_t(p[2]) << 16) | (uint32_t(p[3]) << 24);
+}
 
 /** Writes a little-endian 32-bit word. */
 void storeLe32(uint8_t *p, uint32_t v);
 
-/** Reads a little-endian 64-bit word. */
-uint64_t loadLe64(const uint8_t *p);
+/** Reads a little-endian 64-bit word (inline, like loadLe32). */
+inline uint64_t
+loadLe64(const uint8_t *p)
+{
+    return uint64_t(loadLe32(p)) | (uint64_t(loadLe32(p + 4)) << 32);
+}
 
 /** Writes a little-endian 64-bit word. */
 void storeLe64(uint8_t *p, uint64_t v);

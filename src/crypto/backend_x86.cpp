@@ -99,86 +99,113 @@ ecbVaes(const uint8_t *rk, int rounds, const uint8_t *in, uint8_t *out,
 // ---- PCLMULQDQ GHASH --------------------------------------------------
 
 /**
- * One GF(2^128) multiply in GHASH's representation. The scalar code
- * (and this one) stores field elements as the two big-endian-loaded
- * 64-bit halves, which makes the stored 128-bit integer the
- * bit-reversal of the polynomial: bit j holds the coefficient of
- * x^(127-j). The product of two bit-reversed polynomials is the
- * bit-reversed 255-bit carry-less product shifted left by one, after
- * which x^128..x^254 terms are folded twice through
+ * GHASH field elements live in the scalar code's representation: the
+ * two big-endian-loaded 64-bit halves, as one 128-bit integer (high
+ * lane = first half). That integer is the bit-reversal of the
+ * polynomial: bit j holds the coefficient of x^(127-j). The
+ * carry-less product of two such integers is the bit-reversed
+ * 255-bit product, one bit short of the 256-bit reversed form; the
+ * reduction shifts it left by one and folds x^128..x^254 through
  * x^128 = x^7 + x^2 + x + 1 (the GCM polynomial).
+ *
+ * The product is linear in each operand, so several products can be
+ * XOR-summed before one reduction. ghashBlocks uses that for the
+ * standard aggregated form (Gueron-Kounavis): four blocks are
+ * multiplied by H^4, H^3, H^2, H and reduced once.
  */
-__attribute__((target("pclmul,sse4.1"))) inline void
-ghashMult(uint64_t &zh, uint64_t &zl, uint64_t hh, uint64_t hl)
+
+/** Unreduced 256-bit product as its three schoolbook partial sums. */
+struct Wide
 {
-    const __m128i a = _mm_set_epi64x(int64_t(zh), int64_t(zl));
-    const __m128i b = _mm_set_epi64x(int64_t(hh), int64_t(hl));
+    __m128i lo = _mm_setzero_si128();
+    __m128i mid = _mm_setzero_si128();
+    __m128i hi = _mm_setzero_si128();
+};
 
-    // Schoolbook 128x128 -> 255-bit carry-less product.
-    const __m128i ll = _mm_clmulepi64_si128(a, b, 0x00);
-    const __m128i hh2 = _mm_clmulepi64_si128(a, b, 0x11);
-    const __m128i lh = _mm_clmulepi64_si128(a, b, 0x10);
-    const __m128i hl2 = _mm_clmulepi64_si128(a, b, 0x01);
-    const __m128i mid = _mm_xor_si128(lh, hl2);
+/** w += a * b, carry-less and unreduced. */
+__attribute__((target("pclmul,sse4.1"))) inline void
+clmulAcc(Wide &w, __m128i a, __m128i b)
+{
+    w.lo = _mm_xor_si128(w.lo, _mm_clmulepi64_si128(a, b, 0x00));
+    w.hi = _mm_xor_si128(w.hi, _mm_clmulepi64_si128(a, b, 0x11));
+    w.mid = _mm_xor_si128(w.mid, _mm_clmulepi64_si128(a, b, 0x10));
+    w.mid = _mm_xor_si128(w.mid, _mm_clmulepi64_si128(a, b, 0x01));
+}
 
-    uint64_t p0 = uint64_t(_mm_cvtsi128_si64(ll));
-    uint64_t p1 = uint64_t(_mm_extract_epi64(ll, 1)) ^
-                  uint64_t(_mm_cvtsi128_si64(mid));
-    uint64_t p2 = uint64_t(_mm_cvtsi128_si64(hh2)) ^
-                  uint64_t(_mm_extract_epi64(mid, 1));
-    uint64_t p3 = uint64_t(_mm_extract_epi64(hh2, 1));
+/** Reduces a summed product to one field element. */
+__attribute__((target("pclmul,sse4.1"))) inline __m128i
+reduce(const Wide &w)
+{
+    const uint64_t p0 = uint64_t(_mm_cvtsi128_si64(w.lo));
+    const uint64_t p1 = uint64_t(_mm_extract_epi64(w.lo, 1)) ^
+                        uint64_t(_mm_cvtsi128_si64(w.mid));
+    const uint64_t p2 = uint64_t(_mm_cvtsi128_si64(w.hi)) ^
+                        uint64_t(_mm_extract_epi64(w.mid, 1));
+    const uint64_t p3 = uint64_t(_mm_extract_epi64(w.hi, 1));
 
     // Undo the bit-reversal's off-by-one: Q = P << 1 is the reversed
     // 256-bit product C (q3:q2 = rev(C_lo), q1:q0 = rev(C_hi)).
-    uint64_t q0 = p0 << 1;
-    uint64_t q1 = (p1 << 1) | (p0 >> 63);
-    uint64_t q2 = (p2 << 1) | (p1 >> 63);
-    uint64_t q3 = (p3 << 1) | (p2 >> 63);
+    const uint64_t q0 = p0 << 1;
+    const uint64_t q1 = (p1 << 1) | (p0 >> 63);
+    const uint64_t q2 = (p2 << 1) | (p1 >> 63);
+    const uint64_t q3 = (p3 << 1) | (p2 >> 63);
 
-    // Fold C_hi * (x^7 + x^2 + x + 1), truncated to degree <= 127:
-    // multiplying by x^s is a right shift by s in this representation.
-    uint64_t d1 = q1 ^ (q1 >> 1) ^ (q1 >> 2) ^ (q1 >> 7);
-    uint64_t d0 = q0 ^ ((q0 >> 1) | (q1 << 63)) ^
-                  ((q0 >> 2) | (q1 << 62)) ^ ((q0 >> 7) | (q1 << 57));
+    // Fold C_hi * (x^7 + x^2 + x + 1): multiplying by x^s is a right
+    // shift by s here. The shifts by 1, 2 and 7 push up to seven terms
+    // E(x) x^128 out of the bottom of q0; folding E once more puts
+    // rev(E) in the top word, and q0 << (64 - s) is exactly that. So
+    // add E to q1 first, then fold the 128-bit sum in one pass (E has
+    // degree < 7, so its own shifts stay inside the word).
+    const uint64_t d = q1 ^ (q0 << 63) ^ (q0 << 62) ^ (q0 << 57);
+    const uint64_t h1 = d ^ (d >> 1) ^ (d >> 2) ^ (d >> 7);
+    const uint64_t h0 = q0 ^ ((q0 >> 1) | (d << 63)) ^
+                        ((q0 >> 2) | (d << 62)) ^ ((q0 >> 7) | (d << 57));
+    return _mm_set_epi64x(int64_t(q3 ^ h1), int64_t(q2 ^ h0));
+}
 
-    // Second fold: the first fold overflows x^127 by at most six
-    // terms e_m x^(128+m) (m = 0..5), with e_m = c_(121+m), plus
-    // c_126 riding on m = 0 from the x^2 term. c_(127-j) is bit j of
-    // q0, so all six live in q0's low bits.
-    unsigned e = 0;
-    for (int m = 0; m <= 5; ++m)
-        e |= unsigned((q0 >> (6 - m)) & 1) << m;
-    e ^= unsigned((q0 >> 1) & 1);
-    // F = E(x) * (x^7 + x^2 + x + 1), degree <= 12.
-    unsigned f = (e << 7) ^ (e << 2) ^ (e << 1) ^ e;
-    // rev(F): degree-d terms land on bit 127 - d, all in the top word.
-    uint64_t fh = 0;
-    for (int d = 0; d <= 12; ++d)
-        if ((f >> d) & 1)
-            fh |= uint64_t(1) << (63 - d);
+/** One full field multiply a * b. */
+__attribute__((target("pclmul,sse4.1"))) inline __m128i
+ghashMult(__m128i a, __m128i b)
+{
+    Wide w;
+    clmulAcc(w, a, b);
+    return reduce(w);
+}
 
-    zh = q3 ^ d1 ^ fh;
-    zl = q2 ^ d0;
+/** Loads one block in the scalar representation (big-endian). */
+__attribute__((target("pclmul,sse4.1"))) inline __m128i
+loadBlock(const uint8_t *p)
+{
+    const __m128i kReverse =
+        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15);
+    return _mm_shuffle_epi8(
+        _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)), kReverse);
 }
 
 __attribute__((target("pclmul,sse4.1"))) void
 ghashBlocks(uint64_t &yh, uint64_t &yl, const uint8_t *data, size_t n,
             uint64_t h0, uint64_t h1)
 {
-    uint64_t zh = yh, zl = yl;
-    for (size_t i = 0; i < n; ++i, data += 16) {
-        // Big-endian load == the scalar representation.
-        uint64_t xh = 0, xl = 0;
-        for (int j = 0; j < 8; ++j) {
-            xh = (xh << 8) | data[j];
-            xl = (xl << 8) | data[8 + j];
+    const __m128i h = _mm_set_epi64x(int64_t(h0), int64_t(h1));
+    __m128i y = _mm_set_epi64x(int64_t(yh), int64_t(yl));
+    if (n >= 4) {
+        // Y' = (Y + X1) H^4 + X2 H^3 + X3 H^2 + X4 H, one reduction.
+        const __m128i h2 = ghashMult(h, h);
+        const __m128i h3 = ghashMult(h2, h);
+        const __m128i h4 = ghashMult(h3, h);
+        for (; n >= 4; n -= 4, data += 64) {
+            Wide w;
+            clmulAcc(w, _mm_xor_si128(y, loadBlock(data)), h4);
+            clmulAcc(w, loadBlock(data + 16), h3);
+            clmulAcc(w, loadBlock(data + 32), h2);
+            clmulAcc(w, loadBlock(data + 48), h);
+            y = reduce(w);
         }
-        zh ^= xh;
-        zl ^= xl;
-        ghashMult(zh, zl, h0, h1);
     }
-    yh = zh;
-    yl = zl;
+    for (; n > 0; --n, data += 16)
+        y = ghashMult(_mm_xor_si128(y, loadBlock(data)), h);
+    yh = uint64_t(_mm_extract_epi64(y, 1));
+    yl = uint64_t(_mm_cvtsi128_si64(y));
 }
 
 // ---- SHA-NI -----------------------------------------------------------

@@ -38,8 +38,10 @@ void aesniEcbEncrypt(const uint8_t *roundKeyBytes, int rounds,
 /**
  * GHASH: absorbs n 16-byte blocks into the accumulator (yh, yl) under
  * hash key (h0, h1), all in the scalar code's representation (the
- * big-endian-loaded halves of the field elements). PCLMULQDQ
- * multiply + reflected reduction per block.
+ * big-endian-loaded halves of the field elements). PCLMULQDQ with
+ * 4-block aggregated reduction: from n >= 4 on, four blocks are
+ * multiplied by H^4..H (computed per call) and reduced once; the
+ * remaining 0-3 blocks take one multiply + reduction each.
  */
 void pclmulGhashBlocks(uint64_t &yh, uint64_t &yl, const uint8_t *data,
                        size_t n, uint64_t h0, uint64_t h1);

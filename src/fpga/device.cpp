@@ -313,11 +313,48 @@ FpgaDevice::clearPartition(uint32_t partitionId)
     ecc_.erase(partitionId);
 }
 
+namespace {
+
+inline uint32_t
+parity(uint64_t v)
+{
+    return uint32_t(__builtin_parityll(v));
+}
+
+} // namespace
+
 FpgaDevice::FrameEcc
 FpgaDevice::frameEcc(const uint8_t *frame, size_t frameSize) const
 {
+    // Bit b of byte j has position 8j + b; in the little-endian word q
+    // that is bit i = position - 64q. For i < 63, position + 1 is
+    // 64q | (i + 1), so a word's set low bits XOR to (64q if their
+    // count is odd) ^ XOR(i + 1). With s = w << 1 each such bit sits
+    // at i + 1 (bit 63 drops out), so bit k of XOR(i + 1) is the
+    // parity of s's bits whose index has bit k set. Bit 63 adds
+    // 64q + 64, which carries, so it is taken on its own.
     FrameEcc ecc;
-    for (size_t byte = 0; byte < frameSize; ++byte) {
+    size_t byte = 0;
+    for (; byte + 8 <= frameSize; byte += 8) {
+        const uint64_t w = loadLe64(frame + byte);
+        if (w == 0)
+            continue; // padding: most of a partition is zero words
+        const uint64_t s = w << 1;
+        const uint32_t base = uint32_t(byte * 8);
+        uint32_t index = parity(s & 0xaaaaaaaaaaaaaaaaULL) |
+                         parity(s & 0xccccccccccccccccULL) << 1 |
+                         parity(s & 0xf0f0f0f0f0f0f0f0ULL) << 2 |
+                         parity(s & 0xff00ff00ff00ff00ULL) << 3 |
+                         parity(s & 0xffff0000ffff0000ULL) << 4 |
+                         parity(s & 0xffffffff00000000ULL) << 5;
+        if (parity(s))
+            index ^= base;
+        if (w >> 63)
+            index ^= base + 64;
+        ecc.xorIndex ^= index;
+        ecc.parity ^= uint8_t(parity(w));
+    }
+    for (; byte < frameSize; ++byte) {
         uint8_t v = frame[byte];
         while (v) {
             int bit = __builtin_ctz(v);

@@ -238,6 +238,41 @@ TEST(SeuScrub, DoubleUpsetInOneFrameIsFatal)
     EXPECT_FALSE(rig.tb->smApp().reattestCl());
 }
 
+TEST(SeuScrub, EveryBitOfAFrameIsLocatedAndCorrected)
+{
+    SeuRig rig;
+    fpga::FpgaDevice &dev = rig.tb->device();
+    const uint64_t frameBits =
+        uint64_t(dev.model().findPartition(0)->frameSize) * 8;
+    ASSERT_EQ(frameBits, 512u); // testModel's 64-byte frames
+    const uint64_t frame3 = 3 * frameBits;
+    // Readback shows whether a "correction" restored the flipped bit or
+    // flipped a second one that happens to balance the signature.
+    dev.setReadbackEnabled(true);
+    const Bytes golden = dev.readback(0);
+
+    // Every bit position, including each word's top bit whose index
+    // carries into the next word's, must be located exactly.
+    for (uint64_t bit = 0; bit < frameBits; ++bit) {
+        dev.injectSeu(0, frame3 + bit);
+        auto report = dev.scrub(0);
+        ASSERT_EQ(report.corrected, 1u) << "bit " << bit;
+        ASSERT_EQ(report.uncorrectable, 0u) << "bit " << bit;
+        ASSERT_EQ(dev.readback(0), golden) << "bit " << bit;
+        auto again = dev.scrub(0);
+        ASSERT_EQ(again.corrected, 0u) << "bit " << bit;
+        ASSERT_EQ(again.uncorrectable, 0u) << "bit " << bit;
+    }
+
+    // Bit 63 of word 0 and bit 0 of word 1: an even number of flips
+    // with a nonzero index difference is detected, not "corrected".
+    dev.injectSeu(0, frame3 + 63);
+    dev.injectSeu(0, frame3 + 64);
+    auto report = dev.scrub(0);
+    EXPECT_EQ(report.corrected, 0u);
+    EXPECT_EQ(report.uncorrectable, 1u);
+}
+
 TEST(SeuScrub, ApiErrors)
 {
     SeuRig rig;

@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 
 #include "common/hex.hpp"
 #include "crypto/aes.hpp"
@@ -264,6 +265,38 @@ TEST(CryptoBackend, GcmCounterWrapsAt32Bits)
 
 // ---- Scalar vs hardware differential ---------------------------------
 
+namespace {
+
+/** Seals under both backends, requires identical output, and
+ *  cross-opens each side's result on the other. */
+void
+expectGcmAgrees(const AesGcm &gcm, const Bytes &iv, const Bytes &aad,
+                const Bytes &plain, const std::string &label)
+{
+    GcmSealed hw = gcm.seal(iv, aad, plain);
+    GcmSealed sc;
+    {
+        ScopedForceScalar force;
+        sc = gcm.seal(iv, aad, plain);
+    }
+    EXPECT_EQ(hw.ciphertext, sc.ciphertext) << label;
+    EXPECT_EQ(hw.tag, sc.tag) << label;
+
+    // Cross-open: hardware-sealed must verify on the scalar path and
+    // vice versa.
+    {
+        ScopedForceScalar force;
+        auto opened = gcm.open(iv, aad, hw.ciphertext, hw.tag);
+        ASSERT_TRUE(opened.has_value()) << label;
+        EXPECT_EQ(*opened, plain) << label;
+    }
+    auto opened = gcm.open(iv, aad, sc.ciphertext, sc.tag);
+    ASSERT_TRUE(opened.has_value()) << label;
+    EXPECT_EQ(*opened, plain) << label;
+}
+
+} // namespace
+
 TEST(CryptoBackend, GcmSealAgreesAcrossBackends)
 {
     if (!anyHardware())
@@ -275,29 +308,31 @@ TEST(CryptoBackend, GcmSealAgreesAcrossBackends)
         Bytes iv = rng.bytes(len % 2 ? 12 : 31); // both IV paths
         Bytes aad = rng.bytes(len % 3 ? 21 : 0);
         Bytes plain = rng.bytes(len);
-
-        AesGcm gcm(key);
-        GcmSealed hw = gcm.seal(iv, aad, plain);
-        GcmSealed sc;
-        {
-            ScopedForceScalar force;
-            sc = gcm.seal(iv, aad, plain);
-        }
-        EXPECT_EQ(hw.ciphertext, sc.ciphertext) << "len=" << len;
-        EXPECT_EQ(hw.tag, sc.tag) << "len=" << len;
-
-        // Cross-open: hardware-sealed must verify on the scalar path
-        // and vice versa.
-        {
-            ScopedForceScalar force;
-            auto opened = gcm.open(iv, aad, hw.ciphertext, hw.tag);
-            ASSERT_TRUE(opened.has_value()) << "len=" << len;
-            EXPECT_EQ(*opened, plain);
-        }
-        auto opened = gcm.open(iv, aad, sc.ciphertext, sc.tag);
-        ASSERT_TRUE(opened.has_value()) << "len=" << len;
-        EXPECT_EQ(*opened, plain);
+        expectGcmAgrees(AesGcm(key), iv, aad, plain,
+                        "len=" + std::to_string(len));
     }
+
+    // GHASH takes four blocks per reduction from four blocks on, then
+    // one at a time: cover 0-9 blocks of text, each with a partial
+    // block on either side, behind AAD that is empty, partial, exactly
+    // four blocks, and four blocks plus one byte.
+    AesGcm gcm(rng.bytes(32));
+    for (size_t aadLen : {size_t(0), size_t(13), size_t(64), size_t(65)}) {
+        Bytes aad = rng.bytes(aadLen);
+        for (size_t blocks = 0; blocks <= 9; ++blocks) {
+            for (int partial : {-7, 0, 5}) {
+                if (blocks == 0 && partial < 0)
+                    continue;
+                size_t len = 16 * blocks + size_t(partial);
+                Bytes iv = rng.bytes(len % 2 ? 12 : 31);
+                expectGcmAgrees(gcm, iv, aad, rng.bytes(len),
+                                "aad=" + std::to_string(aadLen) +
+                                    " len=" + std::to_string(len));
+            }
+        }
+    }
+    Bytes big = rng.bytes((size_t(1) << 20) + 5);
+    expectGcmAgrees(gcm, rng.bytes(12), rng.bytes(13), big, "1 MiB + 5");
 }
 
 TEST(CryptoBackend, Sha256AgreesAcrossBackends)

@@ -111,12 +111,43 @@ TEST(Netlist, SpanTrackingMatchesSerialization)
 
 // ------------------------------------------------------------- crc32
 
+namespace {
+
+/** Bit-at-a-time CRC-32, the definition the table kernel must match. */
+uint32_t
+referenceCrc32(ByteView data)
+{
+    uint32_t c = 0xffffffffu;
+    for (uint8_t b : data) {
+        c ^= b;
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+} // namespace
+
 TEST(Crc32, KnownValueAndSensitivity)
 {
     // CRC-32("123456789") = 0xcbf43926 (classic check value).
     EXPECT_EQ(crc32(bytesFromString("123456789")), 0xcbf43926u);
     EXPECT_EQ(crc32(ByteView()), 0u);
     EXPECT_NE(crc32(bytesFromString("a")), crc32(bytesFromString("b")));
+
+    // Eight bytes per step, then a bytewise tail: every alignment and
+    // tail length must agree with the bitwise definition.
+    crypto::CtrDrbg rng(uint64_t(0xc3c));
+    Bytes buf = rng.bytes(64 + 8);
+    for (size_t start = 0; start < 8; ++start) {
+        for (size_t len = 0; len <= 64; ++len) {
+            ByteView v(buf.data() + start, len);
+            ASSERT_EQ(crc32(v), referenceCrc32(v))
+                << "start=" << start << " len=" << len;
+        }
+    }
+    Bytes big = rng.bytes(size_t(1) << 20);
+    EXPECT_EQ(crc32(big), referenceCrc32(big));
 }
 
 // ----------------------------------------------------------- compiler
@@ -262,6 +293,7 @@ TEST(Manipulator, ErrorsOnBadInput)
 {
     Compiler compiler("dev-x");
     auto out = compiler.compile(sampleDesign(), smallGeometry());
+    const Bytes original = out.file;
 
     EXPECT_THROW(Manipulator::patchCell(out.file, out.logicLocations,
                                         "top/nothere", Bytes(16)),
@@ -275,6 +307,40 @@ TEST(Manipulator, ErrorsOnBadInput)
     EXPECT_THROW(Manipulator::patchCell(out.file, hostile, "top/secret",
                                         Bytes(16)),
                  BitstreamError);
+
+    // Metadata bytes decode to any 64-bit offset; offset + length
+    // must not wrap past the bounds check.
+    for (uint64_t offset : {~uint64_t(0), ~uint64_t(0) - 15,
+                            ~uint64_t(0) - 8, uint64_t(1) << 63}) {
+        LogicLocationFile ll;
+        ll.add({"top/secret", offset, 16});
+        LogicLocationFile decoded =
+            LogicLocationFile::deserialize(ll.serialize());
+        ASSERT_EQ(decoded.find("top/secret")->fileOffset, offset);
+        EXPECT_THROW(Manipulator::patchCell(out.file, decoded,
+                                            "top/secret", Bytes(16)),
+                     BitstreamError)
+            << offset;
+        EXPECT_THROW(
+            Manipulator::readCell(out.file, decoded, "top/secret"),
+            BitstreamError)
+            << offset;
+    }
+    EXPECT_EQ(out.file, original);
+
+    // A file shorter than its CRC word has no room for any cell, not
+    // even an empty one at offset 0.
+    for (size_t size = 0; size < 4; ++size) {
+        Bytes tiny(size, 0x5a);
+        LogicLocationFile ll;
+        ll.add({"c", 0, 0});
+        EXPECT_THROW(Manipulator::patchCell(tiny, ll, "c", Bytes()),
+                     BitstreamError)
+            << size;
+        EXPECT_THROW(Manipulator::readCell(tiny, ll, "c"), BitstreamError)
+            << size;
+        EXPECT_EQ(tiny, Bytes(size, 0x5a));
+    }
 }
 
 TEST(LogicLocation, SerializeRoundtrip)
