@@ -87,19 +87,18 @@ main()
     Bytes storedBitstream = artifact.bitstream; // cloud storage copy
 
     SmEnclaveDeps smDeps;
-    smDeps.shell = &shell;
     smDeps.network = &network;
     smDeps.selfEndpoint = endpoints::kCloudHost;
     smDeps.manufacturerEndpoint = endpoints::kManufacturer;
-    smDeps.instanceDeviceDna = device->dna().value;
+    smDeps.devices = {{&shell, device->dna().value}};
     smDeps.fetchBitstream = [&] { return storedBitstream; };
     SmEnclaveApp smApp(platform, smDeps);
 
     SmTransport transport;
-    transport.la1 = [&](ByteView m) { return smApp.laAnswer(m); };
-    transport.la3 = [&](ByteView m) { return smApp.laConfirm(m); };
+    transport.la1 = [&](ByteView m) { return smApp.laAnswer(0, m); };
+    transport.la3 = [&](ByteView m) { return smApp.laConfirm(0, m); };
     transport.channel = [&](ByteView m) {
-        return smApp.channelRequest(m);
+        return smApp.channelRequest(0, m);
     };
     UserEnclaveApp userApp(platform, UserEnclaveApp::defaultImage(),
                            SmEnclaveApp::defaultMeasurement(), transport);

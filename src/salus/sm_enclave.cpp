@@ -125,126 +125,72 @@ SmEnclaveApp::defaultMeasurement()
 SmEnclaveApp::SmEnclaveApp(tee::TeePlatform &platform, SmEnclaveDeps deps)
     : tee::Enclave(platform, defaultImage()), deps_(std::move(deps))
 {
-    // Accept any same-platform initiator; policy pinning happens on
-    // the user side (and at the manufacturer for key release).
-    la_ = std::make_unique<tee::LocalAttestResponder>(
-        *this, tee::Measurement{});
-
-    devices_ = deps_.devices;
-    if (devices_.empty() && deps_.shell) {
-        // Legacy single-device wiring.
-        devices_.push_back({deps_.shell, deps_.instanceDeviceDna});
-    }
+    createPeer(); // peer 0, the deployment owner
 }
 
 shell::Shell &
 SmEnclaveApp::activeShell() const
 {
-    if (activeDevice_ >= devices_.size() ||
-        devices_[activeDevice_].shell == nullptr)
+    if (!inPool(activeDevice_))
         throw SalusError("SM enclave has no active device");
-    return *devices_[activeDevice_].shell;
+    return *deps_.devices[activeDevice_].shell;
 }
 
 uint64_t
 SmEnclaveApp::activeDna() const
 {
-    if (activeDevice_ >= devices_.size())
+    if (activeDevice_ >= deps_.devices.size())
         return 0;
-    return devices_[activeDevice_].dna;
+    return deps_.devices[activeDevice_].dna;
 }
 
-Bytes
-SmEnclaveApp::laAnswer(ByteView msg1)
-{
-    auto msg2 = la_->answer(msg1);
-    return msg2 ? *msg2 : Bytes();
-}
-
-bool
-SmEnclaveApp::laConfirm(ByteView msg3)
-{
-    bool ok = la_->confirm(msg3);
-    if (ok) {
-        // New LA session => new session key => fresh sequence space.
-        channelSeq_ = 0;
-    }
-    return ok;
-}
-
-bool
-SmEnclaveApp::laEstablished() const
-{
-    return la_->established();
-}
-
-// ---- Multi-session peers ----------------------------------------------
+// ---- Peers -------------------------------------------------------------
 
 uint32_t
 SmEnclaveApp::createPeer()
 {
-    if (1 + extraLa_.size() >= kSmMaxSessions)
+    if (peers_.size() >= kSmMaxSessions)
         throw SalusError("SM enclave: fabric session slots exhausted");
-    extraLa_.push_back(std::make_unique<tee::LocalAttestResponder>(
-        *this, tee::Measurement{}));
-    extraSeq_.push_back(0);
-    return uint32_t(extraLa_.size()); // peer id == fabric slot
+    // Accept any same-platform initiator; policy pinning happens on
+    // the user side (and at the manufacturer for key release).
+    Peer p;
+    p.la = std::make_unique<tee::LocalAttestResponder>(
+        *this, tee::Measurement{});
+    peers_.push_back(std::move(p));
+    return uint32_t(peers_.size() - 1); // peer id == fabric slot
 }
 
-size_t
-SmEnclaveApp::peerCount() const
+SmEnclaveApp::Peer *
+SmEnclaveApp::findPeer(uint32_t peer)
 {
-    return 1 + extraLa_.size();
-}
-
-tee::LocalAttestResponder *
-SmEnclaveApp::peerLa(uint32_t peer) const
-{
-    if (peer == 0)
-        return la_.get();
-    if (peer - 1 >= extraLa_.size())
-        return nullptr;
-    return extraLa_[peer - 1].get();
+    return peer < peers_.size() ? &peers_[peer] : nullptr;
 }
 
 Bytes
 SmEnclaveApp::laAnswer(uint32_t peer, ByteView msg1)
 {
-    tee::LocalAttestResponder *la = peerLa(peer);
-    if (!la)
+    Peer *p = findPeer(peer);
+    if (!p)
         return Bytes();
-    auto msg2 = la->answer(msg1);
+    auto msg2 = p->la->answer(msg1);
     return msg2 ? *msg2 : Bytes();
 }
 
 bool
 SmEnclaveApp::laConfirm(uint32_t peer, ByteView msg3)
 {
-    tee::LocalAttestResponder *la = peerLa(peer);
-    if (!la)
+    Peer *p = findPeer(peer);
+    if (!p || !p->la->confirm(msg3))
         return false;
-    bool ok = la->confirm(msg3);
-    if (ok) {
-        // New LA session => new session key => fresh sequence space.
-        if (peer == 0)
-            channelSeq_ = 0;
-        else
-            extraSeq_[peer - 1] = 0;
-    }
-    return ok;
+    // New LA session => new session key => fresh sequence space.
+    p->seq = 0;
+    return true;
 }
 
 bool
 SmEnclaveApp::laEstablished(uint32_t peer) const
 {
-    tee::LocalAttestResponder *la = peerLa(peer);
-    return la && la->established();
-}
-
-Bytes
-SmEnclaveApp::channelRequest(ByteView sealed)
-{
-    return channelRequest(0, sealed);
+    return peer < peers_.size() && peers_[peer].la->established();
 }
 
 Bytes
@@ -256,22 +202,22 @@ SmEnclaveApp::channelRequest(uint32_t peer, ByteView sealed)
              "rollback/corruption");
         return Bytes();
     }
-    tee::LocalAttestResponder *la = peerLa(peer);
-    if (!la || !la->established())
+    Peer *p = findPeer(peer);
+    if (!p || !p->la->established())
         return Bytes();
 
-    uint64_t &seqRef = peer == 0 ? channelSeq_ : extraSeq_[peer - 1];
-    uint64_t seq = seqRef + 1;
-    auto plain = channelOpen(la->session().key, kDirUp, seq, sealed);
+    uint64_t seq = p->seq + 1;
+    const Bytes &key = p->la->session().key;
+    auto plain = channelOpen(key, kDirUp, seq, sealed);
     if (!plain) {
         logf(LogLevel::Warn, "sm-enclave",
              "rejecting channel request (bad seal/seq)");
         return Bytes();
     }
-    seqRef = seq;
+    p->seq = seq;
 
     Bytes response = handlePlainRequest(peer, *plain);
-    return channelSeal(la->session().key, kDirDown, seq, response);
+    return channelSeal(key, kDirDown, seq, response);
 }
 
 Bytes
@@ -404,14 +350,20 @@ SmEnclaveApp::runSecureBoot()
     }
     // Bounded schedule exhausted by transport-class failures: surface
     // the device to the fleet supervisor instead of hammering on.
-    if (deps_.onDeviceFailure) {
-        ErrorContext ctx;
-        ctx.from = deps_.selfEndpoint;
-        ctx.to = "device-" + std::to_string(activeDevice_);
-        ctx.method = "secureBoot";
-        ctx.attempt = maxAttempts;
-        deps_.onDeviceFailure(activeDevice_, ctx);
-    }
+    reportDeviceFailure("secureBoot", maxAttempts);
+}
+
+void
+SmEnclaveApp::reportDeviceFailure(const char *method, int attempts)
+{
+    if (!deps_.onDeviceFailure)
+        return;
+    ErrorContext ctx;
+    ctx.from = deps_.selfEndpoint;
+    ctx.to = "device-" + std::to_string(activeDevice_);
+    ctx.method = method;
+    ctx.attempt = attempts;
+    deps_.onDeviceFailure(activeDevice_, ctx);
 }
 
 bool
@@ -434,7 +386,7 @@ SmEnclaveApp::attemptSecureBoot(std::string &failure, bool &retryable)
     status_.attested = true;
     // Deployment complete: reserve a counter window and persist the
     // deployment table so a crashed SM can resume this session.
-    ctrReserve_ = sessionCtr_ + kCtrReserveStride;
+    slots_[0].reserve = slots_[0].ctr + kCtrReserveStride;
     commitJournal();
     return true;
 }
@@ -583,7 +535,7 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
         retryable = false;
         return false;
     }
-    sessionCtr_ = secrets_.ctrBase;
+    slots_[0].ctr = secrets_.ctrBase;
     try {
         obs::Span sub(obs::Category::Bitstream, "inject_secrets");
         PhaseScope phase(deps_.sim, phases::kBitstreamManip);
@@ -711,7 +663,7 @@ SmEnclaveApp::rekeySession()
     obs::Span span(obs::Category::Channel, "rekey_session");
     obs::count("channel.rekeys");
 
-    uint64_t ctr = nextSessionCtr();
+    uint64_t ctr = reserveCtrSpan(0, 1);
     uint64_t nonce = rng().nextU64();
     uint64_t mac =
         regchan::rekeyMac(secrets_.sessionMacKey(), ctr, nonce);
@@ -735,13 +687,7 @@ SmEnclaveApp::rekeySession()
     }
 
     clearPendingRekey();
-    auto [aes, macKey] =
-        regchan::deriveRekeyedKeys(secrets_.sessionMacKey(), nonce);
-    std::copy(aes.begin(), aes.end(), secrets_.keySession.begin());
-    std::copy(macKey.begin(), macKey.end(),
-              secrets_.keySession.begin() + 16);
-    secureZero(aes);
-    secureZero(macKey);
+    installRolledKeys(secrets_.sessionMacKey(), nonce);
     // Rolled keys are part of the session metadata — persist them, or
     // a recovered SM would hold the pre-roll keys the fabric rejects.
     commitJournal();
@@ -749,15 +695,31 @@ SmEnclaveApp::rekeySession()
 }
 
 void
-SmEnclaveApp::adoptPendingRekey()
+SmEnclaveApp::installRolledKeys(ByteView macKey, uint64_t nonce)
 {
-    auto [aes, macKey] = regchan::deriveRekeyedKeys(pendingRekeyMacKey_,
-                                                    pendingRekeyNonce_);
+    auto [aes, mac] = regchan::deriveRekeyedKeys(macKey, nonce);
     std::copy(aes.begin(), aes.end(), secrets_.keySession.begin());
-    std::copy(macKey.begin(), macKey.end(),
-              secrets_.keySession.begin() + 16);
+    std::copy(mac.begin(), mac.end(), secrets_.keySession.begin() + 16);
     secureZero(aes);
-    secureZero(macKey);
+    secureZero(mac);
+}
+
+void
+SmEnclaveApp::convergePendingRekey(RekeyProbe &probe, bool accepted)
+{
+    if (accepted) {
+        if (probe.usingPendingKeys)
+            clearPendingRekey(); // converged on the rolled keys
+    } else if (havePendingRekey_ && !probe.usingPendingKeys) {
+        probe.preAdoptSession = secrets_.keySession;
+        installRolledKeys(pendingRekeyMacKey_, pendingRekeyNonce_);
+        probe.usingPendingKeys = true;
+    } else if (probe.usingPendingKeys) {
+        secrets_.keySession = probe.preAdoptSession;
+        secureZero(probe.preAdoptSession);
+        probe.usingPendingKeys = false;
+        clearPendingRekey();
+    }
 }
 
 void
@@ -795,68 +757,53 @@ SmEnclaveApp::secureRegOp(const regchan::RegOp &op)
 
     int maxAttempts = std::max(1, deps_.retry.maxAttempts);
     std::pair<uint8_t, uint64_t> result{0xfc, 0};
-    Bytes preAdoptSession;
-    bool usingPendingKeys = false;
+    RekeyProbe probe;
     for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
         if (attempt > 1) {
             deps_.sim.spend(net::kRetryBackoffPhase,
                             deps_.retry.backoffBefore(attempt));
         }
-        result = secureRegOpOnce(op);
-        if (result.first != 0xfc && result.first != 0xfb) {
-            if (usingPendingKeys)
-                clearPendingRekey(); // converged on the rolled keys
-            return result;
-        }
         // Each retry reseals under a fresh counter, so a lost or
-        // garbled transaction cannot be replayed into acceptance. A
-        // rejection right after a failed re-key may mean the fabric
-        // DID roll its keys and only the completion was lost: try the
-        // rolled keys; if the channel still rejects, the roll never
-        // happened — revert.
-        if (havePendingRekey_ && !usingPendingKeys) {
-            preAdoptSession = secrets_.keySession;
-            adoptPendingRekey();
-            usingPendingKeys = true;
-        } else if (usingPendingKeys) {
-            secrets_.keySession = preAdoptSession;
-            secureZero(preAdoptSession);
-            usingPendingKeys = false;
-            clearPendingRekey();
-        }
+        // garbled transaction cannot be replayed into acceptance.
+        result = secureRegOpOnce(op);
+        bool accepted = result.first != 0xfc && result.first != 0xfb;
+        convergePendingRekey(probe, accepted);
+        if (accepted)
+            return result;
     }
     // Every sealed attempt was lost or rejected — the device is not
     // serving the channel. Tell the supervisor; it owns the decision
     // to quarantine and fail the session over.
-    if (deps_.onDeviceFailure) {
-        ErrorContext ctx;
-        ctx.from = deps_.selfEndpoint;
-        ctx.to = "device-" + std::to_string(activeDevice_);
-        ctx.method = "secureRegOp";
-        ctx.attempt = maxAttempts;
-        deps_.onDeviceFailure(activeDevice_, ctx);
-    }
+    reportDeviceFailure("secureRegOp", maxAttempts);
     return result;
 }
 
-const crypto::Aes &
-SmEnclaveApp::slotAes(uint32_t slot, ByteView aesKey)
+ByteView
+SmEnclaveApp::slotKeys(uint32_t slot) const
 {
-    SlotAesCache &c = slotAesCache_[slot];
-    if (!c.aes || c.key.size() != aesKey.size() ||
-        !std::equal(c.key.begin(), c.key.end(), aesKey.begin())) {
-        secureZero(c.key);
-        c.key.assign(aesKey.begin(), aesKey.end());
-        c.aes = std::make_unique<crypto::Aes>(aesKey);
+    return slot == 0 ? ByteView(secrets_.keySession)
+                     : ByteView(slots_[slot].keySession);
+}
+
+const crypto::Aes &
+SmEnclaveApp::slotAes(uint32_t slot)
+{
+    ByteView aesKey = slotKeys(slot).subspan(0, 16);
+    SessionSlot &s = slots_[slot];
+    if (!s.aes || s.aesKey.size() != aesKey.size() ||
+        !std::equal(s.aesKey.begin(), s.aesKey.end(), aesKey.begin())) {
+        secureZero(s.aesKey);
+        s.aesKey.assign(aesKey.begin(), aesKey.end());
+        s.aes = std::make_unique<crypto::Aes>(aesKey);
     }
-    return *c.aes;
+    return *s.aes;
 }
 
 std::pair<uint8_t, uint64_t>
 SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
 {
-    uint64_t ctr = nextSessionCtr();
-    const crypto::Aes &aes = slotAes(0, secrets_.sessionAesKey());
+    uint64_t ctr = reserveCtrSpan(0, 1);
+    const crypto::Aes &aes = slotAes(0);
     regchan::SealedRegRequest req;
     {
         obs::Span crypto(obs::Category::Channel, "op_crypto");
@@ -900,11 +847,10 @@ SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
 bool
 SmEnclaveApp::ensureFabricSession(uint32_t slot)
 {
-    if (slot == 0)
-        return true; // the injected base session always exists
     if (slot >= kSmMaxSessions)
         return false;
-    if (extraSessions_.count(slot))
+    // The injected base session always exists.
+    if (slot == 0 || slots_[slot].opened)
         return true;
     if (!haveSecrets_ || !status_.ok())
         return false;
@@ -916,7 +862,7 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
     // base channel, so it strictly increases across re-opens (the
     // fabric refuses stale opens) and is covered by the journal's
     // write-ahead reservation.
-    uint64_t nonce = nextSessionCtr();
+    uint64_t nonce = reserveCtrSpan(0, 1);
     uint64_t mac = regchan::sessionOpenMac(secrets_.sessionMacKey(),
                                            slot, nonce);
 
@@ -931,11 +877,11 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
         kSmStatusOk)
         return false;
 
-    FabricSession s;
+    SessionSlot &s = slots_[slot];
+    s.opened = true;
     s.keySession =
         regchan::deriveSlotSessionKeys(secrets_.keySession, slot, nonce);
     s.openNonce = nonce;
-    extraSessions_[slot] = std::move(s);
     // Persist: a recovered SM must hold the slot keys the fabric holds.
     commitJournal();
     return true;
@@ -944,18 +890,13 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
 uint64_t
 SmEnclaveApp::reserveCtrSpan(uint32_t slot, uint64_t n)
 {
-    if (slot == 0) {
-        uint64_t base = sessionCtr_ + 1;
-        if (sessionCtr_ + n > ctrReserve_ && deps_.storeJournal) {
-            ctrReserve_ = sessionCtr_ + n + kCtrReserveStride;
-            commitJournal();
-        }
-        sessionCtr_ += n;
-        return base;
-    }
-    FabricSession &s = extraSessions_.at(slot);
+    SessionSlot &s = slots_[slot];
     uint64_t base = s.ctr + 1;
     if (s.ctr + n > s.reserve && deps_.storeJournal) {
+        // Write-ahead: extend the reservation BEFORE the counters are
+        // used. If the commit crashes, the old journal's reservation
+        // still covers everything the fabric ever saw, so a recovered
+        // SM resumes past it and never re-issues a counter.
         s.reserve = s.ctr + n + kCtrReserveStride;
         commitJournal();
     }
@@ -988,8 +929,7 @@ SmEnclaveApp::secureRegBatch(uint32_t slot,
                                           ops.begin() + long(at + n));
         std::vector<regchan::BatchResult> chunkResults;
         uint8_t code = 0xfc;
-        Bytes preAdoptSession;
-        bool usingPendingKeys = false;
+        RekeyProbe probe;
         for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
             if (attempt > 1) {
                 deps_.sim.spend(net::kRetryBackoffPhase,
@@ -997,48 +937,28 @@ SmEnclaveApp::secureRegBatch(uint32_t slot,
             }
             // Every attempt reseals under a fresh counter stride, so a
             // lost or garbled burst can never replay into acceptance.
-            if (slot != 0 && !ensureFabricSession(slot)) {
+            if (!ensureFabricSession(slot)) {
                 code = 0xfc;
             } else {
                 uint64_t ctrBase = reserveCtrSpan(slot, n);
                 code = secureRegBatchOnce(slot, ctrBase, chunk,
                                           chunkResults);
             }
+            // Only the base session ever re-keys.
+            if (slot == 0)
+                convergePendingRekey(probe, code == 0);
             if (code == 0)
                 break;
-            // Same pending-rekey convergence dance as the single-op
-            // path; only the base session ever re-keys.
-            if (slot == 0) {
-                if (havePendingRekey_ && !usingPendingKeys) {
-                    preAdoptSession = secrets_.keySession;
-                    adoptPendingRekey();
-                    usingPendingKeys = true;
-                } else if (usingPendingKeys) {
-                    secrets_.keySession = preAdoptSession;
-                    secureZero(preAdoptSession);
-                    usingPendingKeys = false;
-                    clearPendingRekey();
-                }
-            }
         }
         if (code != 0) {
             // Every sealed attempt was lost or rejected: surface the
             // device to the supervisor and fail the remaining ops with
             // the channel-level status.
-            if (deps_.onDeviceFailure) {
-                ErrorContext ctx;
-                ctx.from = deps_.selfEndpoint;
-                ctx.to = "device-" + std::to_string(activeDevice_);
-                ctx.method = "secureRegBatch";
-                ctx.attempt = maxAttempts;
-                deps_.onDeviceFailure(activeDevice_, ctx);
-            }
+            reportDeviceFailure("secureRegBatch", maxAttempts);
             while (results.size() < ops.size())
                 results.push_back(regchan::BatchResult{code, 0});
             return results;
         }
-        if (usingPendingKeys)
-            clearPendingRekey(); // converged on the rolled keys
         results.insert(results.end(), chunkResults.begin(),
                        chunkResults.end());
         at += n;
@@ -1051,17 +971,8 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
                                  const std::vector<regchan::RegOp> &ops,
                                  std::vector<regchan::BatchResult> &out)
 {
-    ByteView aesKey;
-    ByteView macKey;
-    if (slot == 0) {
-        aesKey = secrets_.sessionAesKey();
-        macKey = secrets_.sessionMacKey();
-    } else {
-        const FabricSession &s = extraSessions_.at(slot);
-        aesKey = ByteView(s.keySession).subspan(0, 16);
-        macKey = ByteView(s.keySession).subspan(16, 32);
-    }
-    const crypto::Aes &aes = slotAes(slot, aesKey);
+    ByteView macKey = slotKeys(slot).subspan(16, 32);
+    const crypto::Aes &aes = slotAes(slot);
 
     // Host-side crypto (seal + open) is one AES block per op each way
     // plus a single MAC pass per direction — the cost batching
@@ -1135,22 +1046,13 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
 uint64_t
 SmEnclaveApp::reserveDmaSeqSpan(uint32_t slot, uint64_t n)
 {
-    if (slot == 0) {
-        uint64_t base = dmaSeq_;
-        if (dmaSeq_ + n > dmaSeqReserve_ && deps_.storeJournal) {
-            // Write-ahead, same contract as nextSessionCtr(): the
-            // journal's bound always covers every sequence number the
-            // fabric may have seen, so recovery resumes past it and a
-            // seq (and with it a keystream stride) is never re-issued.
-            dmaSeqReserve_ = dmaSeq_ + n + kCtrReserveStride;
-            commitJournal();
-        }
-        dmaSeq_ += n;
-        return base;
-    }
-    FabricSession &s = extraSessions_.at(slot);
+    SessionSlot &s = slots_[slot];
     uint64_t base = s.dmaSeq;
     if (s.dmaSeq + n > s.dmaSeqReserve && deps_.storeJournal) {
+        // Write-ahead, same contract as reserveCtrSpan(): the
+        // journal's bound always covers every sequence number the
+        // fabric may have seen, so recovery resumes past it and a seq
+        // (and with it a keystream stride) is never re-issued.
         s.dmaSeqReserve = s.dmaSeq + n + kCtrReserveStride;
         commitJournal();
     }
@@ -1180,6 +1082,11 @@ dmachan::DmaTransferReport
 SmEnclaveApp::dmaRead(uint32_t slot, uint64_t addr, size_t len,
                       Bytes &out, const DmaOptions &opts)
 {
+    if (len > UINT32_MAX) {
+        dmachan::DmaTransferReport report;
+        report.status = 0xfd; // one SG entry cannot name the span
+        return report;
+    }
     std::vector<dmachan::DmaSgEntry> sg;
     if (len > 0)
         sg.push_back({addr, uint32_t(len)});
@@ -1202,25 +1109,15 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         report.status = 0xfd;
         return report;
     }
-    if (!haveSecrets_ || !status_.ok() || slot >= kSmMaxSessions ||
-        (slot != 0 && !ensureFabricSession(slot))) {
+    if (!haveSecrets_ || !status_.ok() || !ensureFabricSession(slot)) {
         report.status = 0xfd; // no attested CL behind the channel
         return report;
     }
 
-    ByteView aesKey;
-    ByteView macKey;
-    if (slot == 0) {
-        aesKey = secrets_.sessionAesKey();
-        macKey = secrets_.sessionMacKey();
-    } else {
-        const FabricSession &s = extraSessions_.at(slot);
-        aesKey = ByteView(s.keySession).subspan(0, 16);
-        macKey = ByteView(s.keySession).subspan(16, 32);
-    }
-    // Sealing lambdas share the slot's cached schedule; the cache map
-    // entry outlives the window engine's run() below.
-    const crypto::Aes *aesCtx = &slotAes(slot, aesKey);
+    ByteView macKey = slotKeys(slot).subspan(16, 32);
+    // Sealing lambdas share the slot's cached schedule; the slot
+    // outlives the window engine's run() below.
+    const crypto::Aes *aesCtx = &slotAes(slot);
 
     size_t chunkBytes =
         std::clamp<size_t>(opts.descriptorBytes, dmachan::kDmaBlock,
@@ -1374,15 +1271,10 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
     report = engine.run(work);
     obs::count("dma.bytes", report.bytes);
 
-    if (report.status == 0xf8 && deps_.onDeviceFailure) {
+    if (report.status == 0xf8) {
         // Every send of some descriptor was lost or rejected — the
         // same supervisor cue as an exhausted register channel.
-        ErrorContext ctx;
-        ctx.from = deps_.selfEndpoint;
-        ctx.to = "device-" + std::to_string(activeDevice_);
-        ctx.method = "dmaTransfer";
-        ctx.attempt = int(opts.maxAttempts);
-        deps_.onDeviceFailure(activeDevice_, ctx);
+        reportDeviceFailure("dmaTransfer", int(opts.maxAttempts));
     }
     return report;
 }
@@ -1396,19 +1288,18 @@ SmEnclaveApp::heartbeatDevice(uint32_t deviceId)
                    uint64_t(deviceId));
     obs::count("supervisor.heartbeats");
     HeartbeatResult res;
-    if (deviceId >= devices_.size() ||
-        devices_[deviceId].shell == nullptr) {
+    if (!inPool(deviceId)) {
         res.failure = "unknown device";
         return res;
     }
-    shell::Shell &sh = *devices_[deviceId].shell;
+    shell::Shell &sh = *deps_.devices[deviceId].shell;
 
     if (deviceId == activeDevice_ && haveSecrets_ && status_.ok()) {
         // MAC'd probe under Key_attest: only the CL this enclave
         // deployed can answer, and the bound beat count makes every
         // answer unique — a recorded "alive" does not replay.
         uint64_t nonce = rng().nextU64();
-        uint64_t dna = devices_[deviceId].dna;
+        uint64_t dna = deps_.devices[deviceId].dna;
         sh.registerWrite(pcie::Window::SmSecure, kSmRegIn0, nonce);
         sh.registerWrite(
             pcie::Window::SmSecure, kSmRegIn1,
@@ -1457,11 +1348,17 @@ SmEnclaveApp::heartbeatDevice(uint32_t deviceId)
 bool
 SmEnclaveApp::setActiveDevice(uint32_t deviceId)
 {
-    if (deviceId >= devices_.size() ||
-        devices_[deviceId].shell == nullptr)
+    if (!inPool(deviceId))
         return false;
     if (deviceId == activeDevice_)
         return true;
+    switchDevice(deviceId);
+    return true;
+}
+
+void
+SmEnclaveApp::switchDevice(uint32_t deviceId)
+{
     // The old device's session dies here: fingerprint + wipe its
     // secrets so nothing derived from them can ever serve again.
     retireCurrentSecrets();
@@ -1469,7 +1366,6 @@ SmEnclaveApp::setActiveDevice(uint32_t deviceId)
     status_ = ClBootStatus{};
     activeDevice_ = deviceId;
     commitJournal();
-    return true;
 }
 
 MigrationTicket
@@ -1479,8 +1375,7 @@ SmEnclaveApp::issueMigrationTicket(uint32_t toDevice)
         throw MigrationError("enclave is failed closed");
     if (!haveSecrets_ || !status_.attested)
         throw MigrationError("no live attested session to migrate");
-    if (toDevice >= devices_.size() ||
-        devices_[toDevice].shell == nullptr)
+    if (!inPool(toDevice))
         throw MigrationError("no such pool device " +
                              std::to_string(toDevice));
     if (toDevice == activeDevice_)
@@ -1489,8 +1384,8 @@ SmEnclaveApp::issueMigrationTicket(uint32_t toDevice)
     MigrationTicket t;
     t.fromDevice = activeDevice_;
     t.toDevice = toDevice;
-    t.fromDna = devices_[activeDevice_].dna;
-    t.toDna = devices_[toDevice].dna;
+    t.fromDna = deps_.devices[activeDevice_].dna;
+    t.toDna = deps_.devices[toDevice].dna;
     t.nonce = rng().nextU64();
     t.sourceFingerprint = secrets_.fingerprint();
     t.mac = regchan::migrationTicketMac(
@@ -1509,12 +1404,10 @@ SmEnclaveApp::commitMigration(const MigrationTicket &ticket)
         return false;
     if (ticket.fromDevice != activeDevice_)
         return false;
-    if (ticket.toDevice >= devices_.size() ||
-        devices_[ticket.toDevice].shell == nullptr ||
-        ticket.toDevice == activeDevice_)
+    if (!inPool(ticket.toDevice) || ticket.toDevice == activeDevice_)
         return false;
-    if (ticket.fromDna != devices_[activeDevice_].dna ||
-        ticket.toDna != devices_[ticket.toDevice].dna)
+    if (ticket.fromDna != deps_.devices[activeDevice_].dna ||
+        ticket.toDna != deps_.devices[ticket.toDevice].dna)
         return false;
     // Epoch binding: a ticket for an already-retired secret set (the
     // migration it authorized committed, or a failover rolled the
@@ -1529,16 +1422,12 @@ SmEnclaveApp::commitMigration(const MigrationTicket &ticket)
         return false;
 
     obs::count("sm.migrations");
-    // Trusted half of the move — identical shape to a failover
-    // switch: tombstone the source epoch so its key material can
-    // never serve on two devices, reset the deployment state, make
-    // the target active and journal the switch. The caller's next
-    // runSecureBoot injects a fresh RoT and re-attests the target.
-    retireCurrentSecrets();
-    clearPendingRekey();
-    status_ = ClBootStatus{};
-    activeDevice_ = ticket.toDevice;
-    commitJournal();
+    // Trusted half of the move — identical to a failover switch:
+    // tombstone the source epoch so its key material can never serve
+    // on two devices, reset the deployment state, make the target
+    // active and journal the switch. The caller's next runSecureBoot
+    // injects a fresh RoT and re-attests the target.
+    switchDevice(ticket.toDevice);
     return true;
 }
 
@@ -1557,44 +1446,22 @@ SmEnclaveApp::everRetiredFingerprint(ByteView fp) const
 void
 SmEnclaveApp::retireCurrentSecrets()
 {
-    // Derived slot keys are functions of the retiring base keys: wipe
-    // them too. The next batch on each slot lazily re-opens it under
-    // the fresh base session.
-    for (auto &[slot, s] : extraSessions_)
+    // Every slot's keys are, or derive from, the retiring base keys:
+    // wipe them. The next batch on each derived slot lazily re-opens
+    // it under the fresh base session. Fresh keys mean a fresh
+    // keystream space, so the counter and DMA sequence spaces restart
+    // with them (the fabric's window resets on open). Dropping the
+    // cached schedules wipes their round keys (Aes's destructor).
+    for (SessionSlot &s : slots_) {
         secureZero(s.keySession);
-    extraSessions_.clear();
-    // Cached schedules hold expansions of the retiring keys; drop them
-    // (Aes's destructor wipes the round keys).
-    for (auto &[slot, c] : slotAesCache_)
-        secureZero(c.key);
-    slotAesCache_.clear();
+        secureZero(s.aesKey);
+        s = SessionSlot{};
+    }
     if (!haveSecrets_)
         return;
     retiredFingerprints_.insert(secretsFingerprint());
     secrets_.wipe();
     haveSecrets_ = false;
-    sessionCtr_ = 0;
-    ctrReserve_ = 0;
-    // Fresh keys mean a fresh keystream space, so the DMA sequence
-    // space restarts with them (the fabric's window resets on open).
-    dmaSeq_ = 0;
-    dmaSeqReserve_ = 0;
-}
-
-uint64_t
-SmEnclaveApp::nextSessionCtr()
-{
-    uint64_t ctr = sessionCtr_ + 1;
-    if (ctr > ctrReserve_ && deps_.storeJournal) {
-        // Write-ahead: extend the reservation BEFORE the counter is
-        // used. If the commit crashes, the old journal's reservation
-        // still covers everything the fabric ever saw, so a recovered
-        // SM resumes past it and never re-issues a counter.
-        ctrReserve_ = ctr + kCtrReserveStride;
-        commitJournal();
-    }
-    sessionCtr_ = ctr;
-    return ctr;
 }
 
 // ---- Crash-recovery journal -----------------------------------------
@@ -1608,10 +1475,10 @@ SmEnclaveApp::buildJournal() const
         j.metadata = metadata_.serialize();
     for (const auto &[dna, key] : deviceKeys_)
         j.deviceKeys.emplace_back(dna, key);
-    for (uint32_t i = 0; i < devices_.size(); ++i) {
+    for (uint32_t i = 0; i < deps_.devices.size(); ++i) {
         SmJournalDevice d;
         d.deviceId = i;
-        d.dna = devices_[i].dna;
+        d.dna = deps_.devices[i].dna;
         if (i == activeDevice_) {
             d.deployed = status_.deployed ? 1 : 0;
             d.attested = status_.attested ? 1 : 0;
@@ -1620,14 +1487,17 @@ SmEnclaveApp::buildJournal() const
                 d.keyAttest = secrets_.keyAttest;
                 d.keySession = secrets_.keySession;
                 d.ctrBase = secrets_.ctrBase;
-                d.ctrReserve = ctrReserve_;
-                d.dmaSeqReserve = dmaSeqReserve_;
+                d.ctrReserve = slots_[0].reserve;
+                d.dmaSeqReserve = slots_[0].dmaSeqReserve;
                 if (havePendingRekey_) {
                     d.havePendingRekey = 1;
                     d.pendingRekeyMacKey = pendingRekeyMacKey_;
                     d.pendingRekeyNonce = pendingRekeyNonce_;
                 }
-                for (const auto &[slot, s] : extraSessions_) {
+                for (uint32_t slot = 0; slot < kSmMaxSessions; ++slot) {
+                    const SessionSlot &s = slots_[slot];
+                    if (!s.opened)
+                        continue; // derived slots only
                     SmJournalSession js;
                     js.slot = slot;
                     js.keySession = s.keySession;
@@ -1736,7 +1606,7 @@ SmEnclaveApp::rehydrate()
                      e.what();
         return rep;
     }
-    if (j.activeDevice >= devices_.size()) {
+    if (j.activeDevice >= deps_.devices.size()) {
         failClosed_ = true;
         rep.status = RecoveryStatus::Corrupt;
         rep.detail = "journal names a device outside the pool";
@@ -1768,34 +1638,33 @@ SmEnclaveApp::rehydrate()
             secrets_.keySession = d.keySession;
             secrets_.ctrBase = d.ctrBase;
             haveSecrets_ = true;
-            ctrReserve_ = d.ctrReserve;
-            // Resume PAST the reservation: counters inside it may
-            // already have hit the fabric before the crash.
-            sessionCtr_ = std::max(d.ctrBase, d.ctrReserve);
-            // Same for the DMA sequence space: the next transfer's
-            // sync descriptor jumps the fabric's window forward over
-            // whatever part of the reservation was never used.
-            dmaSeqReserve_ = d.dmaSeqReserve;
-            dmaSeq_ = d.dmaSeqReserve;
             if (d.havePendingRekey) {
                 pendingRekeyMacKey_ = d.pendingRekeyMacKey;
                 pendingRekeyNonce_ = d.pendingRekeyNonce;
                 havePendingRekey_ = true;
             }
-            extraSessions_.clear();
-            for (const SmJournalSession &s : d.sessions) {
-                if (s.slot == 0 || s.slot >= kSmMaxSessions)
+            // Resume every slot PAST its reservations: counters and
+            // DMA sequence numbers inside them may already have hit
+            // the fabric before the crash. The next transfer's sync
+            // descriptor jumps the fabric's window forward over
+            // whatever part of the reservation was never used.
+            auto resume = [](SessionSlot &s, uint64_t ctrFloor,
+                             uint64_t ctrReserve, uint64_t dmaSeqReserve) {
+                s.reserve = ctrReserve;
+                s.ctr = std::max(ctrFloor, ctrReserve);
+                s.dmaSeqReserve = dmaSeqReserve;
+                s.dmaSeq = dmaSeqReserve;
+            };
+            slots_ = {};
+            resume(slots_[0], d.ctrBase, d.ctrReserve, d.dmaSeqReserve);
+            for (const SmJournalSession &js : d.sessions) {
+                if (js.slot == 0 || js.slot >= kSmMaxSessions)
                     continue; // implausible journal entry
-                FabricSession fs;
-                fs.keySession = s.keySession;
-                fs.openNonce = s.openNonce;
-                fs.reserve = s.ctrReserve;
-                // Resume PAST the reservation: counters inside it may
-                // already have hit the fabric before the crash.
-                fs.ctr = s.ctrReserve;
-                fs.dmaSeqReserve = s.dmaSeqReserve;
-                fs.dmaSeq = s.dmaSeqReserve;
-                extraSessions_[s.slot] = std::move(fs);
+                SessionSlot &s = slots_[js.slot];
+                s.opened = true;
+                s.keySession = js.keySession;
+                s.openNonce = js.openNonce;
+                resume(s, 0, js.ctrReserve, js.dmaSeqReserve);
             }
         }
     }

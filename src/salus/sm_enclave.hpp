@@ -39,8 +39,10 @@
 #ifndef SALUS_SALUS_SM_ENCLAVE_HPP
 #define SALUS_SALUS_SM_ENCLAVE_HPP
 
+#include <array>
 #include <functional>
 #include <map>
+#include <memory>
 #include <set>
 #include <vector>
 
@@ -51,6 +53,7 @@
 #include "salus/reg_channel.hpp"
 #include "salus/secrets.hpp"
 #include "salus/sim_hooks.hpp"
+#include "salus/sm_logic.hpp"
 #include "shell/shell.hpp"
 #include "sim/fault.hpp"
 #include "tee/local_attest.hpp"
@@ -78,13 +81,10 @@ struct SmDeviceBinding
 /** Host-side/service dependencies handed to the SM application. */
 struct SmEnclaveDeps
 {
-    shell::Shell *shell = nullptr;
     net::Network *network = nullptr;
     std::string selfEndpoint;         ///< our RPC endpoint name
     std::string manufacturerEndpoint; ///< key-distribution endpoint
-    uint64_t instanceDeviceDna = 0;   ///< CSP-advertised FPGA identity
-    /** The device pool. When empty, a single-device pool is built
-     *  from the legacy shell/instanceDeviceDna fields above. */
+    /** The device pool; device 0 starts active. */
     std::vector<SmDeviceBinding> devices;
     /** Pulls the CL bitstream file from (untrusted) cloud storage. */
     std::function<Bytes()> fetchBitstream;
@@ -116,7 +116,13 @@ struct SmDmaOptions
     uint32_t maxAttempts = 8; ///< sends per descriptor before 0xf8
 };
 
-/** The SM enclave program. */
+/**
+ * The SM enclave program. Like the SM logic it talks to, it keeps one
+ * table per kind of thing: peers (user enclaves on the sealed
+ * channel), fabric session slots (slot 0 is the base session, the rest
+ * are derived) and the device pool. The owner peer 0 and the base
+ * slot 0 are entries of those tables, not separate state.
+ */
 class SmEnclaveApp : public tee::Enclave
 {
   public:
@@ -127,25 +133,21 @@ class SmEnclaveApp : public tee::Enclave
     /** Measurement of defaultImage() — whitelisted for key release. */
     static tee::Measurement defaultMeasurement();
 
-    // ---- Local attestation responder (untrusted-host entry) --------
-    Bytes laAnswer(ByteView msg1);
-    bool laConfirm(ByteView msg3);
-    bool laEstablished() const;
-
-    // ---- Multi-session peers (extension) -----------------------------
+    // ---- Peers: local attestation responders (untrusted-host entry) -
     //
     // Each peer is one user enclave with its own LA responder, sealed
-    // channel sequence space, and fabric session slot (peer id ==
-    // slot). Peer 0 is the legacy session owner; only it may set
-    // metadata, run secure boot or re-key. Further peers get derived
-    // Key_session material fanned out by kSmCmdOpenSession, so tenants
-    // never share keystreams.
+    // channel sequence space and fabric session slot (peer id ==
+    // slot). Peer 0 exists from construction and owns the deployment:
+    // only it may set metadata, run secure boot or re-key. Further
+    // peers get derived Key_session material fanned out by
+    // kSmCmdOpenSession, so tenants never share keystreams. Unknown
+    // peers get empty/false answers.
 
     /** Allocates the next peer/session slot (1..kSmMaxSessions-1).
      *  @throws SalusError when the fabric's slots are exhausted. */
     uint32_t createPeer();
-    /** Peers allocated so far, including the implicit peer 0. */
-    size_t peerCount() const;
+    /** Peers allocated so far, including peer 0. */
+    size_t peerCount() const { return peers_.size(); }
 
     Bytes laAnswer(uint32_t peer, ByteView msg1);
     bool laConfirm(uint32_t peer, ByteView msg3);
@@ -153,13 +155,11 @@ class SmEnclaveApp : public tee::Enclave
 
     // ---- Sealed channel from the user enclave -----------------------
     /**
-     * Handles one sealed channel request and returns the sealed
-     * response. Garbage in -> empty reply out (never throws for
-     * attacker-controlled input). Refused entirely after a failed
-     * journal recovery (fail closed).
+     * Handles one sealed channel request on the peer's channel and
+     * returns the sealed response. Garbage in -> empty reply out
+     * (never throws for attacker-controlled input). Refused entirely
+     * after a failed journal recovery (fail closed).
      */
-    Bytes channelRequest(ByteView sealed);
-    /** Same, on a specific peer's channel. */
     Bytes channelRequest(uint32_t peer, ByteView sealed);
 
     /**
@@ -195,7 +195,9 @@ class SmEnclaveApp : public tee::Enclave
                const DmaOptions &opts = {});
     /** Gathers `len` bytes from device DRAM at `addr` into `out`;
      *  responses come back sealed under the read-direction keystream
-     *  and are rejected wholesale on any MAC mismatch. */
+     *  and are rejected wholesale on any MAC mismatch. A `len` that
+     *  does not fit one scatter-gather entry (above UINT32_MAX) is
+     *  refused with 0xfd and leaves `out` untouched. */
     dmachan::DmaTransferReport dmaRead(uint32_t slot, uint64_t addr,
                                        size_t len, Bytes &out,
                                        const DmaOptions &opts = {});
@@ -264,7 +266,7 @@ class SmEnclaveApp : public tee::Enclave
     bool setActiveDevice(uint32_t deviceId);
 
     uint32_t activeDevice() const { return activeDevice_; }
-    size_t deviceCount() const { return devices_.size(); }
+    size_t deviceCount() const { return deps_.devices.size(); }
 
     // ---- Live session migration (fleet extension) -------------------
     /**
@@ -339,25 +341,51 @@ class SmEnclaveApp : public tee::Enclave
     }
 
   private:
-    /** One derived fabric session the SM multiplexes (slots >= 1). */
-    struct FabricSession
+    /** One user enclave's end of the sealed channel. */
+    struct Peer
     {
-        Bytes keySession;       ///< 48 bytes (AES + MAC), derived
+        std::unique_ptr<tee::LocalAttestResponder> la;
+        uint64_t seq = 0; ///< last accepted channel sequence number
+    };
+
+    /** One fabric session slot the SM multiplexes. Slot 0 is the base
+     *  session keyed by the injected Key_session; the others are
+     *  derived slots opened by kSmCmdOpenSession. */
+    struct SessionSlot
+    {
+        bool opened = false;    ///< derived slot opened on the fabric
+        Bytes keySession;       ///< derived slots: 48 bytes (AES + MAC)
         uint64_t openNonce = 0; ///< nonce the slot was opened with
         uint64_t ctr = 0;       ///< last counter handed out
-        uint64_t reserve = 0;   ///< write-ahead journal reservation
-        uint64_t dmaSeq = 0;    ///< next DMA descriptor sequence
+        /** Write-ahead counter reservation persisted in the journal;
+         *  restart resumes past it, never inside it. */
+        uint64_t reserve = 0;
+        uint64_t dmaSeq = 0;        ///< next DMA descriptor sequence
         uint64_t dmaSeqReserve = 0; ///< write-ahead DMA seq bound
+        /** Expanded AES schedule of `aesKey` (see slotAes()). */
+        Bytes aesKey;
+        std::unique_ptr<crypto::Aes> aes;
+    };
+
+    /** Retry-loop state for converging on a re-key whose completion
+     *  was lost (base slot only). */
+    struct RekeyProbe
+    {
+        Bytes preAdoptSession;
+        bool usingPendingKeys = false;
     };
 
     Bytes handlePlainRequest(uint32_t peer, ByteView plain);
-    tee::LocalAttestResponder *peerLa(uint32_t peer) const;
+    Peer *findPeer(uint32_t peer);
+    /** The slot's 48-byte session keys (AES key, then MAC key). */
+    ByteView slotKeys(uint32_t slot) const;
     /** Opens the fabric session slot if not already open (lazy, after
      *  every failover the next batch re-opens it under the fresh base
-     *  keys). */
+     *  keys). The base slot is always open. */
     bool ensureFabricSession(uint32_t slot);
     /** Reserves a contiguous span of n counters on the slot, extending
-     *  the journal's write-ahead reservation first when needed.
+     *  the journal's write-ahead reservation first when needed, so a
+     *  crash can never re-issue a counter the fabric already consumed.
      *  @return the first counter of the span. */
     uint64_t reserveCtrSpan(uint32_t slot, uint64_t n);
     /** One sealed burst attempt. @return 0 ok (out filled), 0xfc
@@ -369,7 +397,7 @@ class SmEnclaveApp : public tee::Enclave
      *  only when the key bytes differ from the cached copy (open,
      *  re-key, failover and journal restore all change the bytes, so
      *  the cache self-heals on every key-rolling path). */
-    const crypto::Aes &slotAes(uint32_t slot, ByteView aesKey);
+    const crypto::Aes &slotAes(uint32_t slot);
     /** Reserves n DMA descriptor sequence numbers on the slot,
      *  extending the journal's write-ahead reservation first when
      *  needed. @return the first sequence number of the span. */
@@ -393,18 +421,33 @@ class SmEnclaveApp : public tee::Enclave
     bool tryScrubRecovery(std::string &failure);
     std::pair<uint8_t, uint64_t> secureRegOp(const regchan::RegOp &op);
     std::pair<uint8_t, uint64_t> secureRegOpOnce(const regchan::RegOp &op);
-    void adoptPendingRekey();
+    /** One step of the pending-rekey convergence after an attempt on
+     *  the base slot. Accepted: commit to the rolled keys if they were
+     *  being tried. Rejected: the fabric may have rolled while the
+     *  completion was lost, so try the rolled keys; if those were
+     *  already being tried, the roll never happened — revert. */
+    void convergePendingRekey(RekeyProbe &probe, bool accepted);
+    /** Replaces the base session keys with their roll under
+     *  (macKey, nonce) (see regchan::deriveRekeyedKeys). */
+    void installRolledKeys(ByteView macKey, uint64_t nonce);
     void clearPendingRekey();
+    /** Tells the fleet supervisor the active device exhausted the
+     *  attempt budget of `method`. */
+    void reportDeviceFailure(const char *method, int attempts);
+    /** Retires the live session and makes `deviceId` active; the next
+     *  runSecureBoot deploys to it with fresh secrets. */
+    void switchDevice(uint32_t deviceId);
 
+    /** True when `deviceId` names a pool device with a shell. */
+    bool inPool(uint32_t deviceId) const
+    {
+        return deviceId < deps_.devices.size() &&
+               deps_.devices[deviceId].shell != nullptr;
+    }
     shell::Shell &activeShell() const;
     uint64_t activeDna() const;
     /** Fingerprints + wipes the live secrets (no-op when none). */
     void retireCurrentSecrets();
-    /** Next strictly-increasing session counter; extends the
-     *  journal's write-ahead reservation before handing out a value
-     *  past it, so a crash can never re-issue a counter the fabric
-     *  already consumed. */
-    uint64_t nextSessionCtr();
     /** Persists the deployment table + session metadata: seal, store
      *  at version counter+1, then increment the counter. Crash points
      *  before and after the store are fault-injectable. */
@@ -412,21 +455,8 @@ class SmEnclaveApp : public tee::Enclave
     SmJournal buildJournal() const;
 
     SmEnclaveDeps deps_;
-    std::unique_ptr<tee::LocalAttestResponder> la_;
-    uint64_t channelSeq_ = 0;
-    /** Extra peers (index i = peer i+1) and their sequence spaces. */
-    std::vector<std::unique_ptr<tee::LocalAttestResponder>> extraLa_;
-    std::vector<uint64_t> extraSeq_;
-    /** Open derived fabric sessions, keyed by slot (>= 1). */
-    std::map<uint32_t, FabricSession> extraSessions_;
-    /** Cached expanded AES schedules, one per session slot (see
-     *  slotAes()). */
-    struct SlotAesCache
-    {
-        Bytes key;
-        std::unique_ptr<crypto::Aes> aes;
-    };
-    std::map<uint32_t, SlotAesCache> slotAesCache_;
+    std::vector<Peer> peers_;
+    std::array<SessionSlot, kSmMaxSessions> slots_;
 
     ClMetadata metadata_;
     bool haveMetadata_ = false;
@@ -434,10 +464,6 @@ class SmEnclaveApp : public tee::Enclave
     std::map<uint64_t, Bytes> deviceKeys_;
     ClSecrets secrets_;
     bool haveSecrets_ = false;
-    uint64_t sessionCtr_ = 0;
-    /** Base-session DMA descriptor sequence space (slot 0). */
-    uint64_t dmaSeq_ = 0;
-    uint64_t dmaSeqReserve_ = 0;
     ClBootStatus status_;
     /** Set when a re-key command's completion was lost: the fabric
      *  may have rolled its keys while we kept the old ones. Holds the
@@ -447,11 +473,7 @@ class SmEnclaveApp : public tee::Enclave
     bool havePendingRekey_ = false;
 
     // ---- Fleet + journal state --------------------------------------
-    std::vector<SmDeviceBinding> devices_;
     uint32_t activeDevice_ = 0;
-    /** Write-ahead session-counter reservation persisted in the
-     *  journal; restart resumes past it, never inside it. */
-    uint64_t ctrReserve_ = 0;
     /** Fingerprints of every secret set ever retired. */
     std::set<Bytes> retiredFingerprints_;
     uint64_t journalSeq_ = 0;

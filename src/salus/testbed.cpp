@@ -70,16 +70,7 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config))
 
     // --- enclave applications ----------------------------------------
     smApp_ = std::make_unique<SmEnclaveApp>(*platform_, makeSmDeps());
-
-    SmTransport transport;
-    transport.la1 = [this](ByteView m) { return smApp_->laAnswer(m); };
-    transport.la3 = [this](ByteView m) { return smApp_->laConfirm(m); };
-    transport.channel = [this](ByteView m) {
-        return smApp_->channelRequest(m);
-    };
-    userApp_ = std::make_unique<UserEnclaveApp>(
-        *platform_, config_.userImage, SmEnclaveApp::defaultMeasurement(),
-        transport, simHooks());
+    addUser(0, config_.userImage);
 
     // --- fleet supervisor --------------------------------------------
     SupervisorDeps supDeps;
@@ -155,12 +146,12 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config))
                  });
     network_->on(endpoints::kCloudHost, "raRequest",
                  [this](ByteView req) {
-                     return userApp_->handleRaRequest(req);
+                     return userApp().handleRaRequest(req);
                  });
     network_->on(endpoints::kCloudHost, "dataKey",
                  [this](ByteView req) {
                      Bytes ack(1);
-                     ack[0] = userApp_->acceptDataKey(req) ? 1 : 0;
+                     ack[0] = userApp().acceptDataKey(req) ? 1 : 0;
                      return ack;
                  });
     network_->on(endpoints::kCloudHost, "heartbeat",
@@ -203,11 +194,9 @@ SmEnclaveDeps
 Testbed::makeSmDeps()
 {
     SmEnclaveDeps smDeps;
-    smDeps.shell = slots_.at(0).shell.get();
     smDeps.network = network_.get();
     smDeps.selfEndpoint = endpoints::kCloudHost;
     smDeps.manufacturerEndpoint = endpoints::kManufacturer;
-    smDeps.instanceDeviceDna = slots_.at(0).device->dna().value;
     for (const DeviceSlot &slot : slots_)
         smDeps.devices.push_back(
             {slot.shell.get(), slot.device->dna().value});
@@ -234,14 +223,13 @@ Testbed::rebuildSmApp()
     // Re-create the tenant peer endpoints so peer ids stay valid on
     // the fresh instance; each tenant must attachToPlatform() again
     // (its old LA session died with the old enclave).
-    for (size_t i = 0; i < extraUsers_.size(); ++i)
+    while (smApp_->peerCount() < users_.size())
         smApp_->createPeer();
 }
 
-uint32_t
-Testbed::addUserSession()
+void
+Testbed::addUser(uint32_t peer, tee::EnclaveImage image)
 {
-    uint32_t peer = smApp_->createPeer();
     SmTransport transport;
     transport.la1 = [this, peer](ByteView m) {
         return smApp_->laAnswer(peer, m);
@@ -252,22 +240,21 @@ Testbed::addUserSession()
     transport.channel = [this, peer](ByteView m) {
         return smApp_->channelRequest(peer, m);
     };
-    tee::EnclaveImage image = config_.userImage;
-    image.name += "-tenant-" + std::to_string(peer);
-    extraUsers_.push_back(std::make_unique<UserEnclaveApp>(
+    users_.push_back(std::make_unique<UserEnclaveApp>(
         *platform_, std::move(image), SmEnclaveApp::defaultMeasurement(),
         transport, simHooks()));
+}
+
+uint32_t
+Testbed::addUserSession()
+{
+    uint32_t peer = smApp_->createPeer();
+    tee::EnclaveImage image = config_.userImage;
+    image.name += "-tenant-" + std::to_string(peer);
+    addUser(peer, std::move(image));
     if (scheduler_)
         scheduler_->addSession(peer);
     return peer;
-}
-
-UserEnclaveApp &
-Testbed::userApp(uint32_t peer)
-{
-    if (peer == 0)
-        return *userApp_;
-    return *extraUsers_.at(peer - 1);
 }
 
 sim::Engine &
@@ -332,9 +319,8 @@ Testbed::scheduler()
                     "dmaWrite");
                 return report;
             });
-        scheduler_->addSession(0);
-        for (size_t i = 0; i < extraUsers_.size(); ++i)
-            scheduler_->addSession(uint32_t(i + 1));
+        for (uint32_t peer = 0; peer < users_.size(); ++peer)
+            scheduler_->addSession(peer);
     }
     return *scheduler_;
 }
@@ -515,7 +501,7 @@ Testbed::runDeployment(
     obs::Span span(obs::Category::Boot, "run_deployment");
 
     ClientConfig cfg;
-    cfg.expectedUserEnclave = userApp_->measurement();
+    cfg.expectedUserEnclave = userApp().measurement();
     cfg.expectedSm = SmEnclaveApp::defaultMeasurement();
     cfg.metadata = metadata_;
     cfg.selfEndpoint = endpoints::kUserClient;

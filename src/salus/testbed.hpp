@@ -142,7 +142,7 @@ class Testbed
         return slots_.at(index).malicious;
     }
     SmEnclaveApp &smApp() { return *smApp_; }
-    UserEnclaveApp &userApp() { return *userApp_; }
+    UserEnclaveApp &userApp() { return userApp(0); }
     FleetSupervisor &supervisor() { return *supervisor_; }
 
     /**
@@ -152,9 +152,7 @@ class Testbed
      */
     uint32_t addUserSession();
     /** User enclave by peer id (0 = the session owner). */
-    UserEnclaveApp &userApp(uint32_t peer);
-    /** Tenant sessions added so far (excluding peer 0). */
-    size_t extraUserCount() const { return extraUsers_.size(); }
+    UserEnclaveApp &userApp(uint32_t peer) { return *users_.at(peer); }
 
     /**
      * The multi-session batch scheduler, lazily built over the
@@ -238,6 +236,9 @@ class Testbed
 
     SmEnclaveDeps makeSmDeps();
     void rebuildSmApp();
+    /** Builds the user enclave for an allocated SM peer, wired to that
+     *  peer's LA responder and sealed channel. */
+    void addUser(uint32_t peer, tee::EnclaveImage image);
 
     TestbedConfig config_;
     sim::VirtualClock clock_;
@@ -248,9 +249,8 @@ class Testbed
     std::vector<DeviceSlot> slots_;
     std::unique_ptr<net::Network> network_;
     std::unique_ptr<SmEnclaveApp> smApp_;
-    std::unique_ptr<UserEnclaveApp> userApp_;
-    /** Tenant user enclaves (index i = peer/slot i + 1). */
-    std::vector<std::unique_ptr<UserEnclaveApp>> extraUsers_;
+    /** User enclaves, indexed by SM peer/slot id (0 = the owner). */
+    std::vector<std::unique_ptr<UserEnclaveApp>> users_;
     std::unique_ptr<BatchScheduler> scheduler_;
     std::unique_ptr<FleetSupervisor> supervisor_;
     std::unique_ptr<sim::Engine> engine_;

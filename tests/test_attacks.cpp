@@ -297,12 +297,12 @@ TEST(Attacks, HostCannotDriveSecureChannelWithoutLa)
     // garbage (no established LA session): nothing happens.
     Testbed tb;
     tb.installCl(loopbackAccel());
-    EXPECT_TRUE(tb.smApp().channelRequest(Bytes(64, 7)).empty());
+    EXPECT_TRUE(tb.smApp().channelRequest(0, Bytes(64, 7)).empty());
 
     // After a legitimate deployment, replaying an old sealed channel
     // message is also rejected (sequence numbers).
     ASSERT_TRUE(tb.runDeployment().ok);
-    EXPECT_TRUE(tb.smApp().channelRequest(Bytes(64, 7)).empty());
+    EXPECT_TRUE(tb.smApp().channelRequest(0, Bytes(64, 7)).empty());
 }
 
 TEST(Attacks, DmaTamperIsVisibleToDeveloperEncryption)

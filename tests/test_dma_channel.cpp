@@ -507,6 +507,14 @@ TEST(DmaEndToEnd, PerSessionSequencesAreIsolated)
     EXPECT_EQ(tb.shell().dmaPostedRead(0x20000, b.size()), b);
     // Rejecting bad slots is typed, not an exception.
     EXPECT_EQ(tb.smApp().dmaWrite(99, 0x8000, a).status, 0xfd);
+    // So is a read longer than one scatter-gather entry can name: it
+    // must not wrap to a short read, and `out` stays as passed in.
+    Bytes out = {1, 2, 3};
+    dmachan::DmaTransferReport big =
+        tb.smApp().dmaRead(0, 0x8000, (1ull << 32) + 64, out);
+    EXPECT_EQ(big.status, 0xfd);
+    EXPECT_EQ(big.bytes, 0u);
+    EXPECT_EQ(out, (Bytes{1, 2, 3}));
 }
 
 TEST(DmaEndToEnd, SameSeedRunsAreByteIdentical)

@@ -601,11 +601,10 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
         Bytes storedBitstream = artifact.bitstream;
 
         SmEnclaveDeps deps;
-        deps.shell = t.shell.get();
         deps.network = &network;
         deps.selfEndpoint = t.hostEp;
         deps.manufacturerEndpoint = "mft";
-        deps.instanceDeviceDna = device->dna().value;
+        deps.devices = {{t.shell.get(), device->dna().value}};
         deps.fetchBitstream = [storedBitstream] {
             return storedBitstream;
         };
@@ -613,10 +612,10 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
 
         SmTransport transport;
         SmEnclaveApp *sm = t.smApp.get();
-        transport.la1 = [sm](ByteView m) { return sm->laAnswer(m); };
-        transport.la3 = [sm](ByteView m) { return sm->laConfirm(m); };
+        transport.la1 = [sm](ByteView m) { return sm->laAnswer(0, m); };
+        transport.la3 = [sm](ByteView m) { return sm->laConfirm(0, m); };
         transport.channel = [sm](ByteView m) {
-            return sm->channelRequest(m);
+            return sm->channelRequest(0, m);
         };
         tee::EnclaveImage image = UserEnclaveApp::defaultImage();
         image.code = concatBytes(

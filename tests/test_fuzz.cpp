@@ -327,7 +327,7 @@ TEST(Fuzz, SmChannelEndpointSurvivesGarbage)
     crypto::CtrDrbg rng(uint64_t(1008));
     for (int i = 0; i < 200; ++i) {
         Bytes junk = rng.bytes(rng.below(128));
-        EXPECT_TRUE(tb.smApp().channelRequest(junk).empty());
+        EXPECT_TRUE(tb.smApp().channelRequest(0, junk).empty());
     }
     // The legitimate channel still works afterwards.
     EXPECT_TRUE(tb.userApp().secureWrite(0x00, 5));

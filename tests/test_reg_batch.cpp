@@ -342,6 +342,43 @@ TEST(RegBatch, TenantSessionsAreIsolatedEndToEnd)
               3u);
 }
 
+TEST(RegBatch, OutOfRangeSlotsAndPeersAreTypedRejections)
+{
+    fpga::ensureBuiltinIps();
+    SmLogic::registerIp();
+    Testbed tb;
+    tb.installCl(loopbackAccel());
+    ASSERT_TRUE(tb.runDeployment().ok);
+    SmEnclaveApp &sm = tb.smApp();
+
+    for (uint32_t slot : {kSmMaxSessions, 99u}) {
+        SCOPED_TRACE(slot);
+        auto results = sm.secureRegBatch(slot, sampleOps(3));
+        ASSERT_EQ(results.size(), 3u);
+        for (const regchan::BatchResult &r : results)
+            EXPECT_EQ(r.status, 0xfd);
+        EXPECT_EQ(sm.dmaWrite(slot, 0x8000, Bytes(64, 1)).status, 0xfd);
+        Bytes out;
+        EXPECT_EQ(sm.dmaRead(slot, 0x8000, 64, out).status, 0xfd);
+    }
+
+    // Peers that were never allocated answer nothing.
+    for (uint32_t peer : {uint32_t(sm.peerCount()), kSmMaxSessions, 99u}) {
+        SCOPED_TRACE(peer);
+        EXPECT_TRUE(sm.laAnswer(peer, Bytes(64, 1)).empty());
+        EXPECT_FALSE(sm.laConfirm(peer, Bytes(64, 1)));
+        EXPECT_FALSE(sm.laEstablished(peer));
+        EXPECT_TRUE(sm.channelRequest(peer, Bytes(64, 1)).empty());
+    }
+
+    // Peer ids are fabric slots: kSmMaxSessions peers including the
+    // owner fill the table, and one more is refused.
+    while (sm.peerCount() < kSmMaxSessions)
+        sm.createPeer();
+    EXPECT_THROW(sm.createPeer(), SalusError);
+    EXPECT_EQ(sm.peerCount(), size_t(kSmMaxSessions));
+}
+
 // ---- scheduler ------------------------------------------------------
 
 TEST(BatchScheduler, FairRoundRobinAcrossSessions)

@@ -796,6 +796,27 @@ TEST(SmCrashRecovery, RecoveredInstanceSkipsManufacturerRoundTrip)
     runJournaledSession(tb);
     ASSERT_TRUE(tb.smApp().haveDeviceKey());
 
+    // Traffic on the base slot and on one derived tenant slot, so the
+    // journal carries counter and DMA reservations for both.
+    uint32_t tenant = tb.addUserSession();
+    ASSERT_TRUE(tb.userApp(tenant).attachToPlatform());
+    auto regAddr = [](uint32_t slot) { return 0x10 + 8 * slot; };
+    auto dramAddr = [](uint32_t slot) { return 0x8000 + 0x10000 * slot; };
+    auto payload = [](uint32_t slot, uint8_t salt) {
+        Bytes b(4096);
+        for (size_t i = 0; i < b.size(); ++i)
+            b[i] = uint8_t(i * 7 + slot * 31 + salt);
+        return b;
+    };
+    for (uint32_t slot : {0u, tenant}) {
+        SCOPED_TRACE(slot);
+        auto res = tb.smApp().secureRegBatch(slot, {{true, regAddr(slot), 1}});
+        ASSERT_EQ(res.size(), 1u);
+        ASSERT_EQ(res[0].status, 0);
+        Bytes data = payload(slot, 1);
+        ASSERT_EQ(tb.smApp().dmaWrite(slot, dramAddr(slot), data).status, 0);
+    }
+
     auto rep = tb.crashAndRecoverSmApp();
     ASSERT_EQ(rep.status, SmEnclaveApp::RecoveryStatus::Recovered)
         << rep.detail;
@@ -804,6 +825,35 @@ TEST(SmCrashRecovery, RecoveredInstanceSkipsManufacturerRoundTrip)
     EXPECT_TRUE(tb.smApp().haveDeviceKey());
     EXPECT_TRUE(tb.smApp().bootStatus().attested);
     EXPECT_EQ(rep.reattestFailures, 0u);
+
+    // No redeploy: every slot resumes past its journalled counter and
+    // DMA sequence reservations, which the fabric accepts as fresh on
+    // the first attempt (a retry could mask a re-issued counter).
+    auto fabricStat = [&tb](uint32_t reg) {
+        return tb.shell().registerRead(pcie::Window::SmSecure, reg);
+    };
+    uint64_t batchRejects = fabricStat(kSmRegStatBatchRejected);
+    uint64_t dmaRejects = fabricStat(kSmRegStatDmaRejected);
+    for (uint32_t slot : {0u, tenant}) {
+        SCOPED_TRACE(slot);
+        uint64_t value = 0x5000 + slot;
+        auto res = tb.smApp().secureRegBatch(
+            slot, {{true, regAddr(slot), value}, {false, regAddr(slot), 0}});
+        ASSERT_EQ(res.size(), 2u);
+        EXPECT_EQ(res[0].status, 0);
+        EXPECT_EQ(res[1].status, 0);
+        EXPECT_EQ(res[1].data, value);
+
+        Bytes data = payload(slot, 2);
+        ASSERT_EQ(tb.smApp().dmaWrite(slot, dramAddr(slot), data).status, 0);
+        Bytes out;
+        auto rd = tb.smApp().dmaRead(slot, dramAddr(slot), data.size(), out);
+        ASSERT_EQ(rd.status, 0);
+        EXPECT_EQ(out, data);
+        EXPECT_EQ(rd.retransmits, 0u);
+    }
+    EXPECT_EQ(fabricStat(kSmRegStatBatchRejected), batchRejects);
+    EXPECT_EQ(fabricStat(kSmRegStatDmaRejected), dmaRejects);
 }
 
 TEST(SmCrashRecovery, RolledBackJournalIsRejectedAndFailsClosed)
