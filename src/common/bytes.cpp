@@ -49,9 +49,14 @@ xorInto(Bytes &a, ByteView b)
 void
 secureZero(uint8_t *p, size_t n)
 {
-    volatile uint8_t *vp = p;
-    for (size_t i = 0; i < n; ++i)
-        vp[i] = 0;
+    if (n == 0)
+        return; // p may be null (an empty Bytes); memset must not see it
+    std::memset(p, 0, n);
+    // The empty asm takes p as an input and clobbers memory, so the
+    // compiler must assume the zeroed bytes are read afterwards and
+    // cannot elide the memset as a dead store (BoringSSL's
+    // OPENSSL_cleanse).
+    __asm__ __volatile__("" : : "r"(p) : "memory");
 }
 
 void

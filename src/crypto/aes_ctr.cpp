@@ -65,8 +65,8 @@ void
 AesCtr::refill(size_t wantBytes)
 {
     // Generate only as many blocks as the caller still needs (capped
-    // at the batch): single-op register messages stay one encrypt,
-    // bulk payloads get the full pipelined batch.
+    // at the batch): a one-block message stays one encrypt, bulk
+    // payloads get the full pipelined batch.
     size_t blocks = std::min(
         kBatchBlocks,
         (wantBytes + kAesBlockSize - 1) / kAesBlockSize);

@@ -3,13 +3,16 @@
  * AES-CTR streaming cipher (NIST SP 800-38A).
  *
  * This is the paper's memory-traffic cipher: the CL accelerators add an
- * AES-CTR engine at the memory interface (§6.4), and the SM secure
- * register channel encrypts payloads with it (§4.5).
+ * AES-CTR engine at the memory interface (§6.4), and the DMA channel
+ * encrypts payloads with it. The secure register channel (§4.5) does
+ * not use this class: its counter blocks are labelled per op, so
+ * regchan builds a burst's counter blocks itself and encrypts them in
+ * one Aes::encryptBlocks call.
  *
  * Keystream is generated in batches of up to eight blocks per refill
- * (sized to the demand, so one-block register ops never over-generate)
- * and XORed over the data word-wise; with the AES-NI/VAES backend
- * active the batch is a single pipelined multi-block encrypt.
+ * (sized to the demand, so short messages never over-generate) and
+ * XORed over the data word-wise; with the AES-NI/VAES backend active
+ * the batch is a single pipelined multi-block encrypt.
  */
 
 #ifndef SALUS_CRYPTO_AES_CTR_HPP
@@ -29,8 +32,8 @@ namespace salus::crypto {
 class AesCtr
 {
   public:
-    /** Keystream blocks generated per refill (matches the RegBatch
-     *  stride and the DMA double-buffer refill granularity). */
+    /** Keystream blocks generated per refill (matches the DMA
+     *  double-buffer refill granularity). */
     static constexpr size_t kBatchBlocks = 8;
 
     /**

@@ -133,8 +133,8 @@ Sha256::update(ByteView data)
     }
 }
 
-Bytes
-Sha256::finish()
+void
+Sha256::finish(uint8_t *out)
 {
     uint64_t bitLen = total_ * 8;
     uint8_t pad[72] = {0x80};
@@ -144,10 +144,16 @@ Sha256::finish()
     storeBe64(lenBytes, bitLen);
     update(ByteView(lenBytes, 8));
 
-    Bytes out(kSha256DigestSize);
     for (int i = 0; i < 8; ++i)
-        storeBe32(out.data() + 4 * i, state_[i]);
+        storeBe32(out + 4 * i, state_[i]);
     reset();
+}
+
+Bytes
+Sha256::finish()
+{
+    Bytes out(kSha256DigestSize);
+    finish(out.data());
     return out;
 }
 

@@ -21,6 +21,10 @@ constexpr size_t kSha256DigestSize = 32;
 class Sha256
 {
   public:
+    /** Input block and digest lengths in bytes. */
+    static constexpr size_t kBlockSize = 64;
+    static constexpr size_t kDigestSize = kSha256DigestSize;
+
     Sha256() { reset(); }
 
     /** Resets to the initial state. */
@@ -32,6 +36,10 @@ class Sha256
     /** Finalizes and returns the 32-byte digest; context then reset. */
     Bytes finish();
 
+    /** Finalizes into out[kDigestSize] without allocating; context
+     *  then reset. */
+    void finish(uint8_t *out);
+
     /** One-shot convenience. */
     static Bytes digest(ByteView data);
 
@@ -40,7 +48,7 @@ class Sha256
     void compressMany(const uint8_t *blocks, size_t n);
 
     std::array<uint32_t, 8> state_;
-    uint8_t buf_[64];
+    uint8_t buf_[64] = {};
     size_t bufLen_;
     uint64_t total_;
 };

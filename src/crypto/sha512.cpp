@@ -139,8 +139,8 @@ Sha512::update(ByteView data)
     }
 }
 
-Bytes
-Sha512::finish()
+void
+Sha512::finish(uint8_t *out)
 {
     uint64_t bitLen = total_ * 8;
     uint8_t pad[144] = {0x80};
@@ -151,10 +151,16 @@ Sha512::finish()
     storeBe64(lenBytes + 8, bitLen);
     update(ByteView(lenBytes, 16));
 
-    Bytes out(kSha512DigestSize);
     for (int i = 0; i < 8; ++i)
-        storeBe64(out.data() + 8 * i, state_[i]);
+        storeBe64(out + 8 * i, state_[i]);
     reset();
+}
+
+Bytes
+Sha512::finish()
+{
+    Bytes out(kSha512DigestSize);
+    finish(out.data());
     return out;
 }
 

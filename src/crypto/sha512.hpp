@@ -21,6 +21,10 @@ constexpr size_t kSha512DigestSize = 64;
 class Sha512
 {
   public:
+    /** Input block and digest lengths in bytes. */
+    static constexpr size_t kBlockSize = 128;
+    static constexpr size_t kDigestSize = kSha512DigestSize;
+
     Sha512() { reset(); }
 
     /** Resets to the initial state. */
@@ -32,6 +36,10 @@ class Sha512
     /** Finalizes and returns the 64-byte digest; context then reset. */
     Bytes finish();
 
+    /** Finalizes into out[kDigestSize] without allocating; context
+     *  then reset. */
+    void finish(uint8_t *out);
+
     /** One-shot convenience. */
     static Bytes digest(ByteView data);
 
@@ -39,7 +47,7 @@ class Sha512
     void compress(const uint8_t block[128]);
 
     std::array<uint64_t, 8> state_;
-    uint8_t buf_[128];
+    uint8_t buf_[128] = {};
     size_t bufLen_;
     uint64_t total_;
 };

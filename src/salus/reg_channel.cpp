@@ -1,10 +1,9 @@
 #include "salus/reg_channel.hpp"
 
+#include <algorithm>
 #include <cstring>
 
-#include "crypto/aes_ctr.hpp"
 #include "crypto/ct.hpp"
-#include "crypto/hmac.hpp"
 #include "crypto/siphash.hpp"
 
 namespace salus::core::regchan {
@@ -24,27 +23,71 @@ nonceDnaMessage(uint64_t nonce, uint64_t dna, uint8_t direction)
     return msg;
 }
 
-/** Builds the 16-byte CTR counter block for a direction + counter. */
-Bytes
-counterBlock(const char label[8], uint64_t ctr)
+/** The first 8 bytes of a tag under the session MAC, over the
+ *  concatenation of `parts`. */
+uint64_t
+truncatedTag(const crypto::HmacSha256 &mac,
+             std::initializer_list<ByteView> parts)
 {
-    Bytes block(16);
-    std::memcpy(block.data(), label, 8);
-    storeLe64(block.data() + 8, ctr);
-    return block;
+    uint8_t tag[crypto::HmacSha256::kTagSize];
+    mac.mac(parts, tag);
+    return loadLe64(tag);
 }
 
-uint64_t
-truncatedHmac(ByteView macKey, uint64_t ctr, uint64_t ct0, uint64_t ct1,
-              const char *direction)
+/** XORs the keystream of `count` consecutive counter blocks
+ *  label || LE64(ctrBase + i) over 16-byte blocks in place: the
+ *  counter blocks are written into one stack buffer, encrypted with
+ *  one Aes::encryptBlocks call (pipelined 8/16-wide with AES-NI/VAES)
+ *  per kMaxBatchOps blocks, XORed word by word, and wiped once. */
+void
+cryptStride(const crypto::Aes &aes, const char label[8], uint64_t ctrBase,
+            uint8_t *data, size_t count)
 {
-    Bytes msg(24 + std::strlen(direction));
-    storeLe64(msg.data(), ctr);
-    storeLe64(msg.data() + 8, ct0);
-    storeLe64(msg.data() + 16, ct1);
-    std::memcpy(msg.data() + 24, direction, std::strlen(direction));
-    Bytes tag = crypto::hmacSha256(macKey, msg);
-    return loadLe64(tag.data());
+    // Not zero-filled: every block is written before it is read, and
+    // a 4 KiB fill would cost more than a one-block call's AES.
+    uint8_t ks[kMaxBatchOps * kRegBatchBlock];
+    while (count > 0) {
+        size_t n = std::min(count, kMaxBatchOps);
+        for (size_t i = 0; i < n; ++i) {
+            std::memcpy(ks + i * kRegBatchBlock, label, 8);
+            storeLe64(ks + i * kRegBatchBlock + 8, ctrBase + i);
+        }
+        aes.encryptBlocks(ks, ks, n);
+        for (size_t off = 0; off < n * kRegBatchBlock; off += 8) {
+            uint64_t d, k;
+            std::memcpy(&d, data + off, 8);
+            std::memcpy(&k, ks + off, 8);
+            d ^= k;
+            std::memcpy(data + off, &d, 8);
+        }
+        secureZero(ks, n * kRegBatchBlock);
+        data += n * kRegBatchBlock;
+        ctrBase += n;
+        count -= n;
+    }
+}
+
+/** Truncated HMAC over a single-op message: ctr || ct0 || ct1 ||
+ *  direction ("req"/"rsp"). */
+uint64_t
+truncatedHmac(const crypto::HmacSha256 &mac, uint64_t ctr, uint64_t ct0,
+              uint64_t ct1, const char direction[3])
+{
+    uint8_t msg[27];
+    storeLe64(msg, ctr);
+    storeLe64(msg + 8, ct0);
+    storeLe64(msg + 16, ct1);
+    std::memcpy(msg + 24, direction, 3);
+    return truncatedTag(mac, {ByteView(msg, sizeof(msg))});
+}
+
+bool
+macEqual(uint64_t expect, uint64_t got)
+{
+    uint8_t a[8], b[8];
+    storeLe64(a, expect);
+    storeLe64(b, got);
+    return crypto::ctEqual(ByteView(a, 8), ByteView(b, 8));
 }
 
 } // namespace
@@ -98,23 +141,28 @@ migrationTicketMac(ByteView keyAttest, uint32_t fromDevice,
 }
 
 SealedRegRequest
-sealRequest(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
-            const RegOp &op)
+sealRequest(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+            uint64_t ctr, const RegOp &op)
 {
     uint8_t plain[16] = {};
     plain[0] = op.isWrite ? 1 : 0;
     storeLe32(plain + 1, op.addr);
     storeLe64(plain + 5, op.data);
-
-    crypto::AesCtr cipher(aes, counterBlock("SREGCHAN", ctr));
-    cipher.crypt(plain, 16);
+    cryptStride(aes, "SREGCHAN", ctr, plain, 1);
 
     SealedRegRequest req;
     req.ctr = ctr;
     req.ct0 = loadLe64(plain);
     req.ct1 = loadLe64(plain + 8);
-    req.mac = truncatedHmac(macKey, ctr, req.ct0, req.ct1, "req");
+    req.mac = truncatedHmac(mac, ctr, req.ct0, req.ct1, "req");
     return req;
+}
+
+SealedRegRequest
+sealRequest(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
+            const RegOp &op)
+{
+    return sealRequest(aes, crypto::HmacSha256(macKey), ctr, op);
 }
 
 SealedRegRequest
@@ -125,22 +173,17 @@ sealRequest(ByteView aesKey, ByteView macKey, uint64_t ctr,
 }
 
 std::optional<RegOp>
-openRequest(const crypto::Aes &aes, ByteView macKey,
+openRequest(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
             const SealedRegRequest &req)
 {
-    uint64_t expect =
-        truncatedHmac(macKey, req.ctr, req.ct0, req.ct1, "req");
-    uint8_t a[8], b[8];
-    storeLe64(a, expect);
-    storeLe64(b, req.mac);
-    if (!crypto::ctEqual(ByteView(a, 8), ByteView(b, 8)))
+    if (!macEqual(truncatedHmac(mac, req.ctr, req.ct0, req.ct1, "req"),
+                  req.mac))
         return std::nullopt;
 
     uint8_t buf[16];
     storeLe64(buf, req.ct0);
     storeLe64(buf + 8, req.ct1);
-    crypto::AesCtr cipher(aes, counterBlock("SREGCHAN", req.ctr));
-    cipher.crypt(buf, 16);
+    cryptStride(aes, "SREGCHAN", req.ctr, buf, 1);
 
     RegOp op;
     op.isWrite = buf[0] != 0;
@@ -150,27 +193,40 @@ openRequest(const crypto::Aes &aes, ByteView macKey,
 }
 
 std::optional<RegOp>
+openRequest(const crypto::Aes &aes, ByteView macKey,
+            const SealedRegRequest &req)
+{
+    return openRequest(aes, crypto::HmacSha256(macKey), req);
+}
+
+std::optional<RegOp>
 openRequest(ByteView aesKey, ByteView macKey, const SealedRegRequest &req)
 {
     return openRequest(crypto::Aes(aesKey), macKey, req);
 }
 
 SealedRegResponse
-sealResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
-             uint8_t status, uint64_t data)
+sealResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+             uint64_t ctr, uint8_t status, uint64_t data)
 {
     uint8_t plain[16] = {};
     plain[0] = status;
     storeLe64(plain + 1, data);
-
-    crypto::AesCtr cipher(aes, counterBlock("SRSPCHAN", ctr));
-    cipher.crypt(plain, 16);
+    cryptStride(aes, "SRSPCHAN", ctr, plain, 1);
 
     SealedRegResponse rsp;
     rsp.ct0 = loadLe64(plain);
     rsp.ct1 = loadLe64(plain + 8);
-    rsp.mac = truncatedHmac(macKey, ctr, rsp.ct0, rsp.ct1, "rsp");
+    rsp.mac = truncatedHmac(mac, ctr, rsp.ct0, rsp.ct1, "rsp");
     return rsp;
+}
+
+SealedRegResponse
+sealResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
+             uint8_t status, uint64_t data)
+{
+    return sealResponse(aes, crypto::HmacSha256(macKey), ctr, status,
+                        data);
 }
 
 SealedRegResponse
@@ -181,24 +237,26 @@ sealResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
 }
 
 std::optional<std::pair<uint8_t, uint64_t>>
-openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
-             const SealedRegResponse &rsp)
+openResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+             uint64_t ctr, const SealedRegResponse &rsp)
 {
-    uint64_t expect =
-        truncatedHmac(macKey, ctr, rsp.ct0, rsp.ct1, "rsp");
-    uint8_t a[8], b[8];
-    storeLe64(a, expect);
-    storeLe64(b, rsp.mac);
-    if (!crypto::ctEqual(ByteView(a, 8), ByteView(b, 8)))
+    if (!macEqual(truncatedHmac(mac, ctr, rsp.ct0, rsp.ct1, "rsp"),
+                  rsp.mac))
         return std::nullopt;
 
     uint8_t buf[16];
     storeLe64(buf, rsp.ct0);
     storeLe64(buf + 8, rsp.ct1);
-    crypto::AesCtr cipher(aes, counterBlock("SRSPCHAN", ctr));
-    cipher.crypt(buf, 16);
+    cryptStride(aes, "SRSPCHAN", ctr, buf, 1);
 
     return std::make_pair(buf[0], loadLe64(buf + 1));
+}
+
+std::optional<std::pair<uint8_t, uint64_t>>
+openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
+             const SealedRegResponse &rsp)
+{
+    return openResponse(aes, crypto::HmacSha256(macKey), ctr, rsp);
 }
 
 std::optional<std::pair<uint8_t, uint64_t>>
@@ -211,16 +269,22 @@ openResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
 // ---- Batched register bursts -----------------------------------------
 
 void
+cryptBatchBlocks(const crypto::Aes &aes, bool response, uint64_t ctrBase,
+                 uint8_t *blocks, size_t count)
+{
+    // Op i owns the one-block keystream at ("SREGBRST"/"SRSPBRST",
+    // ctrBase + i). The labels are disjoint from the single-op
+    // channel's ("SREGCHAN"/"SRSPCHAN"), so batch and single traffic
+    // can share a session counter space without keystream reuse.
+    cryptStride(aes, response ? "SRSPBRST" : "SREGBRST", ctrBase, blocks,
+                count);
+}
+
+void
 cryptBatchBlock(const crypto::Aes &aes, bool response, uint64_t ctr,
                 uint8_t *block)
 {
-    // Each op owns the one-block keystream at ("SREGBRST"/"SRSPBRST",
-    // ctr). The labels are disjoint from the single-op channel's
-    // ("SREGCHAN"/"SRSPCHAN"), so batch and single traffic can share
-    // a session counter space without keystream reuse.
-    crypto::AesCtr cipher(
-        aes, counterBlock(response ? "SRSPBRST" : "SREGBRST", ctr));
-    cipher.crypt(block, kRegBatchBlock);
+    cryptBatchBlocks(aes, response, ctr, block, 1);
 }
 
 void
@@ -267,18 +331,23 @@ decodeBatchResult(const uint8_t *block)
 }
 
 uint64_t
+batchMac(const crypto::HmacSha256 &mac, uint32_t sessionId,
+         uint64_t ctrBase, ByteView payload, bool response)
+{
+    uint8_t header[20];
+    storeLe32(header, sessionId);
+    storeLe64(header + 4, ctrBase);
+    storeLe32(header + 12, uint32_t(payload.size() / kRegBatchBlock));
+    std::memcpy(header + 16, response ? "brsp" : "breq", 4);
+    return truncatedTag(mac, {ByteView(header, sizeof(header)), payload});
+}
+
+uint64_t
 batchMac(ByteView macKey, uint32_t sessionId, uint64_t ctrBase,
          ByteView payload, bool response)
 {
-    const char *direction = response ? "brsp" : "breq";
-    Bytes msg(20 + payload.size());
-    storeLe32(msg.data(), sessionId);
-    storeLe64(msg.data() + 4, ctrBase);
-    storeLe32(msg.data() + 12, uint32_t(payload.size() / kRegBatchBlock));
-    std::memcpy(msg.data() + 16, direction, 4);
-    std::copy(payload.begin(), payload.end(), msg.begin() + 20);
-    Bytes tag = crypto::hmacSha256(macKey, msg);
-    return loadLe64(tag.data());
+    return batchMac(crypto::HmacSha256(macKey), sessionId, ctrBase,
+                    payload, response);
 }
 
 namespace {
@@ -299,33 +368,30 @@ batchShapeOk(size_t payloadSize, uint64_t ctrBase)
     return ctrBase <= UINT64_MAX - (count - 1);
 }
 
-bool
-macEqual(uint64_t expect, uint64_t got)
-{
-    uint8_t a[8], b[8];
-    storeLe64(a, expect);
-    storeLe64(b, got);
-    return crypto::ctEqual(ByteView(a, 8), ByteView(b, 8));
-}
-
 } // namespace
 
 SealedRegBatch
-sealBatch(const crypto::Aes &aes, ByteView macKey, uint32_t sessionId,
-          uint64_t ctrBase, const std::vector<RegOp> &ops)
+sealBatch(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+          uint32_t sessionId, uint64_t ctrBase,
+          const std::vector<RegOp> &ops)
 {
     SealedRegBatch batch;
     batch.sessionId = sessionId;
     batch.ctrBase = ctrBase;
     batch.payload.resize(ops.size() * kRegBatchBlock);
-    for (size_t i = 0; i < ops.size(); ++i) {
-        uint8_t *block = batch.payload.data() + i * kRegBatchBlock;
-        encodeBatchOp(ops[i], block);
-        cryptBatchBlock(aes, false, ctrBase + i, block);
-    }
-    batch.mac =
-        batchMac(macKey, sessionId, ctrBase, batch.payload, false);
+    for (size_t i = 0; i < ops.size(); ++i)
+        encodeBatchOp(ops[i], batch.payload.data() + i * kRegBatchBlock);
+    cryptBatchBlocks(aes, false, ctrBase, batch.payload.data(), ops.size());
+    batch.mac = batchMac(mac, sessionId, ctrBase, batch.payload, false);
     return batch;
+}
+
+SealedRegBatch
+sealBatch(const crypto::Aes &aes, ByteView macKey, uint32_t sessionId,
+          uint64_t ctrBase, const std::vector<RegOp> &ops)
+{
+    return sealBatch(aes, crypto::HmacSha256(macKey), sessionId, ctrBase,
+                     ops);
 }
 
 SealedRegBatch
@@ -337,25 +403,30 @@ sealBatch(ByteView aesKey, ByteView macKey, uint32_t sessionId,
 }
 
 std::optional<std::vector<RegOp>>
+openBatch(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+          const SealedRegBatch &batch)
+{
+    if (!batchShapeOk(batch.payload.size(), batch.ctrBase) ||
+        !macEqual(batchMac(mac, batch.sessionId, batch.ctrBase,
+                           batch.payload, false),
+                  batch.mac))
+        return std::nullopt;
+
+    uint8_t plain[kMaxBatchOps * kRegBatchBlock];
+    std::memcpy(plain, batch.payload.data(), batch.payload.size());
+    cryptBatchBlocks(aes, false, batch.ctrBase, plain, batch.count());
+    std::vector<RegOp> ops(batch.count());
+    for (size_t i = 0; i < ops.size(); ++i)
+        ops[i] = decodeBatchOp(plain + i * kRegBatchBlock);
+    secureZero(plain, batch.payload.size());
+    return ops;
+}
+
+std::optional<std::vector<RegOp>>
 openBatch(const crypto::Aes &aes, ByteView macKey,
           const SealedRegBatch &batch)
 {
-    if (!batchShapeOk(batch.payload.size(), batch.ctrBase))
-        return std::nullopt;
-    uint64_t expect = batchMac(macKey, batch.sessionId, batch.ctrBase,
-                               batch.payload, false);
-    if (!macEqual(expect, batch.mac))
-        return std::nullopt;
-
-    std::vector<RegOp> ops(batch.count());
-    for (size_t i = 0; i < ops.size(); ++i) {
-        uint8_t block[kRegBatchBlock];
-        std::memcpy(block, batch.payload.data() + i * kRegBatchBlock,
-                    kRegBatchBlock);
-        cryptBatchBlock(aes, false, batch.ctrBase + i, block);
-        ops[i] = decodeBatchOp(block);
-    }
-    return ops;
+    return openBatch(aes, crypto::HmacSha256(macKey), batch);
 }
 
 std::optional<std::vector<RegOp>>
@@ -365,19 +436,28 @@ openBatch(ByteView aesKey, ByteView macKey, const SealedRegBatch &batch)
 }
 
 SealedBatchResponse
-sealBatchResponse(const crypto::Aes &aes, ByteView macKey,
+sealBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                   uint32_t sessionId, uint64_t ctrBase,
                   const std::vector<BatchResult> &results)
 {
     SealedBatchResponse rsp;
     rsp.payload.resize(results.size() * kRegBatchBlock);
-    for (size_t i = 0; i < results.size(); ++i) {
-        uint8_t *block = rsp.payload.data() + i * kRegBatchBlock;
-        encodeBatchResult(results[i].status, results[i].data, block);
-        cryptBatchBlock(aes, true, ctrBase + i, block);
-    }
-    rsp.mac = batchMac(macKey, sessionId, ctrBase, rsp.payload, true);
+    for (size_t i = 0; i < results.size(); ++i)
+        encodeBatchResult(results[i].status, results[i].data,
+                          rsp.payload.data() + i * kRegBatchBlock);
+    cryptBatchBlocks(aes, true, ctrBase, rsp.payload.data(),
+                     results.size());
+    rsp.mac = batchMac(mac, sessionId, ctrBase, rsp.payload, true);
     return rsp;
+}
+
+SealedBatchResponse
+sealBatchResponse(const crypto::Aes &aes, ByteView macKey,
+                  uint32_t sessionId, uint64_t ctrBase,
+                  const std::vector<BatchResult> &results)
+{
+    return sealBatchResponse(aes, crypto::HmacSha256(macKey), sessionId,
+                             ctrBase, results);
 }
 
 SealedBatchResponse
@@ -390,27 +470,33 @@ sealBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
 }
 
 std::optional<std::vector<BatchResult>>
-openBatchResponse(const crypto::Aes &aes, ByteView macKey,
+openBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                   uint32_t sessionId, uint64_t ctrBase,
                   size_t expectCount, const SealedBatchResponse &rsp)
 {
     if (rsp.count() != expectCount ||
-        !batchShapeOk(rsp.payload.size(), ctrBase))
-        return std::nullopt;
-    uint64_t expect =
-        batchMac(macKey, sessionId, ctrBase, rsp.payload, true);
-    if (!macEqual(expect, rsp.mac))
+        !batchShapeOk(rsp.payload.size(), ctrBase) ||
+        !macEqual(batchMac(mac, sessionId, ctrBase, rsp.payload, true),
+                  rsp.mac))
         return std::nullopt;
 
+    uint8_t plain[kMaxBatchOps * kRegBatchBlock];
+    std::memcpy(plain, rsp.payload.data(), rsp.payload.size());
+    cryptBatchBlocks(aes, true, ctrBase, plain, rsp.count());
     std::vector<BatchResult> results(rsp.count());
-    for (size_t i = 0; i < results.size(); ++i) {
-        uint8_t block[kRegBatchBlock];
-        std::memcpy(block, rsp.payload.data() + i * kRegBatchBlock,
-                    kRegBatchBlock);
-        cryptBatchBlock(aes, true, ctrBase + i, block);
-        results[i] = decodeBatchResult(block);
-    }
+    for (size_t i = 0; i < results.size(); ++i)
+        results[i] = decodeBatchResult(plain + i * kRegBatchBlock);
+    secureZero(plain, rsp.payload.size());
     return results;
+}
+
+std::optional<std::vector<BatchResult>>
+openBatchResponse(const crypto::Aes &aes, ByteView macKey,
+                  uint32_t sessionId, uint64_t ctrBase,
+                  size_t expectCount, const SealedBatchResponse &rsp)
+{
+    return openBatchResponse(aes, crypto::HmacSha256(macKey), sessionId,
+                             ctrBase, expectCount, rsp);
 }
 
 std::optional<std::vector<BatchResult>>
@@ -431,9 +517,8 @@ sessionOpenMac(ByteView baseMacKey, uint32_t slot, uint64_t nonce)
     storeLe32(msg, slot);
     storeLe64(msg + 4, nonce);
     std::memcpy(msg + 12, "sess-open", 9);
-    Bytes tag =
-        crypto::hmacSha256(baseMacKey, ByteView(msg, sizeof(msg)));
-    return loadLe64(tag.data());
+    return truncatedTag(crypto::HmacSha256(baseMacKey),
+                        {ByteView(msg, sizeof(msg))});
 }
 
 Bytes
@@ -454,8 +539,8 @@ rekeyMac(ByteView macKey, uint64_t ctr, uint64_t nonce)
     storeLe64(msg, ctr);
     storeLe64(msg + 8, nonce);
     std::memcpy(msg + 16, "rekey", 5);
-    Bytes tag = crypto::hmacSha256(macKey, ByteView(msg, sizeof(msg)));
-    return loadLe64(tag.data());
+    return truncatedTag(crypto::HmacSha256(macKey),
+                        {ByteView(msg, sizeof(msg))});
 }
 
 std::pair<Bytes, Bytes>

@@ -24,6 +24,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/hmac.hpp"
 
 namespace salus::core::regchan {
 
@@ -92,22 +93,29 @@ struct SealedRegResponse
     uint64_t mac = 0;
 };
 
-// Every seal/open entry has two forms: a ByteView form that expands
-// the AES key schedule for the one call, and a `const crypto::Aes &`
-// form that borrows a caller-cached schedule — the per-session fast
-// path (the key is expanded once when the session opens or re-keys,
-// not once per register transaction).
+// Every seal/open entry has three forms. The per-session fast path
+// borrows a caller-cached AES schedule and a keyed HMAC, both built
+// once when the session opens or re-keys, not once per register
+// transaction. The `const crypto::Aes &` + ByteView MAC key form keys
+// the HMAC for the one call, and the all-ByteView form also expands
+// the AES schedule; both forward to the fast path.
 
 /** Encrypts and MACs a register operation (host side). */
 SealedRegRequest sealRequest(ByteView aesKey, ByteView macKey,
                              uint64_t ctr, const RegOp &op);
 SealedRegRequest sealRequest(const crypto::Aes &aes, ByteView macKey,
                              uint64_t ctr, const RegOp &op);
+SealedRegRequest sealRequest(const crypto::Aes &aes,
+                             const crypto::HmacSha256 &mac, uint64_t ctr,
+                             const RegOp &op);
 
 /** Verifies and decrypts a request (fabric side); nullopt = reject. */
 std::optional<RegOp> openRequest(ByteView aesKey, ByteView macKey,
                                  const SealedRegRequest &req);
 std::optional<RegOp> openRequest(const crypto::Aes &aes, ByteView macKey,
+                                 const SealedRegRequest &req);
+std::optional<RegOp> openRequest(const crypto::Aes &aes,
+                                 const crypto::HmacSha256 &mac,
                                  const SealedRegRequest &req);
 
 /** Encrypts and MACs a response (fabric side). */
@@ -117,6 +125,9 @@ SealedRegResponse sealResponse(ByteView aesKey, ByteView macKey,
 SealedRegResponse sealResponse(const crypto::Aes &aes, ByteView macKey,
                                uint64_t ctr, uint8_t status,
                                uint64_t data);
+SealedRegResponse sealResponse(const crypto::Aes &aes,
+                               const crypto::HmacSha256 &mac, uint64_t ctr,
+                               uint8_t status, uint64_t data);
 
 /** Verifies and decrypts a response (host side). */
 std::optional<std::pair<uint8_t, uint64_t>>
@@ -125,6 +136,9 @@ openResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
 std::optional<std::pair<uint8_t, uint64_t>>
 openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
              const SealedRegResponse &rsp);
+std::optional<std::pair<uint8_t, uint64_t>>
+openResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+             uint64_t ctr, const SealedRegResponse &rsp);
 
 // ---- Batched register bursts (extension) -----------------------------
 //
@@ -136,8 +150,8 @@ openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
 // above the session's last consumed counter and advances the counter
 // to ctrBase + count - 1 on success, so no individual op — and no
 // whole burst — can ever be replayed. Each op plaintext is exactly
-// one AES block, which lets both endpoints crypt bursts in place,
-// block by block, with no intermediate copies.
+// one AES block, which lets both endpoints crypt a burst in place in
+// one keystream pass per burst, with no intermediate copies.
 
 /** Bytes per encrypted batch element (one AES block). */
 constexpr size_t kRegBatchBlock = 16;
@@ -169,12 +183,18 @@ struct SealedBatchResponse
     size_t count() const { return payload.size() / kRegBatchBlock; }
 };
 
-// Streaming block primitives. Both endpoints process a burst in place
-// (decrypt block -> execute -> encode + encrypt the response into the
-// output buffer) without materialising a plaintext vector.
+// In-place burst primitives. The fabric decrypts a whole burst in
+// its input buffer in one keystream pass, executes the ops in order,
+// encodes the results into the output buffer and encrypts that in one
+// more pass — no plaintext vector is materialised.
 
-/** En/decrypts one 16-byte batch block in place with the one-block
- *  keystream at counter `ctr` (request or response direction). */
+/** En/decrypts `count` consecutive 16-byte batch blocks in place:
+ *  block i with the one-block keystream at counter ctrBase + i
+ *  (request or response direction). One AES call per burst. */
+void cryptBatchBlocks(const crypto::Aes &aes, bool response,
+                      uint64_t ctrBase, uint8_t *blocks, size_t count);
+
+/** cryptBatchBlocks with count 1. */
 void cryptBatchBlock(ByteView aesKey, bool response, uint64_t ctr,
                      uint8_t *block);
 void cryptBatchBlock(const crypto::Aes &aes, bool response, uint64_t ctr,
@@ -192,6 +212,8 @@ BatchResult decodeBatchResult(const uint8_t *block);
  *  direction separation (request vs. response). */
 uint64_t batchMac(ByteView macKey, uint32_t sessionId, uint64_t ctrBase,
                   ByteView payload, bool response);
+uint64_t batchMac(const crypto::HmacSha256 &mac, uint32_t sessionId,
+                  uint64_t ctrBase, ByteView payload, bool response);
 
 /** Seals a burst of ops (host side, one-shot convenience). */
 SealedRegBatch sealBatch(ByteView aesKey, ByteView macKey,
@@ -200,6 +222,9 @@ SealedRegBatch sealBatch(ByteView aesKey, ByteView macKey,
 SealedRegBatch sealBatch(const crypto::Aes &aes, ByteView macKey,
                          uint32_t sessionId, uint64_t ctrBase,
                          const std::vector<RegOp> &ops);
+SealedRegBatch sealBatch(const crypto::Aes &aes,
+                         const crypto::HmacSha256 &mac, uint32_t sessionId,
+                         uint64_t ctrBase, const std::vector<RegOp> &ops);
 
 /** Verifies and decrypts a burst (fabric side); nullopt = reject.
  *  Rejects empty, oversize, misaligned and counter-wrapping bursts
@@ -209,6 +234,9 @@ std::optional<std::vector<RegOp>> openBatch(ByteView aesKey,
                                             const SealedRegBatch &batch);
 std::optional<std::vector<RegOp>> openBatch(const crypto::Aes &aes,
                                             ByteView macKey,
+                                            const SealedRegBatch &batch);
+std::optional<std::vector<RegOp>> openBatch(const crypto::Aes &aes,
+                                            const crypto::HmacSha256 &mac,
                                             const SealedRegBatch &batch);
 
 /** Seals the per-op results of a burst (fabric side). */
@@ -220,6 +248,10 @@ SealedBatchResponse
 sealBatchResponse(const crypto::Aes &aes, ByteView macKey,
                   uint32_t sessionId, uint64_t ctrBase,
                   const std::vector<BatchResult> &results);
+SealedBatchResponse
+sealBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+                  uint32_t sessionId, uint64_t ctrBase,
+                  const std::vector<BatchResult> &results);
 
 /** Verifies and decrypts a burst response (host side). */
 std::optional<std::vector<BatchResult>>
@@ -228,6 +260,10 @@ openBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
                   const SealedBatchResponse &rsp);
 std::optional<std::vector<BatchResult>>
 openBatchResponse(const crypto::Aes &aes, ByteView macKey,
+                  uint32_t sessionId, uint64_t ctrBase,
+                  size_t expectCount, const SealedBatchResponse &rsp);
+std::optional<std::vector<BatchResult>>
+openBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                   uint32_t sessionId, uint64_t ctrBase,
                   size_t expectCount, const SealedBatchResponse &rsp);
 

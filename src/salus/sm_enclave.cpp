@@ -785,30 +785,30 @@ SmEnclaveApp::slotKeys(uint32_t slot) const
                      : ByteView(slots_[slot].keySession);
 }
 
-const crypto::Aes &
-SmEnclaveApp::slotAes(uint32_t slot)
+const SmEnclaveApp::SessionSlot &
+SmEnclaveApp::slotCrypto(uint32_t slot)
 {
-    ByteView aesKey = slotKeys(slot).subspan(0, 16);
+    ByteView keys = slotKeys(slot);
     SessionSlot &s = slots_[slot];
-    if (!s.aes || s.aesKey.size() != aesKey.size() ||
-        !std::equal(s.aesKey.begin(), s.aesKey.end(), aesKey.begin())) {
-        secureZero(s.aesKey);
-        s.aesKey.assign(aesKey.begin(), aesKey.end());
-        s.aes = std::make_unique<crypto::Aes>(aesKey);
+    if (!s.aes || !std::equal(s.cachedKeys.begin(), s.cachedKeys.end(),
+                              keys.begin(), keys.end())) {
+        secureZero(s.cachedKeys);
+        s.cachedKeys.assign(keys.begin(), keys.end());
+        s.aes = std::make_unique<crypto::Aes>(keys.subspan(0, 16));
+        s.mac = std::make_unique<crypto::HmacSha256>(keys.subspan(16, 32));
     }
-    return *s.aes;
+    return s;
 }
 
 std::pair<uint8_t, uint64_t>
 SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
 {
     uint64_t ctr = reserveCtrSpan(0, 1);
-    const crypto::Aes &aes = slotAes(0);
+    const SessionSlot &keys = slotCrypto(0);
     regchan::SealedRegRequest req;
     {
         obs::Span crypto(obs::Category::Channel, "op_crypto");
-        req = regchan::sealRequest(aes, secrets_.sessionMacKey(), ctr,
-                                   op);
+        req = regchan::sealRequest(*keys.aes, *keys.mac, ctr, op);
     }
 
     shell::Shell &sh = activeShell();
@@ -833,8 +833,7 @@ SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
     }
 
     obs::Span crypto(obs::Category::Channel, "op_crypto");
-    auto opened =
-        regchan::openResponse(aes, secrets_.sessionMacKey(), ctr, rsp);
+    auto opened = regchan::openResponse(*keys.aes, *keys.mac, ctr, rsp);
     if (!opened) {
         obs::count("channel.rejects");
         return {0xfb, 0}; // response forged or corrupted
@@ -971,8 +970,7 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
                                  const std::vector<regchan::RegOp> &ops,
                                  std::vector<regchan::BatchResult> &out)
 {
-    ByteView macKey = slotKeys(slot).subspan(16, 32);
-    const crypto::Aes &aes = slotAes(slot);
+    const SessionSlot &keys = slotCrypto(slot);
 
     // Host-side crypto (seal + open) is one AES block per op each way
     // plus a single MAC pass per direction — the cost batching
@@ -985,7 +983,8 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
             deps_.sim.spend(phases::kChanCrypto,
                             deps_.sim.cost->batchCrypto(ops.size()));
         }
-        batch = regchan::sealBatch(aes, macKey, slot, ctrBase, ops);
+        batch = regchan::sealBatch(*keys.aes, *keys.mac, slot, ctrBase,
+                                   ops);
     }
 
     size_t nWords = batch.payload.size() / 8;
@@ -1031,8 +1030,8 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
 
     obs::Span crypto(obs::Category::Channel, "batch_crypto",
                      uint64_t(ops.size()));
-    auto opened = regchan::openBatchResponse(aes, macKey, slot, ctrBase,
-                                             ops.size(), rsp);
+    auto opened = regchan::openBatchResponse(*keys.aes, *keys.mac, slot,
+                                             ctrBase, ops.size(), rsp);
     if (!opened) {
         obs::count("channel.rejects");
         return 0xfb; // response forged or corrupted
@@ -1117,7 +1116,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
     ByteView macKey = slotKeys(slot).subspan(16, 32);
     // Sealing lambdas share the slot's cached schedule; the slot
     // outlives the window engine's run() below.
-    const crypto::Aes *aesCtx = &slotAes(slot);
+    const crypto::Aes *aesCtx = slotCrypto(slot).aes.get();
 
     size_t chunkBytes =
         std::clamp<size_t>(opts.descriptorBytes, dmachan::kDmaBlock,
@@ -1451,10 +1450,11 @@ SmEnclaveApp::retireCurrentSecrets()
     // it under the fresh base session. Fresh keys mean a fresh
     // keystream space, so the counter and DMA sequence spaces restart
     // with them (the fabric's window resets on open). Dropping the
-    // cached schedules wipes their round keys (Aes's destructor).
+    // cached contexts wipes their round keys and HMAC midstates (the
+    // Aes and Hmac destructors).
     for (SessionSlot &s : slots_) {
         secureZero(s.keySession);
-        secureZero(s.aesKey);
+        secureZero(s.cachedKeys);
         s = SessionSlot{};
     }
     if (!haveSecrets_)

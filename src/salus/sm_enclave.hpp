@@ -362,9 +362,11 @@ class SmEnclaveApp : public tee::Enclave
         uint64_t reserve = 0;
         uint64_t dmaSeq = 0;        ///< next DMA descriptor sequence
         uint64_t dmaSeqReserve = 0; ///< write-ahead DMA seq bound
-        /** Expanded AES schedule of `aesKey` (see slotAes()). */
-        Bytes aesKey;
+        /** The 48 session bytes `aes` and `mac` were built from
+         *  (see slotCrypto()). */
+        Bytes cachedKeys;
         std::unique_ptr<crypto::Aes> aes;
+        std::unique_ptr<crypto::HmacSha256> mac;
     };
 
     /** Retry-loop state for converging on a re-key whose completion
@@ -393,11 +395,12 @@ class SmEnclaveApp : public tee::Enclave
     uint8_t secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
                                const std::vector<regchan::RegOp> &ops,
                                std::vector<regchan::BatchResult> &out);
-    /** Returns the slot's cached expanded AES schedule, rebuilding it
-     *  only when the key bytes differ from the cached copy (open,
-     *  re-key, failover and journal restore all change the bytes, so
-     *  the cache self-heals on every key-rolling path). */
-    const crypto::Aes &slotAes(uint32_t slot);
+    /** Returns the slot with its cached AES schedule and keyed HMAC
+     *  current, rebuilding both only when the slot's 48 session bytes
+     *  differ from the cached copy (open, re-key, failover and journal
+     *  restore all change the bytes, so the cache self-heals on every
+     *  key-rolling path). */
+    const SessionSlot &slotCrypto(uint32_t slot);
     /** Reserves n DMA descriptor sequence numbers on the slot,
      *  extending the journal's write-ahead reservation first when
      *  needed. @return the first sequence number of the span. */

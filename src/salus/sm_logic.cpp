@@ -8,11 +8,14 @@
 namespace salus::core {
 
 void
-SmLogic::SessionSlot::setAesKey(Bytes key)
+SmLogic::SessionSlot::setKeys(Bytes aes, Bytes mac)
 {
     secureZero(aesKey);
-    aesKey = std::move(key);
+    secureZero(macKey);
+    aesKey = std::move(aes);
+    macKey = std::move(mac);
     aesCtx = std::make_unique<crypto::Aes>(aesKey);
+    macCtx = std::make_unique<crypto::HmacSha256>(macKey);
 }
 
 SmLogic::SmLogic(const netlist::Cell &cell,
@@ -42,8 +45,7 @@ SmLogic::SmLogic(const netlist::Cell &cell,
     Bytes session = bramInit(keySessionPath, kKeySessionSize);
     SessionSlot &base = sessions_[0];
     base.open = true;
-    base.setAesKey(sliceBytes(session, 0, 16));
-    base.macKey = sliceBytes(session, 16, 32);
+    base.setKeys(sliceBytes(session, 0, 16), sliceBytes(session, 16, 32));
     Bytes ctr = bramInit(ctrSessionPath, kCtrSessionSize);
     base.lastCtr = loadLe64(ctr.data());
     secureZero(session);
@@ -260,9 +262,7 @@ SmLogic::doRekey()
     }
     base.lastCtr = ctr;
     auto [aes, macKey] = regchan::deriveRekeyedKeys(base.macKey, nonce);
-    base.setAesKey(std::move(aes));
-    secureZero(base.macKey);
-    base.macKey = std::move(macKey);
+    base.setKeys(std::move(aes), std::move(macKey));
     ++statRegOpOk_;
     status_ = kSmStatusOk;
 }
@@ -299,7 +299,7 @@ SmLogic::doSecureReg()
         status_ = kSmStatusRejected;
         return;
     }
-    auto op = regchan::openRequest(base.aes(), base.macKey, req);
+    auto op = regchan::openRequest(base.aes(), base.mac(), req);
     if (!op) {
         ++statRegOpRejected_;
         status_ = kSmStatusRejected;
@@ -311,7 +311,7 @@ SmLogic::doSecureReg()
     uint64_t data = executeOp(*op, opStatus);
 
     regchan::SealedRegResponse rsp = regchan::sealResponse(
-        base.aes(), base.macKey, req.ctr, opStatus, data);
+        base.aes(), base.mac(), req.ctr, opStatus, data);
     out_[0] = rsp.ct0;
     out_[1] = rsp.ct1;
     out_[2] = rsp.mac;
@@ -347,7 +347,7 @@ SmLogic::doSecureBatch()
         return;
     }
     uint64_t expect = regchan::batchMac(
-        slot.macKey, static_cast<uint32_t>(slotId), ctrBase, burstIn_,
+        slot.mac(), static_cast<uint32_t>(slotId), ctrBase, burstIn_,
         /*response=*/false);
     if (mac != expect) {
         reject();
@@ -357,26 +357,26 @@ SmLogic::doSecureBatch()
     // inside reports an accelerator-level error.
     slot.lastCtr = ctrBase + (count - 1);
 
-    // Stream block by block: decrypt the request block in place,
-    // execute, then encode + encrypt the response block directly into
-    // the output FIFO. No intermediate plaintext vector.
+    // One keystream pass decrypts the whole burst in place; the ops
+    // execute in order, their results are encoded straight into the
+    // output FIFO, and one more pass encrypts it. No intermediate
+    // plaintext vector.
+    regchan::cryptBatchBlocks(slot.aes(), /*response=*/false, ctrBase,
+                              burstIn_.data(), count);
     burstOut_.assign(count * regchan::kRegBatchBlock, 0);
     burstOutPos_ = 0;
     for (uint64_t i = 0; i < count; ++i) {
-        uint8_t *inBlock = burstIn_.data() + i * regchan::kRegBatchBlock;
-        regchan::cryptBatchBlock(slot.aes(), /*response=*/false,
-                                 ctrBase + i, inBlock);
-        regchan::RegOp op = regchan::decodeBatchOp(inBlock);
+        regchan::RegOp op = regchan::decodeBatchOp(
+            burstIn_.data() + i * regchan::kRegBatchBlock);
         uint8_t opStatus = 0;
         uint64_t data = executeOp(op, opStatus);
-        uint8_t *outBlock =
-            burstOut_.data() + i * regchan::kRegBatchBlock;
-        regchan::encodeBatchResult(opStatus, data, outBlock);
-        regchan::cryptBatchBlock(slot.aes(), /*response=*/true,
-                                 ctrBase + i, outBlock);
+        regchan::encodeBatchResult(
+            opStatus, data, burstOut_.data() + i * regchan::kRegBatchBlock);
     }
+    regchan::cryptBatchBlocks(slot.aes(), /*response=*/true, ctrBase,
+                              burstOut_.data(), count);
     out_[0] = count;
-    out_[2] = regchan::batchMac(slot.macKey,
+    out_[2] = regchan::batchMac(slot.mac(),
                                 static_cast<uint32_t>(slotId), ctrBase,
                                 burstOut_, /*response=*/true);
     secureZero(burstIn_);
@@ -413,9 +413,7 @@ SmLogic::doOpenSession()
     secureZero(baseBlock);
 
     SessionSlot &slot = sessions_[slotId];
-    slot.setAesKey(sliceBytes(derived, 0, 16));
-    secureZero(slot.macKey);
-    slot.macKey = sliceBytes(derived, 16, 32);
+    slot.setKeys(sliceBytes(derived, 0, 16), sliceBytes(derived, 16, 32));
     secureZero(derived);
     slot.lastCtr = 0;
     slot.openNonce = nonce;

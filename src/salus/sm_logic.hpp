@@ -126,10 +126,12 @@ class SmLogic : public fpga::IpBehavior
         bool open = false;
         Bytes aesKey;
         Bytes macKey;
-        /** Expanded AES key schedule, rebuilt only when the key
-         *  changes (construction, open-session, re-key) — every
-         *  register/DMA message reuses it instead of re-expanding. */
+        /** Expanded AES key schedule and keyed HMAC, rebuilt only when
+         *  the keys change (construction, open-session, re-key) —
+         *  register messages reuse both and DMA messages the schedule
+         *  instead of re-keying. */
         std::unique_ptr<crypto::Aes> aesCtx;
+        std::unique_ptr<crypto::HmacSha256> macCtx;
         uint64_t lastCtr = 0;
         uint64_t openNonce = 0; ///< strictly increasing per slot
         /** DMA plane: lowest sequence number not yet applied — also
@@ -139,10 +141,11 @@ class SmLogic : public fpga::IpBehavior
          *  descriptors (<= dmachan::kDmaMaxWindow entries). */
         std::map<uint64_t, dmachan::DmaDescriptor> dmaBuffer;
 
-        /** Installs a new AES key: zeroes the old one and rebuilds
-         *  the cached schedule. */
-        void setAesKey(Bytes key);
+        /** Installs new AES and MAC keys: zeroes the old ones and
+         *  rebuilds the cached schedule and keyed HMAC. */
+        void setKeys(Bytes aes, Bytes mac);
         const crypto::Aes &aes() const { return *aesCtx; }
+        const crypto::HmacSha256 &mac() const { return *macCtx; }
     };
 
     void execute(uint64_t cmd);

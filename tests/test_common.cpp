@@ -67,6 +67,29 @@ TEST(BytesUtil, SecureZero)
     EXPECT_EQ(b, (Bytes{0, 0, 0}));
 }
 
+TEST(BytesUtil, SecureZeroEdgeLengthsAtUnalignedOffsets)
+{
+    // Each target range sits at an odd offset inside a larger buffer
+    // of nonzero bytes; only the range may change.
+    constexpr size_t kGuard = 37;
+    for (size_t len : {size_t(0), size_t(1), size_t(7), size_t(15),
+                       size_t((1u << 20) + 3)}) {
+        for (size_t offset : {size_t(1), size_t(3), size_t(kGuard)}) {
+            Bytes buf(offset + len + kGuard);
+            for (size_t i = 0; i < buf.size(); ++i)
+                buf[i] = uint8_t(i % 251 + 1);
+            Bytes before = buf;
+            secureZero(buf.data() + offset, len);
+            for (size_t i = 0; i < buf.size(); ++i) {
+                bool target = i >= offset && i < offset + len;
+                ASSERT_EQ(buf[i], target ? 0 : before[i])
+                    << "len " << len << " offset " << offset << " byte "
+                    << i;
+            }
+        }
+    }
+}
+
 TEST(BytesUtil, StringConversion)
 {
     Bytes b = bytesFromString("hi");

@@ -63,6 +63,77 @@ TEST(Hmac, KeySensitivity)
     EXPECT_NE(hmacSha256(k1, data), hmacSha256(k2, data));
 }
 
+namespace {
+
+/** RFC 2104 straight from the definition, independent of the keyed
+ *  class: H((K' ^ opad) || H((K' ^ ipad) || m)). */
+Bytes
+referenceHmacSha256(ByteView key, ByteView msg)
+{
+    Bytes k = key.size() > 64 ? Sha256::digest(key)
+                              : Bytes(key.begin(), key.end());
+    k.resize(64, 0);
+    Bytes ipad(64), opad(64);
+    for (size_t i = 0; i < 64; ++i) {
+        ipad[i] = uint8_t(k[i] ^ 0x36);
+        opad[i] = uint8_t(k[i] ^ 0x5c);
+    }
+    Bytes inner = Sha256::digest(concatBytes({ipad, msg}));
+    return Sha256::digest(concatBytes({opad, inner}));
+}
+
+} // namespace
+
+TEST(Hmac, KeyedClassPassesRfc4231Cases1And2)
+{
+    HmacSha256 case1(Bytes(20, 0x0b));
+    EXPECT_EQ(hexEncode(case1.mac(bytesFromString("Hi There"))),
+              "b0344c61d8db38535ca8afceaf0bf12b"
+              "881dc200c9833da726e9376c2e32cff7");
+    HmacSha256 case2(bytesFromString("Jefe"));
+    EXPECT_EQ(
+        hexEncode(case2.mac(bytesFromString("what do ya want for nothing?"))),
+        "5bdcc146bf60754e6a042426089575c7"
+        "5a003f089d2739839dec58b964ec3843");
+    // A context stays keyed: the second tag equals the first.
+    EXPECT_EQ(hexEncode(case1.mac(bytesFromString("Hi There"))),
+              "b0344c61d8db38535ca8afceaf0bf12b"
+              "881dc200c9833da726e9376c2e32cff7");
+}
+
+TEST(Hmac, KeyedClassReusedMatchesOneShotAndDefinition)
+{
+    // Key lengths around the 64-byte block: empty, short, exactly one
+    // block, one over (hashed) and two blocks plus (hashed).
+    for (size_t keyLen : {0, 32, 64, 65, 131}) {
+        Bytes key(keyLen);
+        for (size_t i = 0; i < keyLen; ++i)
+            key[i] = uint8_t(7 * i + keyLen);
+        HmacSha256 keyed(key);
+        for (size_t m = 0; m < 1000; ++m) {
+            // Lengths 0..199 cross every block-boundary case of the
+            // inner hash (55/56/63/64 after the 64-byte ipad block).
+            Bytes msg(m % 200);
+            for (size_t i = 0; i < msg.size(); ++i)
+                msg[i] = uint8_t(m * 31 + i);
+            Bytes oneShot = hmacSha256(key, msg);
+            ASSERT_EQ(keyed.mac(msg), oneShot)
+                << "key " << keyLen << " msg " << m;
+            // Split across parts: the same tag as the whole message.
+            size_t cut = msg.empty() ? 0 : m % msg.size();
+            uint8_t tag[HmacSha256::kTagSize];
+            keyed.mac({ByteView(msg).subspan(0, cut),
+                       ByteView(msg).subspan(cut)},
+                      tag);
+            ASSERT_EQ(Bytes(tag, tag + sizeof(tag)), oneShot);
+            if (m % 97 == 0) {
+                ASSERT_EQ(oneShot, referenceHmacSha256(key, msg))
+                    << "key " << keyLen << " msg " << m;
+            }
+        }
+    }
+}
+
 TEST(Hkdf, Rfc5869Case1)
 {
     Bytes ikm(22, 0x0b);

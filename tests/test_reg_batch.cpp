@@ -13,7 +13,10 @@
 #include <set>
 
 #include "common/errors.hpp"
+#include "common/hex.hpp"
+#include "crypto/backend.hpp"
 #include "crypto/random.hpp"
+#include "crypto/sha256.hpp"
 #include "salus/reg_channel.hpp"
 #include "salus/scheduler.hpp"
 #include "salus/sm_logic.hpp"
@@ -205,6 +208,166 @@ TEST(RegBatch, RequestAndResponseKeystreamsAreDisjoint)
     regchan::cryptBatchBlock(k.aes, false, 42, req);
     regchan::cryptBatchBlock(k.aes, true, 42, rsp);
     EXPECT_NE(Bytes(req, req + sizeof req), Bytes(rsp, rsp + sizeof rsp));
+}
+
+namespace {
+
+/** The fixed vectors of the wire-format known answers: op i of n. */
+std::vector<regchan::RegOp>
+katOps(size_t n)
+{
+    std::vector<regchan::RegOp> ops;
+    for (size_t i = 0; i < n; ++i) {
+        ops.push_back(regchan::RegOp{i % 3 == 0, uint32_t(0x1000 + 8 * i),
+                                     0x0102030405060708ull * (i + 1)});
+    }
+    return ops;
+}
+
+std::vector<regchan::BatchResult>
+katResults(size_t n)
+{
+    std::vector<regchan::BatchResult> results;
+    for (size_t i = 0; i < n; ++i) {
+        results.push_back(regchan::BatchResult{
+            uint8_t(i % 5 == 4 ? 2 : 0),
+            0x1111111111111111ull * i ^ 0xa5a5a5a5ull});
+    }
+    return results;
+}
+
+Bytes
+countingBytes(size_t n, uint8_t start)
+{
+    Bytes b(n);
+    for (size_t i = 0; i < n; ++i)
+        b[i] = uint8_t(start + i);
+    return b;
+}
+
+/** Restores the crypto backend a test toggled. */
+struct ScopedBackend
+{
+    bool prev = crypto::forceScalar();
+    ~ScopedBackend() { crypto::setForceScalar(prev); }
+};
+
+} // namespace
+
+// Wire bytes pinned from the implementation that sealed every op with
+// its own one-block AES-CTR context: a change on both ends that
+// altered the bytes would still round-trip, but fails here.
+TEST(RegBatch, WireFormatKnownAnswers)
+{
+    ScopedBackend restore;
+    Bytes aesKey = countingBytes(16, 0x00);
+    Bytes macKey = countingBytes(32, 0x40);
+    const uint32_t slot = 3;
+    const uint64_t ctrBase = 0x00000001fffffff0ull;
+    struct Expect
+    {
+        size_t n;
+        const char *reqSha, *rspSha;
+        uint64_t reqMac, rspMac;
+    };
+    // SHA-256 of each payload, then the two truncated MACs.
+    const Expect expects[] = {
+        {1,
+         "afa55977b5006fdbd59623f6a14afe45223d2915175ece7ef160feeb9600e16e",
+         "ddc801ec20fc7f90bb359b97595a185e30a2dc3c95e3b7cd261354fbed6aa204",
+         0x2f56765316103010ull, 0x75b0a07957aff5f2ull},
+        {32,
+         "41c2b393447429f2c2618c665ff0c641a29c02cc0a9d1d9a994bc645227c56bf",
+         "4d3f6b41208b0b5fcc61df69ed30eeb13c6f4a5d718d6f1a9360a1421a937c33",
+         0x3605a1850820f499ull, 0xd9c6a28d0308b480ull},
+        {256,
+         "7c44d40f0b26e07a75b7d89a7266548e3f48a1f19a418038c3cf5db9da573d6d",
+         "a57b94ca88b20a641acd2b4da075f46441ebab65d21e4a67a593a896662b201c",
+         0x0463bceda6b96b1dull, 0xbb2d64ead0546e02ull},
+    };
+    for (bool scalar : {false, true}) {
+        crypto::setForceScalar(scalar);
+        for (const Expect &e : expects) {
+            SCOPED_TRACE("n " + std::to_string(e.n) +
+                         (scalar ? " scalar" : " dispatched"));
+            regchan::SealedRegBatch req = regchan::sealBatch(
+                aesKey, macKey, slot, ctrBase, katOps(e.n));
+            regchan::SealedBatchResponse rsp = regchan::sealBatchResponse(
+                aesKey, macKey, slot, ctrBase, katResults(e.n));
+            EXPECT_EQ(hexEncode(crypto::Sha256::digest(req.payload)),
+                      e.reqSha);
+            EXPECT_EQ(req.mac, e.reqMac);
+            EXPECT_EQ(hexEncode(crypto::Sha256::digest(rsp.payload)),
+                      e.rspSha);
+            EXPECT_EQ(rsp.mac, e.rspMac);
+            if (e.n == 1) {
+                EXPECT_EQ(hexEncode(req.payload),
+                          "174437f7a37c940d309efbaa72a113ec");
+                EXPECT_EQ(hexEncode(rsp.payload),
+                          "8d35131a9a76ede03e992ea968405dcf");
+            }
+        }
+
+        regchan::SealedRegRequest single = regchan::sealRequest(
+            aesKey, macKey, 0x1234,
+            regchan::RegOp{true, 0x40, 0xdeadbeefcafef00dull});
+        EXPECT_EQ(single.ct0, 0x81435ef3858c8549ull);
+        EXPECT_EQ(single.ct1, 0x4eaaa88b5021e6d7ull);
+        EXPECT_EQ(single.mac, 0xc415579eb0cc9298ull);
+        regchan::SealedRegResponse singleRsp = regchan::sealResponse(
+            aesKey, macKey, 0x1234, 7, 0x0123456789abcdefull);
+        EXPECT_EQ(singleRsp.ct0, 0x5b6e5fd2cf973377ull);
+        EXPECT_EQ(singleRsp.ct1, 0xeb8bb842a6f3f419ull);
+        EXPECT_EQ(singleRsp.mac, 0xbfd9ffeda01b5635ull);
+    }
+}
+
+// The one-pass burst keystream equals N one-block calls and the
+// keystream's definition, E(label || LE64(ctr)), under both backends,
+// across the 8/16-wide pipeline edges, past one kMaxBatchOps chunk
+// (257) and up to the top of the counter space.
+TEST(RegBatch, BurstKeystreamMatchesPerBlockCalls)
+{
+    ScopedBackend restore;
+    BatchKeys k = testKeys(29);
+    crypto::Aes aes(k.aes);
+    for (bool scalar : {false, true}) {
+        crypto::setForceScalar(scalar);
+        for (size_t n : {1, 2, 7, 8, 9, 16, 17, 32, 256, 257}) {
+            for (uint64_t ctrBase : {uint64_t(1000), UINT64_MAX - (n - 1)}) {
+                for (bool response : {false, true}) {
+                    SCOPED_TRACE("n " + std::to_string(n) + " base " +
+                                 std::to_string(ctrBase) +
+                                 (response ? " rsp" : " req") +
+                                 (scalar ? " scalar" : " dispatched"));
+                    Bytes data(n * regchan::kRegBatchBlock);
+                    for (size_t i = 0; i < data.size(); ++i)
+                        data[i] = uint8_t(i * 13 + n);
+                    Bytes burst = data, blocks = data, reference = data;
+                    regchan::cryptBatchBlocks(aes, response, ctrBase,
+                                              burst.data(), n);
+                    for (size_t i = 0; i < n; ++i) {
+                        uint8_t *block =
+                            blocks.data() + i * regchan::kRegBatchBlock;
+                        regchan::cryptBatchBlock(aes, response,
+                                                 ctrBase + i, block);
+                        uint8_t ctr[16], ks[16];
+                        std::memcpy(ctr, response ? "SRSPBRST" : "SREGBRST",
+                                    8);
+                        storeLe64(ctr + 8, ctrBase + i);
+                        aes.encryptBlock(ctr, ks);
+                        for (size_t j = 0; j < 16; ++j)
+                            reference[i * 16 + j] ^= ks[j];
+                    }
+                    ASSERT_EQ(burst, blocks);
+                    ASSERT_EQ(burst, reference);
+                    regchan::cryptBatchBlocks(aes, response, ctrBase,
+                                              burst.data(), n);
+                    ASSERT_EQ(burst, data);
+                }
+            }
+        }
+    }
 }
 
 // ---- multi-session key fan-out --------------------------------------
