@@ -22,6 +22,9 @@ class BinaryWriter
   public:
     BinaryWriter() = default;
 
+    /** Pre-sizes the buffer for a message of known length. */
+    void reserve(size_t n) { buf_.reserve(n); }
+
     void writeU8(uint8_t v);
     void writeU16(uint16_t v);
     void writeU32(uint32_t v);

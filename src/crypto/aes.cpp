@@ -1,5 +1,7 @@
 #include "crypto/aes.hpp"
 
+#include <cstring>
+
 #include "common/errors.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/backend_x86.hpp"
@@ -228,6 +230,49 @@ Aes::encryptBlocks(const uint8_t *in, uint8_t *out, size_t n) const
 #endif
     for (size_t i = 0; i < n; ++i)
         encryptBlockScalar(in + 16 * i, out + 16 * i);
+}
+
+void
+Aes::ctrXor(uint8_t ctr[16], const uint8_t *in, uint8_t *out,
+            size_t nBlocks) const
+{
+    while (nBlocks > 0) {
+        // Split where the low 64 counter bits wrap: the kernel steps
+        // only that half, and the carry into the high half lands here.
+        const uint64_t low = loadBe64(ctr + 8);
+        size_t run = nBlocks;
+        if (uint64_t(run - 1) > ~low)
+            run = size_t(~low) + 1;
+#ifdef SALUS_CRYPTO_HAVE_X86_BACKEND
+        if (aesBackendActive()) {
+            x86::aesniCtrXor(roundKeyBytes_.data(), rounds_, ctr, in, out,
+                             run, backendInfo().vaes);
+        } else
+#endif
+        {
+            uint8_t block[16], ks[16];
+            std::memcpy(block, ctr, 8);
+            for (size_t i = 0; i < run; ++i) {
+                storeBe64(block + 8, low + i);
+                encryptBlockScalar(block, ks);
+                for (size_t w = 0; w < 16; w += 8) {
+                    uint64_t d, k;
+                    std::memcpy(&d, in + 16 * i + w, 8);
+                    std::memcpy(&k, ks + w, 8);
+                    d ^= k;
+                    std::memcpy(out + 16 * i + w, &d, 8);
+                }
+            }
+            secureZero(ks, sizeof(ks));
+        }
+        const uint64_t next = low + run;
+        storeBe64(ctr + 8, next);
+        if (next < low)
+            storeBe64(ctr, loadBe64(ctr) + 1);
+        in += 16 * run;
+        out += 16 * run;
+        nBlocks -= run;
+    }
 }
 
 void

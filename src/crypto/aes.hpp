@@ -50,6 +50,18 @@ class Aes
      */
     void encryptBlocks(const uint8_t *in, uint8_t *out, size_t n) const;
 
+    /**
+     * Counter mode over nBlocks whole 16-byte blocks: XORs E_K(ctr),
+     * E_K(ctr + 1), ... over in into out (in and out may alias), the
+     * counter block read as one 128-bit big-endian integer, and
+     * advances ctr past the last counter used. The one counter-mode
+     * loop behind AesCtr and GCM: with AES-NI/VAES active it runs the
+     * fused kernel that builds the counters in registers, otherwise
+     * the scalar block function one counter at a time.
+     */
+    void ctrXor(uint8_t ctr[16], const uint8_t *in, uint8_t *out,
+                size_t nBlocks) const;
+
     /** Decrypts one 16-byte block (in and out may alias). */
     void decryptBlock(const uint8_t in[16], uint8_t out[16]) const;
 

@@ -1,6 +1,5 @@
 #include "crypto/aes_ctr.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 #include "common/errors.hpp"
@@ -8,15 +7,6 @@
 namespace salus::crypto {
 
 namespace {
-
-void
-incrementBe128(uint8_t ctr[16])
-{
-    for (int i = 15; i >= 0; --i) {
-        if (++ctr[i] != 0)
-            break;
-    }
-}
 
 void
 addBe128(uint8_t ctr[16], uint64_t delta)
@@ -57,62 +47,28 @@ AesCtr::init(ByteView counterBlock)
         throw CryptoError("AES-CTR counter block must be 16 bytes");
     std::memcpy(counter0_, counterBlock.data(), kAesBlockSize);
     std::memcpy(counter_, counterBlock.data(), kAesBlockSize);
-    used_ = 0;
-    avail_ = 0;
-}
-
-void
-AesCtr::refill(size_t wantBytes)
-{
-    // Generate only as many blocks as the caller still needs (capped
-    // at the batch): a one-block message stays one encrypt, bulk
-    // payloads get the full pipelined batch.
-    size_t blocks = std::min(
-        kBatchBlocks,
-        (wantBytes + kAesBlockSize - 1) / kAesBlockSize);
-    if (blocks == 0)
-        blocks = 1;
-    uint8_t counters[kBatchBlocks * kAesBlockSize];
-    for (size_t i = 0; i < blocks; ++i) {
-        std::memcpy(counters + i * kAesBlockSize, counter_,
-                    kAesBlockSize);
-        incrementBe128(counter_);
-    }
-    aes_->encryptBlocks(counters, keystream_, blocks);
-    used_ = 0;
-    avail_ = blocks * kAesBlockSize;
+    used_ = kAesBlockSize;
 }
 
 void
 AesCtr::crypt(uint8_t *data, size_t len)
 {
     size_t i = 0;
-    while (i < len) {
-        if (used_ == avail_)
-            refill(len - i);
-        size_t chunk = std::min(avail_ - used_, len - i);
-        // Byte-granular head until the keystream cursor is 8-aligned
-        // (only ever non-empty after a partial-block previous call).
-        while ((used_ & 7) != 0 && chunk > 0) {
+    // Keystream left over from a previous partial block comes first.
+    while (used_ < kAesBlockSize && i < len)
+        data[i++] ^= keystream_[used_++];
+    size_t blocks = (len - i) / kAesBlockSize;
+    if (blocks > 0) {
+        aes_->ctrXor(counter_, data + i, data + i, blocks);
+        i += blocks * kAesBlockSize;
+    }
+    if (i < len) {
+        // Partial tail: one keystream block, the rest kept for later.
+        std::memset(keystream_, 0, sizeof(keystream_));
+        aes_->ctrXor(counter_, keystream_, keystream_, 1);
+        used_ = 0;
+        while (i < len)
             data[i++] ^= keystream_[used_++];
-            --chunk;
-        }
-        // Word-wise body: whole 64-bit lanes of keystream at a time.
-        while (chunk >= 8) {
-            uint64_t d, k;
-            std::memcpy(&d, data + i, 8);
-            std::memcpy(&k, keystream_ + used_, 8);
-            d ^= k;
-            std::memcpy(data + i, &d, 8);
-            i += 8;
-            used_ += 8;
-            chunk -= 8;
-        }
-        // Byte-granular tail.
-        while (chunk > 0) {
-            data[i++] ^= keystream_[used_++];
-            --chunk;
-        }
     }
 }
 
@@ -129,8 +85,7 @@ AesCtr::seekBlock(uint64_t blockIndex)
 {
     std::memcpy(counter_, counter0_, kAesBlockSize);
     addBe128(counter_, blockIndex);
-    used_ = 0;
-    avail_ = 0;
+    used_ = kAesBlockSize;
 }
 
 Bytes

@@ -9,10 +9,9 @@
  * regchan builds a burst's counter blocks itself and encrypts them in
  * one Aes::encryptBlocks call.
  *
- * Keystream is generated in batches of up to eight blocks per refill
- * (sized to the demand, so short messages never over-generate) and
- * XORed over the data word-wise; with the AES-NI/VAES backend active
- * the batch is a single pipelined multi-block encrypt.
+ * Whole blocks go straight through Aes::ctrXor (the fused counter-mode
+ * kernel with AES-NI/VAES active); only a partial tail block leaves
+ * keystream behind, which the next call uses up first.
  */
 
 #ifndef SALUS_CRYPTO_AES_CTR_HPP
@@ -32,10 +31,6 @@ namespace salus::crypto {
 class AesCtr
 {
   public:
-    /** Keystream blocks generated per refill (matches the DMA
-     *  double-buffer refill granularity). */
-    static constexpr size_t kBatchBlocks = 8;
-
     /**
      * @param key AES key, 16/24/32 bytes.
      * @param counterBlock initial 16-byte counter block.
@@ -62,15 +57,16 @@ class AesCtr
 
   private:
     void init(ByteView counterBlock);
-    void refill(size_t wantBytes);
 
     std::optional<Aes> owned_;
     const Aes *aes_;
     uint8_t counter0_[16];
+    /** Next counter block to encrypt. */
     uint8_t counter_[16];
-    uint8_t keystream_[kBatchBlocks * kAesBlockSize];
+    /** Keystream of the last partial block; used_ bytes are spent
+     *  (kAesBlockSize = none left). */
+    uint8_t keystream_[kAesBlockSize];
     size_t used_;
-    size_t avail_;
 };
 
 /** One-shot CTR transform. */

@@ -190,38 +190,34 @@ AesGcm::deriveCounter0(ByteView iv, uint8_t j0[16]) const
 void
 AesGcm::ctrCrypt(const uint8_t j0[16], ByteView in, Bytes &out) const
 {
-    // Counter blocks are generated in batches and encrypted through
-    // the pipelined multi-block entry; the 32-bit wrapping inc32
-    // semantics of GCM are preserved by incrementing per block.
-    constexpr size_t kBatch = 32;
+    // GCM steps only the low 32 counter bits (inc32, wrapping mod
+    // 2^32). Aes::ctrXor steps all 128, which agrees until that word
+    // wraps, so the text runs through it in pieces that stop at the
+    // wrap; the upper 96 bits are restored from J0 after each piece.
     uint8_t ctr[16];
     std::memcpy(ctr, j0, 16);
+    inc32(ctr);
     out.resize(in.size());
-    size_t off = 0;
-    uint8_t counters[kBatch * 16];
-    uint8_t ks[kBatch * 16];
-    while (off < in.size()) {
-        size_t blocks = std::min(
-            kBatch, (in.size() - off + size_t(15)) / 16);
-        for (size_t b = 0; b < blocks; ++b) {
-            inc32(ctr);
-            std::memcpy(counters + 16 * b, ctr, 16);
-        }
-        aes_.encryptBlocks(counters, ks, blocks);
-        size_t n = std::min(blocks * 16, in.size() - off);
-        size_t i = 0;
-        for (; i + 8 <= n; i += 8) {
-            uint64_t d, k;
-            std::memcpy(&d, in.data() + off + i, 8);
-            std::memcpy(&k, ks + i, 8);
-            d ^= k;
-            std::memcpy(out.data() + off + i, &d, 8);
-        }
-        for (; i < n; ++i)
-            out[off + i] = uint8_t(in[off + i] ^ ks[i]);
-        off += n;
+    const uint8_t *src = in.data();
+    uint8_t *dst = out.data();
+    size_t blocks = in.size() / 16;
+    while (blocks > 0) {
+        size_t run = size_t(std::min<uint64_t>(
+            blocks, (uint64_t(1) << 32) - loadBe32(ctr + 12)));
+        aes_.ctrXor(ctr, src, dst, run);
+        std::memcpy(ctr, j0, 12);
+        src += 16 * run;
+        dst += 16 * run;
+        blocks -= run;
     }
-    secureZero(ks, sizeof(ks));
+    size_t tail = in.size() % 16;
+    if (tail > 0) {
+        uint8_t last[16] = {};
+        std::memcpy(last, src, tail);
+        aes_.ctrXor(ctr, last, last, 1);
+        std::memcpy(dst, last, tail);
+        secureZero(last, sizeof(last));
+    }
 }
 
 void

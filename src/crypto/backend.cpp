@@ -34,7 +34,9 @@ probe()
         return info;
     bool sse41 = (ecx & bit_SSE4_1) != 0;
     bool ssse3 = (ecx & bit_SSSE3) != 0;
-    info.aesni = (ecx & bit_AES) != 0;
+    // The CTR kernel byte-swaps its counters with PSHUFB (SSSE3),
+    // which every AES-NI part has.
+    info.aesni = (ecx & bit_AES) != 0 && ssse3;
     info.pclmul = (ecx & bit_PCLMUL) != 0;
     bool osxsave = (ecx & bit_OSXSAVE) != 0;
     bool avxCpu = (ecx & bit_AVX) != 0;

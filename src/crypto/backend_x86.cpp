@@ -23,7 +23,9 @@ loadRoundKeys(const uint8_t *rk, int rounds, __m128i k[15])
 }
 
 /** 8-wide pipelined AES-NI ECB: the aesenc unit is fully pipelined,
- *  so eight independent blocks in flight hide its latency. */
+ *  so eight independent blocks in flight hide its latency. The
+ *  block loops are unrolled explicitly (here and in every kernel
+ *  below) so the blocks stay in registers at -O2 as well. */
 __attribute__((target("aes,sse2"))) void
 ecbAesni(const uint8_t *rk, int rounds, const uint8_t *in,
          uint8_t *out, size_t n)
@@ -32,14 +34,17 @@ ecbAesni(const uint8_t *rk, int rounds, const uint8_t *in,
     loadRoundKeys(rk, rounds, k);
     while (n >= 8) {
         __m128i b[8];
+#pragma GCC unroll 8
         for (int i = 0; i < 8; ++i) {
             b[i] = _mm_loadu_si128(
                 reinterpret_cast<const __m128i *>(in + 16 * i));
             b[i] = _mm_xor_si128(b[i], k[0]);
         }
         for (int r = 1; r < rounds; ++r)
+#pragma GCC unroll 8
             for (int i = 0; i < 8; ++i)
                 b[i] = _mm_aesenc_si128(b[i], k[r]);
+#pragma GCC unroll 8
         for (int i = 0; i < 8; ++i) {
             b[i] = _mm_aesenclast_si128(b[i], k[rounds]);
             _mm_storeu_si128(reinterpret_cast<__m128i *>(out + 16 * i),
@@ -76,14 +81,17 @@ ecbVaes(const uint8_t *rk, int rounds, const uint8_t *in, uint8_t *out,
     size_t done = 0;
     while (n - done >= 16) {
         __m256i b[8];
+#pragma GCC unroll 8
         for (int i = 0; i < 8; ++i) {
             b[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i *>(
                 in + done * 16 + 32 * i));
             b[i] = _mm256_xor_si256(b[i], k[0]);
         }
         for (int r = 1; r < rounds; ++r)
+#pragma GCC unroll 8
             for (int i = 0; i < 8; ++i)
                 b[i] = _mm256_aesenc_epi128(b[i], k[r]);
+#pragma GCC unroll 8
         for (int i = 0; i < 8; ++i) {
             b[i] = _mm256_aesenclast_epi128(b[i], k[rounds]);
             _mm256_storeu_si256(reinterpret_cast<__m256i *>(
@@ -91,6 +99,117 @@ ecbVaes(const uint8_t *rk, int rounds, const uint8_t *in, uint8_t *out,
                                 b[i]);
         }
         done += 16;
+    }
+    _mm256_zeroupper();
+    return done;
+}
+
+/** Counter-mode kernels keep the counter byte-reversed: the 16-byte
+ *  big-endian block becomes a little-endian integer whose low qword
+ *  is the counter's low 64 bits, so add_epi64 steps it and one pshufb
+ *  per block turns it back into the block aesenc consumes. */
+__attribute__((target("ssse3"))) inline __m128i
+bswap128(__m128i v)
+{
+    return _mm_shuffle_epi8(
+        v, _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14,
+                        15));
+}
+
+/** 8-wide AES-NI CTR starting `first` blocks past ctr: counters are
+ *  built in registers and the keystream is XORed over the input as
+ *  it leaves the last round. */
+__attribute__((target("aes,ssse3"))) void
+ctrAesni(const uint8_t *rk, int rounds, const uint8_t *ctr,
+         uint64_t first, const uint8_t *in, uint8_t *out, size_t n)
+{
+    __m128i k[15];
+    loadRoundKeys(rk, rounds, k);
+    __m128i c = _mm_add_epi64(
+        bswap128(
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(ctr))),
+        _mm_set_epi64x(0, int64_t(first)));
+    while (n >= 8) {
+        __m128i b[8];
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i)
+            b[i] = _mm_xor_si128(
+                bswap128(_mm_add_epi64(c, _mm_set_epi64x(0, i))), k[0]);
+        c = _mm_add_epi64(c, _mm_set_epi64x(0, 8));
+        for (int r = 1; r < rounds; ++r)
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i)
+                b[i] = _mm_aesenc_si128(b[i], k[r]);
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i) {
+            __m128i d = _mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(in + 16 * i));
+            _mm_storeu_si128(
+                reinterpret_cast<__m128i *>(out + 16 * i),
+                _mm_xor_si128(d, _mm_aesenclast_si128(b[i], k[rounds])));
+        }
+        in += 128;
+        out += 128;
+        n -= 8;
+    }
+    for (; n > 0; --n, in += 16, out += 16) {
+        __m128i b = _mm_xor_si128(bswap128(c), k[0]);
+        c = _mm_add_epi64(c, _mm_set_epi64x(0, 1));
+        for (int r = 1; r < rounds; ++r)
+            b = _mm_aesenc_si128(b, k[r]);
+        __m128i d =
+            _mm_loadu_si128(reinterpret_cast<const __m128i *>(in));
+        _mm_storeu_si128(
+            reinterpret_cast<__m128i *>(out),
+            _mm_xor_si128(d, _mm_aesenclast_si128(b, k[rounds])));
+    }
+}
+
+/** 16-wide VAES CTR: each ymm carries counters c+2i and c+2i+1.
+ *  Runs whole 16-block batches; returns how many blocks it did. */
+__attribute__((target("vaes,avx2,aes"))) size_t
+ctrVaes(const uint8_t *rk, int rounds, const uint8_t *ctr,
+        const uint8_t *in, uint8_t *out, size_t n)
+{
+    __m256i k[15];
+    for (int r = 0; r <= rounds; ++r)
+        k[r] = _mm256_broadcastsi128_si256(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(rk + 16 * r)));
+    const __m256i bswap = _mm256_broadcastsi128_si256(_mm_set_epi8(
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+    __m256i base = _mm256_add_epi64(
+        _mm256_shuffle_epi8(
+            _mm256_broadcastsi128_si256(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(ctr))),
+            bswap),
+        _mm256_set_epi64x(0, 1, 0, 0));
+    size_t done = 0;
+    for (; n - done >= 16; done += 16) {
+        __m256i b[8];
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i)
+            b[i] = _mm256_xor_si256(
+                _mm256_shuffle_epi8(
+                    _mm256_add_epi64(
+                        base, _mm256_set_epi64x(0, 2 * i, 0, 2 * i)),
+                    bswap),
+                k[0]);
+        base = _mm256_add_epi64(base, _mm256_set_epi64x(0, 16, 0, 16));
+        for (int r = 1; r < rounds; ++r)
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i)
+                b[i] = _mm256_aesenc_epi128(b[i], k[r]);
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i) {
+            const uint8_t *src = in + done * 16 + 32 * i;
+            uint8_t *dst = out + done * 16 + 32 * i;
+            __m256i d = _mm256_loadu_si256(
+                reinterpret_cast<const __m256i *>(src));
+            _mm256_storeu_si256(
+                reinterpret_cast<__m256i *>(dst),
+                _mm256_xor_si256(
+                    d, _mm256_aesenclast_epi128(b[i], k[rounds])));
+        }
     }
     _mm256_zeroupper();
     return done;
@@ -301,6 +420,18 @@ aesniEcbEncrypt(const uint8_t *roundKeyBytes, int rounds,
     if (done < n)
         ecbAesni(roundKeyBytes, rounds, in + 16 * done,
                  out + 16 * done, n - done);
+}
+
+void
+aesniCtrXor(const uint8_t *roundKeyBytes, int rounds, const uint8_t ctr[16],
+            const uint8_t *in, uint8_t *out, size_t nBlocks, bool useVaes)
+{
+    size_t done = 0;
+    if (useVaes && nBlocks >= 16)
+        done = ctrVaes(roundKeyBytes, rounds, ctr, in, out, nBlocks);
+    if (done < nBlocks)
+        ctrAesni(roundKeyBytes, rounds, ctr, done, in + 16 * done,
+                 out + 16 * done, nBlocks - done);
 }
 
 void

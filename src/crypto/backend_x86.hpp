@@ -36,6 +36,20 @@ void aesniEcbEncrypt(const uint8_t *roundKeyBytes, int rounds,
                      bool useVaes);
 
 /**
+ * AES-CTR: XORs the keystream of nBlocks consecutive counter blocks
+ * ctr, ctr+1, ... (the 16 bytes read as one big-endian integer) over
+ * in, writing out (in and out may alias). The counters are built in
+ * registers: ctr is byte-reversed once, stepped with 64-bit adds and
+ * byte-reversed back per block, so the caller must guarantee that the
+ * low 64 counter bits do not wrap within the call; ctr itself is not
+ * advanced. 16-wide VAES+AVX2 batches when useVaes, 8-wide AES-NI
+ * for the rest. Same round-key layout as aesniEcbEncrypt.
+ */
+void aesniCtrXor(const uint8_t *roundKeyBytes, int rounds,
+                 const uint8_t ctr[16], const uint8_t *in, uint8_t *out,
+                 size_t nBlocks, bool useVaes);
+
+/**
  * GHASH: absorbs n 16-byte blocks into the accumulator (yh, yl) under
  * hash key (h0, h1), all in the scalar code's representation (the
  * big-endian-loaded halves of the field elements). PCLMULQDQ with

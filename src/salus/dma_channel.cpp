@@ -7,7 +7,6 @@
 #include "common/serde.hpp"
 #include "crypto/aes_ctr.hpp"
 #include "crypto/ct.hpp"
-#include "crypto/hmac.hpp"
 #include "obs/trace.hpp"
 
 namespace salus::core::dmachan {
@@ -18,16 +17,6 @@ constexpr uint32_t kDmaMagic = 0x53444d41;     // "SDMA"
 constexpr uint32_t kDmaRespMagic = 0x53444d52; // "SDMR"
 constexpr uint8_t kDmaVersion = 1;
 
-/** Builds the 16-byte CTR counter block for a direction + counter. */
-Bytes
-counterBlock(const char label[8], uint64_t ctr)
-{
-    Bytes block(16);
-    std::memcpy(block.data(), label, 8);
-    storeLe64(block.data() + 8, ctr);
-    return block;
-}
-
 bool
 macEqual(uint64_t a, uint64_t b)
 {
@@ -37,11 +26,22 @@ macEqual(uint64_t a, uint64_t b)
     return crypto::ctEqual(ByteView(ab, 8), ByteView(bb, 8));
 }
 
+/** The first 8 bytes of a tag under the slot MAC. */
 uint64_t
-truncatedHmac(ByteView macKey, ByteView msg)
+truncatedHmac(const crypto::HmacSha256 &mac, ByteView msg)
 {
-    Bytes tag = crypto::hmacSha256(macKey, msg);
-    return loadLe64(tag.data());
+    uint8_t tag[crypto::HmacSha256::kTagSize];
+    mac.mac({msg}, tag);
+    return loadLe64(tag);
+}
+
+/** Appends the truncated MAC over everything already in `buf`. */
+void
+appendMac(const crypto::HmacSha256 &mac, Bytes &buf)
+{
+    uint8_t tag[8];
+    storeLe64(tag, truncatedHmac(mac, buf));
+    buf.insert(buf.end(), tag, tag + 8);
 }
 
 } // namespace
@@ -67,9 +67,10 @@ cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
 {
     if (len == 0)
         return;
-    crypto::AesCtr cipher(
-        aes, counterBlock(read ? "SDMAREAD" : "SDMAWRIT", ctrBase));
-    cipher.crypt(data, len);
+    uint8_t block[16];
+    std::memcpy(block, read ? "SDMAREAD" : "SDMAWRIT", 8);
+    storeLe64(block + 8, ctrBase);
+    crypto::AesCtr(aes, ByteView(block, 16)).crypt(data, len);
 }
 
 void
@@ -82,16 +83,17 @@ cryptDmaPayload(ByteView aesKey, bool read, uint64_t ctrBase,
 }
 
 uint64_t
-descriptorMac(ByteView macKey, ByteView encodedSansMac)
+descriptorMac(const crypto::HmacSha256 &mac, ByteView encodedSansMac)
 {
-    return truncatedHmac(macKey, encodedSansMac);
+    return truncatedHmac(mac, encodedSansMac);
 }
 
 Bytes
-encodeDescriptor(ByteView macKey, const DmaDescriptor &d)
+encodeDescriptor(const crypto::HmacSha256 &mac, const DmaDescriptor &d)
 {
     size_t encodedLen = dmaEncodedSize(d.sg.size(), d.payload.size());
     BinaryWriter w;
+    w.reserve(encodedLen);
     w.writeU32(kDmaMagic);
     w.writeU8(kDmaVersion);
     uint8_t flags = 0;
@@ -111,9 +113,15 @@ encodeDescriptor(ByteView macKey, const DmaDescriptor &d)
         w.writeU32(e.len);
     }
     w.writeRaw(d.payload);
-    uint64_t mac = descriptorMac(macKey, w.data());
-    w.writeU64(mac);
-    return w.take();
+    Bytes out = w.take();
+    appendMac(mac, out);
+    return out;
+}
+
+Bytes
+encodeDescriptor(ByteView macKey, const DmaDescriptor &d)
+{
+    return encodeDescriptor(crypto::HmacSha256(macKey), d);
 }
 
 DmaDescriptor
@@ -163,45 +171,52 @@ decodeDescriptor(ByteView encoded)
 }
 
 bool
-verifyDescriptorMac(ByteView macKey, ByteView encoded)
+verifyDescriptorMac(const crypto::HmacSha256 &mac, ByteView encoded)
 {
     if (encoded.size() < kDmaHeaderBytes + 8)
         return false;
     uint64_t expect = descriptorMac(
-        macKey, ByteView(encoded.data(), encoded.size() - 8));
+        mac, ByteView(encoded.data(), encoded.size() - 8));
     uint64_t got = loadLe64(encoded.data() + encoded.size() - 8);
     return macEqual(expect, got);
 }
 
+bool
+verifyDescriptorMac(ByteView macKey, ByteView encoded)
+{
+    return verifyDescriptorMac(crypto::HmacSha256(macKey), encoded);
+}
+
 Bytes
-sealReadResponse(const crypto::Aes &aes, ByteView macKey,
+sealReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                  uint32_t sessionId, uint64_t seq, uint64_t ctrBase,
                  ByteView plain)
 {
     BinaryWriter w;
+    w.reserve(kDmaRespOverhead + plain.size());
     w.writeU32(kDmaRespMagic);
     w.writeU32(sessionId);
     w.writeU32(uint32_t(plain.size()));
     w.writeU64(seq);
     w.writeU64(ctrBase);
-    Bytes ct(plain.begin(), plain.end());
-    cryptDmaPayload(aes, true, ctrBase, ct.data(), ct.size());
-    w.writeRaw(ct);
-    uint64_t mac = truncatedHmac(macKey, w.data());
-    w.writeU64(mac);
-    return w.take();
+    w.writeRaw(plain);
+    Bytes out = w.take();
+    cryptDmaPayload(aes, true, ctrBase, out.data() + kDmaRespHeaderBytes,
+                    plain.size());
+    appendMac(mac, out);
+    return out;
 }
 
 Bytes
 sealReadResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
                  uint64_t seq, uint64_t ctrBase, ByteView plain)
 {
-    return sealReadResponse(crypto::Aes(aesKey), macKey, sessionId, seq,
-                            ctrBase, plain);
+    return sealReadResponse(crypto::Aes(aesKey), crypto::HmacSha256(macKey),
+                            sessionId, seq, ctrBase, plain);
 }
 
 std::optional<Bytes>
-openReadResponse(const crypto::Aes &aes, ByteView macKey,
+openReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                  uint32_t sessionId, uint64_t seq, uint64_t ctrBase,
                  ByteView blob)
 {
@@ -218,7 +233,7 @@ openReadResponse(const crypto::Aes &aes, ByteView macKey,
     if (len > kDmaMaxPayload || r.remaining() != size_t(len) + 8)
         return std::nullopt;
     uint64_t expect =
-        truncatedHmac(macKey, ByteView(blob.data(), blob.size() - 8));
+        truncatedHmac(mac, ByteView(blob.data(), blob.size() - 8));
     uint64_t got = loadLe64(blob.data() + blob.size() - 8);
     if (!macEqual(expect, got))
         return std::nullopt;
@@ -231,18 +246,24 @@ std::optional<Bytes>
 openReadResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
                  uint64_t seq, uint64_t ctrBase, ByteView blob)
 {
-    return openReadResponse(crypto::Aes(aesKey), macKey, sessionId, seq,
-                            ctrBase, blob);
+    return openReadResponse(crypto::Aes(aesKey), crypto::HmacSha256(macKey),
+                            sessionId, seq, ctrBase, blob);
+}
+
+uint64_t
+ackMac(const crypto::HmacSha256 &mac, uint32_t sessionId, uint64_t ackSeq)
+{
+    uint8_t msg[16];
+    storeLe32(msg, sessionId);
+    storeLe64(msg + 4, ackSeq);
+    std::memcpy(msg + 12, "dack", 4);
+    return truncatedHmac(mac, ByteView(msg, sizeof(msg)));
 }
 
 uint64_t
 ackMac(ByteView macKey, uint32_t sessionId, uint64_t ackSeq)
 {
-    Bytes msg(16);
-    storeLe32(msg.data(), sessionId);
-    storeLe64(msg.data() + 4, ackSeq);
-    std::memcpy(msg.data() + 12, "dack", 4);
-    return truncatedHmac(macKey, msg);
+    return ackMac(crypto::HmacSha256(macKey), sessionId, ackSeq);
 }
 
 // ---- Sliding-window engine -------------------------------------------

@@ -45,6 +45,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/hmac.hpp"
 #include "salus/sim_hooks.hpp"
 
 namespace salus::core::dmachan {
@@ -56,14 +57,23 @@ constexpr size_t kDmaMaxSg = 64;
 /** Most payload bytes one descriptor may carry. */
 constexpr size_t kDmaMaxPayload = size_t(1) << 20;
 /** Counter blocks reserved per sequence number (1 MiB / 16 B). Every
- *  descriptor's ctrBase is seq * this, which both pins the keystream
- *  to the sequence number and keeps strides disjoint. */
+ *  descriptor's ctrBase is seq * this, which pins the keystream to
+ *  the sequence number; the strides are disjoint only below
+ *  kDmaMaxSeq. */
 constexpr uint64_t kDmaCtrStride = kDmaMaxPayload / kDmaBlock;
 /** Largest sliding window either end will entertain (fabric reorder
  *  buffer bound == host in-flight bound). */
 constexpr size_t kDmaMaxWindow = 16;
-/** Sequence numbers above this would overflow the counter stride. */
-constexpr uint64_t kDmaMaxSeq = uint64_t(1) << 40;
+/**
+ * First sequence number neither end accepts. A payload's counter
+ * block is label || LE64(seq * kDmaCtrStride), stepped per block as
+ * one big-endian 128-bit integer, so the block index lands in bytes
+ * 14-15 — the bytes that hold seq bits 32-47. Below 2^32 those bytes
+ * start at zero and every (seq, block) pair has its own counter
+ * block; past it, block 256 of seq s would equal block 0 of seq
+ * s + 2^32.
+ */
+constexpr uint64_t kDmaMaxSeq = uint64_t(1) << 32;
 
 /** Descriptor flag bits. */
 constexpr uint8_t kDmaFlagRead = 0x01;
@@ -122,17 +132,22 @@ size_t dmaCtrBlocks(size_t bytes);
  *  CTR labels ("SDMAWRIT" host->device, "SDMAREAD" device->host).
  *  The `crypto::Aes` overloads borrow a caller-cached key schedule —
  *  the per-session fast path (one expansion per session, not one per
- *  megabyte descriptor). */
+ *  megabyte descriptor). Likewise every MAC function below takes the
+ *  slot's keyed `crypto::HmacSha256`; the raw-key overloads key a
+ *  fresh one per call. */
 void cryptDmaPayload(ByteView aesKey, bool read, uint64_t ctrBase,
                      uint8_t *data, size_t len);
 void cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
                      uint8_t *data, size_t len);
 
 /** Truncated HMAC over the encoded descriptor minus its MAC field. */
-uint64_t descriptorMac(ByteView macKey, ByteView encodedSansMac);
+uint64_t descriptorMac(const crypto::HmacSha256 &mac,
+                       ByteView encodedSansMac);
 
 /** Serializes a descriptor (payload must already be ciphertext) and
  *  computes its MAC. */
+Bytes encodeDescriptor(const crypto::HmacSha256 &mac,
+                       const DmaDescriptor &d);
 Bytes encodeDescriptor(ByteView macKey, const DmaDescriptor &d);
 
 /**
@@ -144,6 +159,7 @@ Bytes encodeDescriptor(ByteView macKey, const DmaDescriptor &d);
 DmaDescriptor decodeDescriptor(ByteView encoded);
 
 /** Constant-time MAC check of an encoded descriptor. */
+bool verifyDescriptorMac(const crypto::HmacSha256 &mac, ByteView encoded);
 bool verifyDescriptorMac(ByteView macKey, ByteView encoded);
 
 // ---- Read responses --------------------------------------------------
@@ -158,9 +174,9 @@ bool verifyDescriptorMac(ByteView macKey, ByteView encoded);
 Bytes sealReadResponse(ByteView aesKey, ByteView macKey,
                        uint32_t sessionId, uint64_t seq,
                        uint64_t ctrBase, ByteView plain);
-Bytes sealReadResponse(const crypto::Aes &aes, ByteView macKey,
-                       uint32_t sessionId, uint64_t seq,
-                       uint64_t ctrBase, ByteView plain);
+Bytes sealReadResponse(const crypto::Aes &aes,
+                       const crypto::HmacSha256 &mac, uint32_t sessionId,
+                       uint64_t seq, uint64_t ctrBase, ByteView plain);
 
 /** Verifies and decrypts a read-response blob (host side); empty
  *  optional = forged or mismatched. */
@@ -168,13 +184,15 @@ std::optional<Bytes> openReadResponse(ByteView aesKey, ByteView macKey,
                                       uint32_t sessionId, uint64_t seq,
                                       uint64_t ctrBase, ByteView blob);
 std::optional<Bytes> openReadResponse(const crypto::Aes &aes,
-                                      ByteView macKey,
+                                      const crypto::HmacSha256 &mac,
                                       uint32_t sessionId, uint64_t seq,
                                       uint64_t ctrBase, ByteView blob);
 
 /** Cumulative-ack MAC: truncated HMAC over sessionId || ackSeq ||
  *  "dack". `ackSeq` is the lowest sequence number NOT yet applied, so
  *  a fresh slot acks 0 and the value only ever grows. */
+uint64_t ackMac(const crypto::HmacSha256 &mac, uint32_t sessionId,
+                uint64_t ackSeq);
 uint64_t ackMac(ByteView macKey, uint32_t sessionId, uint64_t ackSeq);
 
 // ---- Sliding-window engine -------------------------------------------
@@ -182,8 +200,9 @@ uint64_t ackMac(ByteView macKey, uint32_t sessionId, uint64_t ackSeq);
 /** Outcome of one windowed transfer. */
 struct DmaTransferReport
 {
-    /** 0 ok; 0xf8 retransmits exhausted; 0xf9 forged ack;
-     *  0xfb forged read response. */
+    /** 0 ok; 0xf7 the slot's sequence space (kDmaMaxSeq) cannot
+     *  hold the transfer; 0xf8 retransmits exhausted; 0xf9 forged
+     *  ack; 0xfb forged read response. */
     uint8_t status = 0;
     uint64_t bytes = 0;        ///< payload bytes moved
     uint32_t descriptors = 0;  ///< descriptors delivered (first sends)

@@ -1042,10 +1042,15 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
 
 // ---- Bulk data plane (sealed DMA descriptors) ------------------------
 
-uint64_t
+std::optional<uint64_t>
 SmEnclaveApp::reserveDmaSeqSpan(uint32_t slot, uint64_t n)
 {
     SessionSlot &s = slots_[slot];
+    // Past kDmaMaxSeq counter strides overlap and the fabric refuses
+    // the descriptors anyway: refuse before journalling anything.
+    if (s.dmaSeq > dmachan::kDmaMaxSeq ||
+        n > dmachan::kDmaMaxSeq - s.dmaSeq)
+        return std::nullopt;
     uint64_t base = s.dmaSeq;
     if (s.dmaSeq + n > s.dmaSeqReserve && deps_.storeJournal) {
         // Write-ahead, same contract as reserveCtrSpan(): the
@@ -1113,16 +1118,23 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         return report;
     }
 
-    ByteView macKey = slotKeys(slot).subspan(16, 32);
-    // Sealing lambdas share the slot's cached schedule; the slot
-    // outlives the window engine's run() below.
-    const crypto::Aes *aesCtx = slotCrypto(slot).aes.get();
+    // Sealing lambdas share the slot's cached schedule and keyed MAC;
+    // the slot outlives the window engine's run() below.
+    const SessionSlot &keys = slotCrypto(slot);
+    const crypto::Aes *aesCtx = keys.aes.get();
+    const crypto::HmacSha256 *macCtx = keys.mac.get();
 
     size_t chunkBytes =
         std::clamp<size_t>(opts.descriptorBytes, dmachan::kDmaBlock,
                            read ? kDmaReadChunkCap : kDmaWriteChunkCap);
     std::vector<DmaChunk> chunks = chunkSgList(sg, chunkBytes);
-    uint64_t seqBase = reserveDmaSeqSpan(slot, chunks.size());
+    std::optional<uint64_t> seqSpan =
+        reserveDmaSeqSpan(slot, chunks.size());
+    if (!seqSpan) {
+        report.status = 0xf7; // sequence space exhausted
+        return report;
+    }
+    uint64_t seqBase = *seqSpan;
     if (out)
         out->assign(total, 0);
 
@@ -1142,7 +1154,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         w.payloadBytes = c.bytes;
         w.sgCount = c.sg.size();
         w.read = read;
-        w.seal = [aesCtx, macKey, slot, read, sync, seq, ctrBase,
+        w.seal = [aesCtx, macCtx, slot, read, sync, seq, ctrBase,
                   respAddr, &c, data]() -> Bytes {
             dmachan::DmaDescriptor d;
             d.read = read;
@@ -1160,14 +1172,14 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
                                          d.payload.data(),
                                          d.payload.size());
             }
-            Bytes encoded = dmachan::encodeDescriptor(macKey, d);
+            Bytes encoded = dmachan::encodeDescriptor(*macCtx, d);
             secureZero(d.payload);
             return encoded;
         };
         if (read) {
             size_t bytes = c.bytes;
             size_t dataOff = c.dataOff;
-            w.complete = [aesCtx, macKey, slot, seq, ctrBase, respAddr,
+            w.complete = [aesCtx, macCtx, slot, seq, ctrBase, respAddr,
                           bytes, dataOff, out, &sh]() -> bool {
                 Bytes blob;
                 try {
@@ -1177,7 +1189,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
                     return false;
                 }
                 auto plain = dmachan::openReadResponse(
-                    *aesCtx, macKey, slot, seq, ctrBase, blob);
+                    *aesCtx, *macCtx, slot, seq, ctrBase, blob);
                 if (!plain || plain->size() != bytes)
                     return false;
                 std::copy(plain->begin(), plain->end(),
@@ -1246,7 +1258,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         stage(seq, copy);
         flushStash();
     };
-    hooks.readAck = [&sh, slot, macKey](uint64_t &ackSeq) -> bool {
+    hooks.readAck = [&sh, slot, macCtx](uint64_t &ackSeq) -> bool {
         sh.dmaPostedRegWrite(pcie::Window::SmSecure, kSmRegIn0, slot);
         sh.dmaPostedRegWrite(pcie::Window::SmSecure, kSmRegCmd,
                              kSmCmdDmaAck);
@@ -1257,7 +1269,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut0);
         uint64_t mac =
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut1);
-        if (mac != dmachan::ackMac(macKey, slot, seq))
+        if (mac != dmachan::ackMac(*macCtx, slot, seq))
             return false;
         ackSeq = seq;
         return true;

@@ -43,6 +43,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -182,8 +183,10 @@ class SmEnclaveApp : public tee::Enclave
      * encrypted, HMAC-sealed descriptors whose counter stride is bound
      * to the per-slot sequence number, so replay is impossible and
      * retransmits resend identical ciphertext. Report statuses: 0 ok,
-     * 0xfd no attested CL behind the channel, 0xf8 retransmits
-     * exhausted, 0xf9 forged ack, 0xfb forged read response.
+     * 0xfd no attested CL behind the channel, 0xf7 the slot's DMA
+     * sequence space (dmachan::kDmaMaxSeq) cannot hold the transfer,
+     * 0xf8 retransmits exhausted, 0xf9 forged ack, 0xfb forged read
+     * response.
      */
     dmachan::DmaTransferReport dmaWrite(uint32_t slot, uint64_t addr,
                                         ByteView data,
@@ -403,8 +406,10 @@ class SmEnclaveApp : public tee::Enclave
     const SessionSlot &slotCrypto(uint32_t slot);
     /** Reserves n DMA descriptor sequence numbers on the slot,
      *  extending the journal's write-ahead reservation first when
-     *  needed. @return the first sequence number of the span. */
-    uint64_t reserveDmaSeqSpan(uint32_t slot, uint64_t n);
+     *  needed. @return the first sequence number of the span, or
+     *  nothing (and no journal write) when the span would run past
+     *  dmachan::kDmaMaxSeq - 1. */
+    std::optional<uint64_t> reserveDmaSeqSpan(uint32_t slot, uint64_t n);
     /** The shared windowed-transfer driver behind dmaWrite/dmaRead. */
     dmachan::DmaTransferReport
     dmaTransfer(uint32_t slot, bool read,

@@ -464,7 +464,7 @@ SmLogic::doDmaDoorbell()
     SessionSlot &slot = sessions_[d.sessionId];
     // Fail closed on the MAC before looking at anything else the
     // descriptor claims; a forged descriptor never mutates state.
-    if (!dmachan::verifyDescriptorMac(slot.macKey, encoded)) {
+    if (!dmachan::verifyDescriptorMac(slot.mac(), encoded)) {
         reject();
         return;
     }
@@ -534,7 +534,7 @@ SmLogic::applyDmaDescriptor(SessionSlot &slot, uint32_t slotId,
             plain.insert(plain.end(), part.begin(), part.end());
         }
         Bytes blob = dmachan::sealReadResponse(
-            slot.aes(), slot.macKey, slotId, d.seq, d.ctrBase, plain);
+            slot.aes(), slot.mac(), slotId, d.seq, d.ctrBase, plain);
         dram_->write(d.respAddr, blob);
         secureZero(plain);
         statDmaBytes_ += d.sgBytes();
@@ -563,7 +563,7 @@ SmLogic::doDmaAck()
     }
     const SessionSlot &slot = sessions_[slotId];
     out_[0] = slot.dmaExpectedSeq;
-    out_[1] = dmachan::ackMac(slot.macKey,
+    out_[1] = dmachan::ackMac(slot.mac(),
                               static_cast<uint32_t>(slotId),
                               slot.dmaExpectedSeq);
     status_ = kSmStatusOk;

@@ -128,8 +128,8 @@ class SmLogic : public fpga::IpBehavior
         Bytes macKey;
         /** Expanded AES key schedule and keyed HMAC, rebuilt only when
          *  the keys change (construction, open-session, re-key) —
-         *  register messages reuse both and DMA messages the schedule
-         *  instead of re-keying. */
+         *  register and DMA messages reuse both instead of
+         *  re-keying. */
         std::unique_ptr<crypto::Aes> aesCtx;
         std::unique_ptr<crypto::HmacSha256> macCtx;
         uint64_t lastCtr = 0;

@@ -3,8 +3,9 @@
  * Differential and edge-case tests for the runtime-dispatched crypto
  * backends: scalar vs hardware bit-equality across primitives,
  * keystream continuity across the 128-bit counter's low-word carry,
- * GCM's 32-bit counter wrap at 2^32, and the split-call regression
- * for the batched CTR keystream.
+ * GCM's 32-bit counter wrap at 2^32, the split-call regression for
+ * the CTR keystream, and the fused counter-mode kernel (Aes::ctrXor)
+ * against the scalar reference.
  */
 
 #include <gtest/gtest.h>
@@ -143,6 +144,105 @@ TEST(CryptoBackend, CtrMatchesReferenceKeystream)
     }
 }
 
+// Split points that leave keystream behind, followed by a remainder
+// big enough for the 16-wide whole-block path: the leftover must be
+// used up first and the counter must resume right after it.
+TEST(CryptoBackend, CtrSplitAcrossWholeBlockPath)
+{
+    CtrDrbg rng(0xc7a1b);
+    Bytes key = rng.bytes(32);
+    Bytes iv = rng.bytes(16);
+    Bytes data = rng.bytes(4096 + 5);
+
+    for (int scalar = 0; scalar < 2; ++scalar) {
+        std::optional<ScopedForceScalar> force;
+        if (scalar)
+            force.emplace();
+        Bytes oneShot = data;
+        AesCtr(key, iv).crypt(oneShot.data(), oneShot.size());
+        for (size_t first : {size_t(1), size_t(15), size_t(17),
+                             size_t(255)}) {
+            // first | whole-block run | first again | the rest.
+            Bytes split = data;
+            AesCtr ctr(key, iv);
+            size_t cuts[] = {first, first + 2048 + 3, 2 * first + 2048 + 3,
+                             split.size()};
+            size_t off = 0;
+            for (size_t cut : cuts) {
+                ctr.crypt(split.data() + off, cut - off);
+                off = cut;
+            }
+            EXPECT_EQ(split, oneShot)
+                << "first " << first << " scalar=" << scalar;
+        }
+    }
+}
+
+// ---- The fused counter-mode kernel -----------------------------------
+
+namespace {
+
+/** Runs Aes::ctrXor in place or out of place; returns the output and
+ *  leaves the advanced counter in ctr. */
+Bytes
+runCtrXor(const Aes &aes, uint8_t ctr[16], const Bytes &in, bool inPlace)
+{
+    size_t blocks = in.size() / kAesBlockSize;
+    Bytes out = inPlace ? in : Bytes(in.size(), 0xa5);
+    aes.ctrXor(ctr, inPlace ? out.data() : in.data(), out.data(), blocks);
+    return out;
+}
+
+} // namespace
+
+// Aes::ctrXor against the forced-scalar reference and the keystream's
+// definition, across the 8/16-wide pipeline edges and with the low 64
+// counter bits wrapping at every position inside a VAES batch.
+TEST(CryptoBackend, CtrXorAgreesAcrossBackends)
+{
+    CtrDrbg rng(0xc7a1c);
+    for (size_t keyLen : {size_t(16), size_t(24), size_t(32)}) {
+        Aes aes(rng.bytes(keyLen));
+        for (size_t blocks :
+             {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9),
+              size_t(15), size_t(16), size_t(17), size_t(31), size_t(32),
+              size_t(33), size_t(4096)}) {
+            Bytes in = rng.bytes(blocks * kAesBlockSize);
+            Bytes hi = rng.bytes(8);
+            // One random counter, then low halves UINT64_MAX - k.
+            for (int k = -1; k < 20; ++k) {
+                uint8_t ctr0[16];
+                std::memcpy(ctr0, hi.data(), 8);
+                storeBe64(ctr0 + 8, k < 0 ? loadBe64(rng.bytes(8).data())
+                                          : UINT64_MAX - uint64_t(k));
+                Bytes expect = refCtrKeystream(aes, ctr0, blocks);
+                for (size_t i = 0; i < expect.size(); ++i)
+                    expect[i] ^= in[i];
+                uint8_t ctrEnd[16];
+                std::memcpy(ctrEnd, ctr0, 16);
+                refAdd128(ctrEnd, blocks);
+
+                for (bool inPlace : {false, true}) {
+                    for (int scalar = 0; scalar < 2; ++scalar) {
+                        std::optional<ScopedForceScalar> force;
+                        if (scalar)
+                            force.emplace();
+                        uint8_t ctr[16];
+                        std::memcpy(ctr, ctr0, 16);
+                        Bytes out = runCtrXor(aes, ctr, in, inPlace);
+                        EXPECT_EQ(out, expect)
+                            << "keyLen=" << keyLen << " blocks=" << blocks
+                            << " k=" << k << " inPlace=" << inPlace
+                            << " scalar=" << scalar;
+                        EXPECT_EQ(0, std::memcmp(ctr, ctrEnd, 16))
+                            << "counter not advanced by " << blocks;
+                    }
+                }
+            }
+        }
+    }
+}
+
 // ---- Counter carry edges ---------------------------------------------
 
 TEST(CryptoBackend, CtrKeystreamContinuousAcrossLow64Carry)
@@ -220,45 +320,43 @@ TEST(CryptoBackend, GcmCounterWrapsAt32Bits)
         Bytes key = rng.bytes(keyLen);
         AesGcm gcm(key);
         Aes aes(key);
-        Bytes plain = rng.bytes(256);
+        // 40 whole blocks and a partial one.
+        Bytes plain = rng.bytes(40 * 16 + 7);
 
         // Pin the 32-bit counter word just below 2^32: block i of the
-        // keystream uses low32 = (0xfffffffd + 1 + i) mod 2^32, so the
-        // run wraps to 0 after two blocks while the upper 96 bits MUST
-        // stay untouched (inc32, not a 128-bit increment).
-        uint8_t j0[16];
-        std::memcpy(j0, rng.bytes(12).data(), 12);
-        j0[12] = 0xff;
-        j0[13] = 0xff;
-        j0[14] = 0xff;
-        j0[15] = 0xfd;
+        // keystream uses low32 = (low32(J0) + 1 + i) mod 2^32, so the
+        // run wraps to 0 after `before` blocks while the upper 96 bits
+        // MUST stay untouched (inc32, not a 128-bit increment). The
+        // wrap lands at the start, inside and at the end of 16-wide
+        // runs, and on the partial tail block.
+        for (uint32_t before : {1u, 2u, 9u, 16u, 20u, 33u, 40u}) {
+            uint8_t j0[16];
+            std::memcpy(j0, rng.bytes(12).data(), 12);
+            storeBe32(j0 + 12, uint32_t(0) - 1 - before);
 
-        Bytes expect = plain;
-        for (size_t i = 0; i * 16 < expect.size(); ++i) {
-            uint8_t ctr[16];
-            std::memcpy(ctr, j0, 16);
-            uint32_t low = (uint32_t(j0[12]) << 24) |
-                           (uint32_t(j0[13]) << 16) |
-                           (uint32_t(j0[14]) << 8) | uint32_t(j0[15]);
-            uint32_t v = low + 1 + uint32_t(i); // wraps mod 2^32
-            ctr[12] = uint8_t(v >> 24);
-            ctr[13] = uint8_t(v >> 16);
-            ctr[14] = uint8_t(v >> 8);
-            ctr[15] = uint8_t(v);
-            uint8_t ks[16];
-            aes.encryptBlock(ctr, ks);
-            for (size_t b = 0; b < 16 && i * 16 + b < expect.size(); ++b)
-                expect[i * 16 + b] ^= ks[b];
-        }
+            Bytes expect = plain;
+            for (size_t i = 0; i * 16 < expect.size(); ++i) {
+                uint8_t ctr[16];
+                std::memcpy(ctr, j0, 16);
+                // Wraps mod 2^32.
+                storeBe32(ctr + 12, loadBe32(j0 + 12) + 1 + uint32_t(i));
+                uint8_t ks[16];
+                aes.encryptBlock(ctr, ks);
+                for (size_t b = 0; b < 16 && i * 16 + b < expect.size();
+                     ++b)
+                    expect[i * 16 + b] ^= ks[b];
+            }
 
-        for (int scalar = 0; scalar < 2; ++scalar) {
-            std::optional<ScopedForceScalar> force;
-            if (scalar)
-                force.emplace();
-            Bytes out;
-            gcm.ctrCryptRaw(j0, plain, out);
-            EXPECT_EQ(out, expect)
-                << "keyLen=" << keyLen << " scalar=" << scalar;
+            for (int scalar = 0; scalar < 2; ++scalar) {
+                std::optional<ScopedForceScalar> force;
+                if (scalar)
+                    force.emplace();
+                Bytes out;
+                gcm.ctrCryptRaw(j0, plain, out);
+                EXPECT_EQ(out, expect)
+                    << "keyLen=" << keyLen << " before=" << before
+                    << " scalar=" << scalar;
+            }
         }
     }
 }

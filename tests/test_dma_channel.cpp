@@ -1,20 +1,30 @@
 /**
  * @file
- * Secure DMA data-plane tests: descriptor wire-format round trips and
- * rejection properties, fabric-side window semantics (replay, reorder,
- * sync, cross-session isolation) driven at the register level, the
- * host sliding-window engine end to end through the testbed (fault
- * recovery, determinism, scheduler coexistence), and a crash sweep
- * over the DMA journal steps.
+ * Secure DMA data-plane tests: descriptor wire-format round trips,
+ * known answers and rejection properties, the sequence bound that
+ * keeps counter blocks disjoint, fabric-side window semantics (replay,
+ * reorder, sync, cross-session isolation) driven at the register
+ * level, the host sliding-window engine end to end through the
+ * testbed (fault recovery, determinism, scheduler coexistence), and a
+ * crash sweep over the DMA journal steps.
  */
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
+#include <map>
+#include <set>
+
 #include "bitstream/compiler.hpp"
-#include "common/serde.hpp"
 #include "bitstream/encryptor.hpp"
 #include "bitstream/manipulator.hpp"
+#include "common/hex.hpp"
+#include "common/serde.hpp"
+#include "crypto/backend.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/random.hpp"
+#include "crypto/sha256.hpp"
 #include "fpga/device.hpp"
 #include "obs/trace.hpp"
 #include "salus/cl_builder.hpp"
@@ -102,7 +112,8 @@ TEST(DmaDescriptor, WriteRoundTripPreservesEveryField)
 {
     DmaKeys k = testKeys(21);
     Bytes plain = pattern(4096, 1);
-    for (uint64_t seq : {uint64_t(0), uint64_t(7), uint64_t(1) << 32}) {
+    for (uint64_t seq :
+         {uint64_t(0), uint64_t(7), dmachan::kDmaMaxSeq - 1}) {
         dmachan::DmaDescriptor d;
         d.sync = seq == 0;
         d.sessionId = 3;
@@ -194,6 +205,223 @@ TEST(DmaDescriptor, RejectsTruncationBitFlipsAndWrongKey)
               dmachan::ackMac(other.mac, 1, 4));
     EXPECT_NE(dmachan::ackMac(k.mac, 1, 4), dmachan::ackMac(k.mac, 2, 4));
     EXPECT_NE(dmachan::ackMac(k.mac, 1, 4), dmachan::ackMac(k.mac, 1, 5));
+}
+
+namespace {
+
+/** Restores the crypto backend a test toggled. */
+struct ScopedBackend
+{
+    bool prev = crypto::forceScalar();
+    ~ScopedBackend() { crypto::setForceScalar(prev); }
+};
+
+} // namespace
+
+// Wire bytes pinned from the implementation that generated the DMA
+// keystream eight blocks per AES call and keyed a fresh HMAC per
+// descriptor. The other DMA tests only round-trip, so a keystream or
+// MAC change made the same way on both ends would pass them; it fails
+// here. Covers a partial tail block (1000 B), the write descriptor
+// size (64 KiB), a full descriptor (1 MiB) and the last legal seq.
+TEST(DmaDescriptor, WireFormatKnownAnswers)
+{
+    ScopedBackend restore;
+    Bytes aesKey(16), macKey(32);
+    for (size_t i = 0; i < aesKey.size(); ++i)
+        aesKey[i] = uint8_t(i);
+    for (size_t i = 0; i < macKey.size(); ++i)
+        macKey[i] = uint8_t(0x20 + i);
+    const uint32_t slot = 3;
+    struct Expect
+    {
+        uint64_t seq;
+        size_t n;
+        const char *descSha, *respSha;
+    };
+    // SHA-256 of the encoded write descriptor and of the sealed read
+    // response carrying the same bytes.
+    const Expect expects[] = {
+        {uint64_t(0), 16,
+         "6e7d9be7fe71b897c398d51d24b13902a94c6bce316968298dab1ad51e6f1f32",
+         "c8d229832f495c5b8b267f93cad76f6134f66f0ff5fcbe0a740c83a654873e80"},
+        {uint64_t(0), 1000,
+         "049b1c1314220239dbe0f296d45cdfbb526bc3e2923a95ff4e6a8694728aa828",
+         "3a1581758ffec66bd23af31e84e491772c95b5ebece766f2787a78547ca8b3dd"},
+        {uint64_t(0), size_t(64) << 10,
+         "34123f3a627cbae1bec6e2d3dbb1b2a5470469010c81db5126d40a912860f305",
+         "e19810ddee9b7b2f9ceb718aac5d551ac586b8e721a81dbacb75204cabbd8900"},
+        {uint64_t(0), size_t(1) << 20,
+         "df52b07673314244325b9d2ce48af43da1e8061e6f1983de6830871ccefab2ef",
+         "332af71e1a041b63eff51d15ec62f545b3eeebf5bf7edb89daa09716f749e9f2"},
+        {uint64_t(1), 16,
+         "2d54ab2454dfa433dd49d36be2e0c31381a60b73f974a10b3783324edebc23fa",
+         "eb239201c703cc4b96ed14762a114fd4ccda4f7aae4688f18964669721880d7b"},
+        {uint64_t(1), 1000,
+         "3c7c939c5661c0c1a717ace7705628ec365716d6c15ead11920fb37e161117d1",
+         "546091a7f32ff75223b55f39c99a02178691bc85803d02b82fe24e7dcc01ac0f"},
+        {uint64_t(1), size_t(64) << 10,
+         "9a733e9a50daf34068de7acfd8b60257c0730d3d67420c7099a0df2344c9162f",
+         "94e2071128ca5133c70838e47efae153b5427f155f552e7c5c00a836646052da"},
+        {uint64_t(1), size_t(1) << 20,
+         "2955348efb717376c8efd8b174ef6bf2f0f31061a520b3026a058644bb8cae80",
+         "6380837b9ccd7197081d61a2917b02974b1291ea4d368d53275a3e57f6e36de9"},
+        {dmachan::kDmaMaxSeq - 1, 16,
+         "8da819fc265381852a90c9723acce5db036ea2187f8234befae0907df6dd04a7",
+         "0018cd10aad559a8dcf9b2ee7148d86c88a32fe59897b8d249d81dc403be604d"},
+        {dmachan::kDmaMaxSeq - 1, 1000,
+         "320829b2333b0181f0002b0d423481fe27dd1f266461fada493c01ce7c33a03c",
+         "3e56f41eb0e622ec353f04e938ce8a319e43ba6d311a3a4301585a8e7b58e3ef"},
+        {dmachan::kDmaMaxSeq - 1, size_t(64) << 10,
+         "3a5be4178c9a865c038378c14f9c20b47dbf9b8272068ae702af0450e22f3e3d",
+         "9a482dc58dfbcfaba5285f005cc1380e428f9ae0fa60202ae038eebd2639d419"},
+        {dmachan::kDmaMaxSeq - 1, size_t(1) << 20,
+         "907e5718654121ff88c91a55338932f0d38ef84ce938d9029dfdda080ffa4b98",
+         "571a7a0dbfe49d6424a7d2c23b28e2b38c8bc56ec2e46cf1b0202e899bc3b052"},
+    };
+    // The full wire bytes of the 16-byte case, per seq.
+    const std::map<uint64_t, std::pair<const char *, const char *>>
+        fullHex = {
+            {0,
+             {"414d445301000100030000004c000000000000000000000000000000"
+              "00000000000000000000000000100000000000001000000089a15f34"
+              "0e87ca6b2ca8501b1e56f2318ab374799454cf5f",
+              "524d4453030000001000000000000000000000000000000000000000"
+              "aec996087575dd83c27e75f6e32d4b2da025f4724f3e3ff7"}},
+            {1,
+             {"414d445301000100030000004c000000010000000000000000000100"
+              "000000000000000000000000001000000000000010000000d063adbc"
+              "2a1a9b26fe4d682cc200b25a5fafbed40605c5e2",
+              "524d4453030000001000000001000000000000000000010000000000"
+              "5a3a11228302f945663c4ecb916f74c92d8c1119ccf171f9"}},
+            {dmachan::kDmaMaxSeq - 1,
+             {"414d445301000100030000004c000000ffffffff000000000000ffff"
+              "ffff00000000000000000000001000000000000010000000ebea0a3a"
+              "440297cd07da5a76b2e36dd09b21b895e03a28fb",
+              "524d44530300000010000000ffffffff000000000000ffffffff0000"
+              "1d87bb5e50929b4e92cb29f7bcedefa35dc8d2c97142daf4"}},
+        };
+
+    for (bool scalar : {false, true}) {
+        crypto::setForceScalar(scalar);
+        crypto::Aes aes(aesKey);
+        crypto::HmacSha256 mac(macKey);
+        for (const Expect &e : expects) {
+            SCOPED_TRACE("seq " + std::to_string(e.seq) + " n " +
+                         std::to_string(e.n) +
+                         (scalar ? " scalar" : " dispatched"));
+            Bytes plain = pattern(e.n);
+            uint64_t ctrBase = e.seq * dmachan::kDmaCtrStride;
+            dmachan::DmaDescriptor d;
+            d.sessionId = slot;
+            d.seq = e.seq;
+            d.ctrBase = ctrBase;
+            d.sg.push_back({0x1000, uint32_t(e.n)});
+            d.payload = plain;
+            dmachan::cryptDmaPayload(aes, false, ctrBase, d.payload.data(),
+                                     d.payload.size());
+            Bytes desc = dmachan::encodeDescriptor(mac, d);
+            Bytes resp = dmachan::sealReadResponse(aes, mac, slot, e.seq,
+                                                   ctrBase, plain);
+            EXPECT_EQ(hexEncode(crypto::Sha256::digest(desc)), e.descSha);
+            EXPECT_EQ(hexEncode(crypto::Sha256::digest(resp)), e.respSha);
+            // The raw-key overloads produce the same bytes.
+            EXPECT_EQ(dmachan::encodeDescriptor(macKey, d), desc);
+            EXPECT_EQ(dmachan::sealReadResponse(aesKey, macKey, slot,
+                                                e.seq, ctrBase, plain),
+                      resp);
+            if (e.n == 16) {
+                EXPECT_EQ(hexEncode(desc), fullHex.at(e.seq).first);
+                EXPECT_EQ(hexEncode(resp), fullHex.at(e.seq).second);
+            }
+        }
+    }
+}
+
+namespace {
+
+using CounterBlock = std::array<uint8_t, 16>;
+
+/** Counter block of payload block `block` of write descriptor `seq`,
+ *  from the layout alone: "SDMAWRIT" || LE64(seq * kDmaCtrStride),
+ *  plus `block` as one big-endian 128-bit add. */
+CounterBlock
+dmaCounterBlock(uint64_t seq, uint64_t block)
+{
+    CounterBlock c{};
+    std::memcpy(c.data(), "SDMAWRIT", 8);
+    storeLe64(c.data() + 8, seq * dmachan::kDmaCtrStride);
+    for (int i = 15; i >= 0 && block != 0; --i) {
+        uint64_t sum = uint64_t(c[size_t(i)]) + (block & 0xff);
+        c[size_t(i)] = uint8_t(sum);
+        block = (block >> 8) + (sum >> 8);
+    }
+    return c;
+}
+
+/** Keystream block `block` of write descriptor `seq`, as
+ *  cryptDmaPayload produces it. */
+Bytes
+dmaKeystreamBlock(const crypto::Aes &aes, uint64_t seq, uint64_t block)
+{
+    Bytes ks((block + 1) * dmachan::kDmaBlock, 0);
+    dmachan::cryptDmaPayload(aes, false, seq * dmachan::kDmaCtrStride,
+                             ks.data(), ks.size());
+    return Bytes(ks.end() - ptrdiff_t(dmachan::kDmaBlock), ks.end());
+}
+
+} // namespace
+
+TEST(DmaDescriptor, CounterBlocksDisjointBelowSeqBound)
+{
+    crypto::Aes aes(testKeys(41).aes);
+    // The layout arithmetic is what cryptDmaPayload actually runs.
+    for (auto [seq, block] :
+         {std::pair<uint64_t, uint64_t>{5, 0}, {5, 256},
+          {dmachan::kDmaMaxSeq - 1, dmachan::kDmaCtrStride - 1}}) {
+        CounterBlock c = dmaCounterBlock(seq, block);
+        Bytes expect(16);
+        aes.encryptBlock(c.data(), expect.data());
+        EXPECT_EQ(dmaKeystreamBlock(aes, seq, block), expect)
+            << "seq " << seq << " block " << block;
+    }
+
+    // With the old bound of 2^40, seq 5 + 2^32 was legal: the block
+    // index steps bytes 14-15, which hold seq bits 32-47, so its block
+    // 0 is block 256 of seq 5 — one counter block, one keystream.
+    const uint64_t oldMaxSeq = uint64_t(1) << 40;
+    const uint64_t aliased = 5 + (uint64_t(1) << 32);
+    ASSERT_LT(aliased, oldMaxSeq);
+    EXPECT_EQ(dmaCounterBlock(5, 256), dmaCounterBlock(aliased, 0));
+    EXPECT_EQ(dmaKeystreamBlock(aes, 5, 256),
+              dmaKeystreamBlock(aes, aliased, 0));
+    EXPECT_GE(aliased, dmachan::kDmaMaxSeq);
+
+    // The decoder refuses the first seq past the bound.
+    DmaKeys k = testKeys(42);
+    EXPECT_NO_THROW(dmachan::decodeDescriptor(sealWrite(
+        k, 0, dmachan::kDmaMaxSeq - 1, true, 0x1000, pattern(64))));
+    EXPECT_THROW(dmachan::decodeDescriptor(sealWrite(
+                     k, 0, dmachan::kDmaMaxSeq, true, 0x1000,
+                     pattern(64))),
+                 SerdeError);
+
+    // Every counter block of a descriptor differs from every counter
+    // block of its neighbours on either side of 2^31 and 2^32 - 1.
+    const uint64_t half = uint64_t(1) << 31;
+    const uint64_t last = dmachan::kDmaMaxSeq - 1;
+    for (auto [a, b] : {std::pair<uint64_t, uint64_t>{half - 1, half},
+                        {half, half + 1},
+                        {last - 1, last},
+                        {0, last},
+                        {half, last}}) {
+        std::set<CounterBlock> seen;
+        for (uint64_t seq : {a, b})
+            for (uint64_t i = 0; i < dmachan::kDmaCtrStride; ++i)
+                seen.insert(dmaCounterBlock(seq, i));
+        EXPECT_EQ(seen.size(), 2 * dmachan::kDmaCtrStride)
+            << "seqs " << a << " and " << b;
+    }
 }
 
 // ---- fabric-side window semantics -----------------------------------
@@ -381,6 +609,23 @@ TEST(DmaFabric, SyncOnlyJumpsForward)
                                      pattern(64, 16))),
               kSmStatusRejected);
     EXPECT_EQ(rig.ack(), 6u);
+}
+
+TEST(DmaFabric, RejectsSequenceAtTheBound)
+{
+    FabricRig rig;
+    // A sync descriptor may jump the window to any later seq, so only
+    // the bound stands between it and seq 2^32.
+    EXPECT_EQ(rig.doorbell(sealWrite(rig.keys, 0, dmachan::kDmaMaxSeq,
+                                     true, 0x1000, pattern(64, 18))),
+              kSmStatusRejected);
+    EXPECT_EQ(rig.ack(), 0u);
+    Bytes last = pattern(64, 19);
+    EXPECT_EQ(rig.doorbell(sealWrite(rig.keys, 0, dmachan::kDmaMaxSeq - 1,
+                                     true, 0x1000, last)),
+              kSmStatusOk);
+    EXPECT_EQ(rig.ack(), dmachan::kDmaMaxSeq);
+    EXPECT_EQ(rig.device.dram().read(0x1000, last.size()), last);
 }
 
 TEST(DmaFabric, ReadGatherSealsVerifiableResponse)
