@@ -124,34 +124,6 @@ TraceRecorder::instant(Category cat, std::string name, uint64_t value)
 }
 
 void
-TraceRecorder::completeSpan(Category cat, std::string name,
-                            sim::Nanos begin, sim::Nanos end,
-                            uint64_t value)
-{
-    SpanEvent ev;
-    ev.id = nextId_++;
-    ev.parent = 0; // root: interleaved lanes don't nest
-    ev.cat = cat;
-    ev.name = std::move(name);
-    ev.begin = begin;
-    ev.end = std::max(begin, end);
-    ev.hasValue = value != 0;
-    ev.value = value;
-    events_.push_back(std::move(ev));
-}
-
-sim::Nanos
-TraceRecorder::namedTotal(std::string_view name) const
-{
-    sim::Nanos total = 0;
-    for (const SpanEvent &ev : events_) {
-        if (ev.name == name)
-            total += ev.end - ev.begin;
-    }
-    return total;
-}
-
-void
 TraceRecorder::onSpend(const sim::PhaseRecord &record)
 {
     SpanEvent ev;

@@ -75,20 +75,6 @@ class TraceRecorder final : public sim::SpendObserver
     void instant(Category cat, std::string name);
     void instant(Category cat, std::string name, uint64_t value);
 
-    /**
-     * Appends an already-finished root-level span with explicit
-     * timestamps. Event-driven actors use this for busy periods that
-     * INTERLEAVE across actors (a device lane's coalesced busy span
-     * overlaps other lanes'), which the strictly-nesting RAII stack
-     * cannot represent. `end` is clamped up to `begin`.
-     */
-    void completeSpan(Category cat, std::string name, sim::Nanos begin,
-                      sim::Nanos end, uint64_t value = 0);
-
-    /** Sum of completed span durations with this exact name (any
-     *  category) — the scale bench's span-sum-vs-cost-model check. */
-    sim::Nanos namedTotal(std::string_view name) const;
-
     /** sim::SpendObserver: mirrors a clock slice as a Clock leaf. */
     void onSpend(const sim::PhaseRecord &record) override;
 

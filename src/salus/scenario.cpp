@@ -7,7 +7,6 @@
 
 #include "fpga/ip.hpp"
 #include "obs/trace.hpp"
-#include "salus/actors.hpp"
 #include "salus/dma_channel.hpp"
 #include "sim/engine.hpp"
 
@@ -511,16 +510,18 @@ parseScenarioFile(const std::string &path)
 namespace {
 
 /**
- * Drives one campaign's sweep loop as an engine event chain. Each
- * kSweep event runs the scheduled actions and tenant submissions
- * inline, then posts the broker pump, the supervisor poll (when due)
- * and the next sweep AT THE SAME INSTANT: FIFO tie-breaking dispatches
- * them in post order, so every sweep runs actions -> submissions ->
- * pump -> poll. Drain and harvest run once the engine goes idle.
+ * Drives one campaign's sweep loop as an engine event chain. A kSweep
+ * event runs the scheduled actions and tenant submissions inline, then
+ * posts a kPump, a kPoll (when due) and the next kSweep to itself AT
+ * THE SAME INSTANT: FIFO dispatch runs them in post order, so every
+ * sweep runs actions -> submissions -> pump -> poll. Drain and
+ * harvest run once the engine goes idle.
  */
 struct SweepActor final : sim::Actor
 {
     static constexpr uint32_t kSweep = 1;
+    static constexpr uint32_t kPump = 2;
+    static constexpr uint32_t kPoll = 3;
 
     const Scenario &sc;
     Testbed &tb;
@@ -528,15 +529,11 @@ struct SweepActor final : sim::Actor
     ScenarioOutcome &out;
     std::vector<uint32_t> tenantIds;
     std::vector<std::vector<uint32_t>> tenantSessions;
-    SchedulerPumpActor pump;
-    SupervisorPollActor poll;
     uint32_t actorId = 0;
 
     SweepActor(const Scenario &scenario, Testbed &testbed, Broker &b,
                ScenarioOutcome &outcome)
-        : sc(scenario), tb(testbed), broker(b), out(outcome),
-          pump([this] { return pumpBroker(); }),
-          poll(testbed.supervisor(), [this] { ++out.failovers; })
+        : sc(scenario), tb(testbed), broker(b), out(outcome)
     {}
 
     /** Opens tenants, runs every sweep on the testbed's engine, then
@@ -545,8 +542,6 @@ struct SweepActor final : sim::Actor
     {
         openTenants();
         sim::Engine &engine = tb.engine();
-        pump.attach(engine, "broker.pump");
-        poll.attach(engine, "supervisor.poll");
         actorId = engine.addActor(*this, "scenario.sweeps");
         if (sc.sweeps > 0)
             engine.postNow(actorId, kSweep, 0);
@@ -560,14 +555,26 @@ struct SweepActor final : sim::Actor
 
     void onEvent(sim::Engine &engine, const sim::Event &event) override
     {
-        if (event.kind != kSweep)
-            return;
-        uint32_t sweep = uint32_t(event.a);
+        switch (event.kind) {
+          case kSweep:
+            runSweep(engine, uint32_t(event.a));
+            break;
+          case kPump:
+            pumpBroker();
+            break;
+          case kPoll:
+            poll();
+            break;
+        }
+    }
+
+    void runSweep(sim::Engine &engine, uint32_t sweep)
+    {
         actions(sweep);
         submissions(sweep);
-        engine.postNow(pump.actorId(), SchedulerPumpActor::kSweep);
+        engine.postNow(actorId, kPump);
         if (sc.pollEvery && (sweep + 1) % sc.pollEvery == 0)
-            engine.postNow(poll.actorId(), SupervisorPollActor::kPoll);
+            engine.postNow(actorId, kPoll);
         if (sweep + 1 < sc.sweeps)
             engine.postNow(actorId, kSweep, sweep + 1);
     }
@@ -666,15 +673,25 @@ struct SweepActor final : sim::Actor
         }
     }
 
-    size_t pumpBroker()
+    void pumpBroker()
     {
         try {
-            size_t done = broker.pump();
-            out.completed += done;
-            return done;
+            out.completed += broker.pump();
         } catch (const FailoverError &) {
-            ++out.failovers;
-            return 0;
+            // The batch did not commit. The failover itself is in the
+            // supervisor's record, which harvest() counts.
+        }
+    }
+
+    /** One watchdog pass. A failover it completes is in the
+     *  supervisor's record; one it cannot complete is a violation. */
+    void poll()
+    {
+        try {
+            tb.supervisor().pollOnce();
+        } catch (const SalusError &e) {
+            out.violations.push_back(std::string("supervisor poll: ") +
+                                     e.what());
         }
     }
 
@@ -686,7 +703,7 @@ struct SweepActor final : sim::Actor
                 out.completed += broker.drainAll();
                 break;
             } catch (const FailoverError &) {
-                ++out.failovers;
+                // Counted from the supervisor's record; drain again.
             }
         }
     }
@@ -721,6 +738,7 @@ struct SweepActor final : sim::Actor
         for (const auto &[name, ts] : out.tenants)
             completedAll += ts.completed;
         out.completed = completedAll;
+        out.failovers = tb.supervisor().failovers().size();
         out.shedLevelEnd = broker.shedLevel();
         out.seusInjected = tb.faultInjector().stats().seusInjected;
         out.clockEnd = tb.clock().now();
@@ -781,6 +799,9 @@ runScenarioOnEngine(const Scenario &scenario)
             SweepActor(scenario, tb, broker, out).run();
         }
     }
+    // The seed is part of the run's identity: a seed change must move
+    // the metrics artifact even when the campaign never draws from it.
+    metricsReg.add("scenario.seed", scenario.seed);
     out.traceJson = recorder.chromeTraceJson();
     out.metricsText = metricsReg.renderText();
     return out;

@@ -152,7 +152,7 @@ struct ScenarioOutcome
     uint64_t quotaRejected = 0;
     uint64_t rateRejected = 0;
     uint64_t shedRejected = 0;
-    uint64_t failovers = 0;
+    uint64_t failovers = 0; ///< failovers the supervisor completed
     uint64_t seusInjected = 0;
     uint64_t maxSweepsWaited = 0;
     uint64_t dmaJobs = 0;  ///< DMA jobs completed (any status)
@@ -179,10 +179,11 @@ Scenario parseScenarioFile(const std::string &path);
 
 /**
  * Runs one campaign end to end: deploy, the sweep loop dispatched on
- * the testbed's deterministic event engine (sim::Engine, FIFO
- * tie-breaking), drain, invariant evaluation. Deterministic per
- * (file, seed); tests/golden/artifacts.sha256 pins every gallery
- * campaign's trace and metrics digests.
+ * the testbed's deterministic event engine (sim::Engine, FIFO order
+ * at one instant), drain, invariant evaluation. Deterministic per
+ * (file, seed); the metrics record the seed as `scenario.seed`, and
+ * tests/golden/artifacts.sha256 pins every gallery campaign's trace
+ * and metrics digests.
  */
 ScenarioOutcome runScenarioOnEngine(const Scenario &scenario);
 

@@ -118,8 +118,9 @@ class FleetSupervisor
      *  quarantined. */
     void pollOnce();
 
-    /** Runs the watchdog for a span of virtual time, one poll every
-     *  probePeriod. */
+    /** The only timed watchdog loop: for a span of virtual time,
+     *  charges one probePeriod to "Fleet Heartbeat", then polls.
+     *  Event-driven drivers call pollOnce() from their own events. */
     void runFor(sim::Nanos duration);
 
     /**
@@ -205,10 +206,6 @@ class FleetSupervisor
         return migrations_;
     }
     uint64_t polls() const { return polls_; }
-
-    /** Watchdog probe cadence — event-driven drivers schedule their
-     *  poll events at this period instead of calling runFor(). */
-    sim::Nanos probePeriod() const { return deps_.probePeriod; }
 
   private:
     void maybeFailover();

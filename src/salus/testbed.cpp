@@ -260,11 +260,8 @@ Testbed::addUserSession()
 sim::Engine &
 Testbed::engine()
 {
-    if (!engine_) {
-        sim::Engine::Config cfg;
-        cfg.seed = config_.rngSeed;
-        engine_ = std::make_unique<sim::Engine>(clock_, cfg);
-    }
+    if (!engine_)
+        engine_ = std::make_unique<sim::Engine>(clock_);
     return *engine_;
 }
 

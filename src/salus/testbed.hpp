@@ -164,8 +164,7 @@ class Testbed
 
     /**
      * The deterministic event engine over this testbed's clock,
-     * lazily built (seeded from the testbed's rngSeed; FIFO
-     * tie-breaking, so same-instant events run in post order).
+     * lazily built (same-instant events run in post order).
      * Event-driven drivers register their actors here.
      */
     sim::Engine &engine();

@@ -1,13 +1,12 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <stdexcept>
-
-#include "sim/fault.hpp"
 
 namespace salus::sim {
 
-Engine::Engine(VirtualClock &clock, Config config)
-    : clock_(clock), config_(config)
+Engine::Engine(VirtualClock &clock)
+    : clock_(clock)
 {
     actors_.push_back(nullptr); // actor id 0 is reserved (invalid)
     actorNames_.push_back("(none)");
@@ -27,24 +26,12 @@ Engine::actorName(uint32_t id) const
     return actorNames_.at(id);
 }
 
-uint64_t
-Engine::tiebreakFor(uint64_t seq) const
-{
-    if (!config_.seededTieBreak)
-        return 0;
-    // One splitmix64 draw keyed by (seed, seq): stable per seed,
-    // shuffled across seeds. No crypto dependency.
-    uint64_t state = config_.seed ^ (seq * 0x9e3779b97f4a7c15ull);
-    return splitmix64(state);
-}
-
 void
 Engine::push(const Event &event)
 {
     uint64_t seq = nextSeq_++;
     pending_[event.id] = PendingEvent{event, seq};
-    heap_.push(HeapEntry{event.at, event.priority, tiebreakFor(seq),
-                         seq, event.id});
+    heap_.push(HeapEntry{event.at, event.priority, seq, event.id});
     ++stats_.scheduled;
     stats_.maxQueued = std::max(stats_.maxQueued, pending_.size());
 }

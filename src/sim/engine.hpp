@@ -5,18 +5,14 @@
  * Actors (SM enclave, shells, FPGA devices, user clients, broker,
  * supervisor) exchange queued events; a single-threaded run loop pops
  * them in a stable total order and advances the shared VirtualClock
- * to each event's due time. The order is (time, priority, tiebreak,
- * seq): earlier virtual time first, then lower priority value, then a
- * seeded tiebreak (identically zero unless seeded tie-breaking is
- * enabled), then submission order. Same seed therefore means the
- * bit-identical event sequence — and, because all time attribution
- * still flows through VirtualClock::spend(), bit-identical traces and
- * metrics (the determinism-gate CI job enforces this on every push).
- *
- * Seeded tie-breaking deliberately SHUFFLES the dispatch order of
- * same-(time, priority) events per seed (stable within a seed): seed
- * sweeps then flush out hidden order dependence between actors that
- * FIFO ordering would mask forever.
+ * to each event's due time. The order is (time, priority, seq):
+ * earlier virtual time first, then lower priority value, then
+ * submission order, so events posted for one instant at one priority
+ * dispatch FIFO (the scenario driver relies on this). The same inputs
+ * therefore give the bit-identical event sequence and, because all
+ * time attribution still flows through VirtualClock::spend(),
+ * bit-identical traces and metrics (the gallery golden digests pin
+ * this).
  *
  * Handlers may spend() virtual time, which moves the clock past
  * not-yet-dispatched events; the loop never rewinds — a past-due
@@ -80,17 +76,6 @@ class Actor
 class Engine
 {
   public:
-    struct Config
-    {
-        /** Seed for tie-break shuffling (unused until enabled). */
-        uint64_t seed = 1;
-        /** Shuffle same-(time, priority) dispatch order per seed
-         *  instead of FIFO — for seed sweeps hunting hidden order
-         *  dependence. OFF by default: FIFO runs same-instant events
-         *  in post order, which the scenario driver relies on. */
-        bool seededTieBreak = false;
-    };
-
     struct Stats
     {
         uint64_t scheduled = 0;
@@ -99,10 +84,7 @@ class Engine
         size_t maxQueued = 0;
     };
 
-    explicit Engine(VirtualClock &clock)
-        : Engine(clock, Config())
-    {}
-    Engine(VirtualClock &clock, Config config);
+    explicit Engine(VirtualClock &clock);
 
     /** Registers an actor; the returned id addresses post(). The
      *  actor must outlive the engine (or at least every event posted
@@ -161,7 +143,6 @@ class Engine
     {
         Nanos at;
         uint8_t priority;
-        uint64_t tiebreak;
         uint64_t seq;
         EventId id;
 
@@ -171,8 +152,6 @@ class Engine
                 return at > o.at;
             if (priority != o.priority)
                 return priority > o.priority;
-            if (tiebreak != o.tiebreak)
-                return tiebreak > o.tiebreak;
             return seq > o.seq;
         }
     };
@@ -183,11 +162,9 @@ class Engine
         uint64_t seq = 0; ///< heap entries with a stale seq are dead
     };
 
-    uint64_t tiebreakFor(uint64_t seq) const;
     void push(const Event &event);
 
     VirtualClock &clock_;
-    Config config_;
     std::priority_queue<HeapEntry, std::vector<HeapEntry>,
                         std::greater<HeapEntry>>
         heap_;

@@ -2,8 +2,8 @@
  * @file
  * Golden-artifact digests. tests/golden/artifacts.sha256 pins the
  * SHA-256 of each deterministic run artifact the suites check (the
- * trace JSON and metrics text of every gallery campaign and of one
- * fleet_sim config), one `<hex>  <name>` line each. A mismatch prints
+ * trace JSON and metrics text of every gallery campaign), one
+ * `<hex>  <name>` line each. A mismatch prints
  * the new digest and the line to paste when the change is intended.
  */
 

@@ -2,8 +2,9 @@
  * @file
  * Scenario-engine soak tests: every gallery campaign under
  * scenarios/ must pass its own [expect] invariants, be byte-identical
- * across two same-seed runs (obs trace + metrics dump), and match the
- * digests recorded in tests/golden/artifacts.sha256. An inline
+ * across two same-seed runs (obs trace + metrics dump), match the
+ * digests recorded in tests/golden/artifacts.sha256, and change its
+ * metrics when run at the next seed. An inline
  * campaign proves that a brand-new chaos composition needs only a
  * text file — no C++. Parser error paths round out the strict-INI
  * contract (typos fail loudly).
@@ -81,10 +82,14 @@ class ScenarioFile : public ::testing::TestWithParam<std::string>
 TEST_P(ScenarioFile, PassesIsDeterministicAndMatchesGolden)
 {
     const std::string &name = GetParam();
-    ScenarioOutcome out =
-        runTwiceAndCheck(parseScenarioFile(galleryPath(name)));
+    Scenario sc = parseScenarioFile(galleryPath(name));
+    ScenarioOutcome out = runTwiceAndCheck(sc);
     test::expectGoldenDigest(name + ".trace.json", out.traceJson);
     test::expectGoldenDigest(name + ".metrics.txt", out.metricsText);
+    // A pinned artifact must not be blind to the seed it was run at.
+    ++sc.seed;
+    EXPECT_NE(runScenarioOnEngine(sc).metricsText, out.metricsText)
+        << name << ": metrics did not move with the seed";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -104,6 +109,25 @@ TEST(ScenarioGallery, BrokerOverloadShedsAndRecovers)
     // block: someone was shed, nobody stayed shed.
     EXPECT_GT(out.shedRejected, 0u);
     EXPECT_EQ(out.shedLevelEnd, 0u);
+}
+
+TEST(ScenarioGallery, FleetFailoverFailsOverExactlyOnce)
+{
+    Scenario sc = parseScenarioFile(galleryPath("fleet_failover"));
+    ScenarioOutcome out = runScenarioOnEngine(sc);
+    EXPECT_TRUE(out.passed());
+    for (const std::string &v : out.violations)
+        ADD_FAILURE() << v;
+    // The campaign's defining arc: the active device dies and the
+    // watchdog moves the session to one of the spares, once.
+    EXPECT_GE(sc.devices, 3u);
+    EXPECT_EQ(out.failovers, 1u);
+    // The seed drives the fault RNG, so it moves the trace itself,
+    // not only the seed line in the metrics.
+    ++sc.seed;
+    ScenarioOutcome next = runScenarioOnEngine(sc);
+    EXPECT_EQ(next.failovers, 1u);
+    EXPECT_NE(next.traceJson, out.traceJson);
 }
 
 // -------------------------------------- campaigns are data, not C++
@@ -172,6 +196,41 @@ completed_min = 1000000
     EXPECT_FALSE(out.passed());
     ASSERT_EQ(out.violations.size(), 1u);
     EXPECT_NE(out.violations[0].find("completed"), std::string::npos);
+}
+
+TEST(ScenarioEngine, FailoverCompletedByAPollCountsAgainstFailoversMax)
+{
+    // The only tenant goes quiet before device 0 dies, so no pump or
+    // drain ever sees a FailoverError: a watchdog poll quarantines the
+    // device and completes the failover on its own. It still counts.
+    const std::string text = R"(
+[scenario]
+name = quiet-failover
+seed = 3
+devices = 3
+sweeps = 40
+poll_every = 2
+
+[tenant early]
+pattern = trickle
+ops_per_sweep = 4
+stop_sweep = 4
+
+[fault]
+kind = device_dead
+device = 0
+at_ms = 4400
+
+[expect]
+failovers_max = 0
+)";
+    ScenarioOutcome out = runScenarioOnEngine(parseScenario(text));
+    EXPECT_TRUE(out.deployOk);
+    EXPECT_EQ(out.failovers, 1u);
+    EXPECT_FALSE(out.passed());
+    ASSERT_EQ(out.violations.size(), 1u);
+    EXPECT_NE(out.violations[0].find("failovers: got 1"),
+              std::string::npos);
 }
 
 // ------------------------------------------------ strict-INI parsing
