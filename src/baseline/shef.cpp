@@ -1,6 +1,7 @@
 #include "baseline/shef.hpp"
 
 #include "common/serde.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/hmac.hpp"
 
 namespace salus::baseline {
@@ -99,7 +100,7 @@ ShefVerifier::verify(const ShefAttestation &att, ByteView nonce,
                                att.signedPortion(), att.signature)) {
         return false;
     }
-    if (att.measurement != expectedMeasurement_)
+    if (!crypto::ctEqual(att.measurement, expectedMeasurement_))
         return false;
     if (att.nonce != Bytes(nonce.begin(), nonce.end()))
         return false;

@@ -13,4 +13,12 @@ ctEqual(ByteView a, ByteView b)
     return acc == 0;
 }
 
+bool
+ctEqual64(uint64_t a, uint64_t b)
+{
+    // d | -d has its top bit set iff d != 0: no branch on the values.
+    uint64_t d = a ^ b;
+    return ((d | (0 - d)) >> 63) == 0;
+}
+
 } // namespace salus::crypto

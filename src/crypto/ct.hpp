@@ -17,6 +17,10 @@ namespace salus::crypto {
  */
 bool ctEqual(ByteView a, ByteView b);
 
+/** Compares two 64-bit (truncated) tags in time independent of their
+ *  values. */
+bool ctEqual64(uint64_t a, uint64_t b);
+
 } // namespace salus::crypto
 
 #endif // SALUS_CRYPTO_CT_HPP

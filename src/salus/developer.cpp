@@ -2,6 +2,7 @@
 
 #include "common/errors.hpp"
 #include "common/serde.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/sha256.hpp"
 
 namespace salus::core {
@@ -64,7 +65,8 @@ verifyArtifact(const ClArtifact &artifact, ByteView expectedDeveloperKey)
     } catch (const SalusError &) {
         return false;
     }
-    return crypto::Sha256::digest(artifact.bitstream) == meta.digestH;
+    return crypto::ctEqual(crypto::Sha256::digest(artifact.bitstream),
+                           meta.digestH);
 }
 
 DeveloperKit::DeveloperKit(std::string developerName,

@@ -17,15 +17,6 @@ constexpr uint32_t kDmaMagic = 0x53444d41;     // "SDMA"
 constexpr uint32_t kDmaRespMagic = 0x53444d52; // "SDMR"
 constexpr uint8_t kDmaVersion = 1;
 
-bool
-macEqual(uint64_t a, uint64_t b)
-{
-    uint8_t ab[8], bb[8];
-    storeLe64(ab, a);
-    storeLe64(bb, b);
-    return crypto::ctEqual(ByteView(ab, 8), ByteView(bb, 8));
-}
-
 /** The first 8 bytes of a tag under the slot MAC. */
 uint64_t
 truncatedHmac(const crypto::HmacSha256 &mac, ByteView msg)
@@ -73,15 +64,6 @@ cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
     crypto::AesCtr(aes, ByteView(block, 16)).crypt(data, len);
 }
 
-void
-cryptDmaPayload(ByteView aesKey, bool read, uint64_t ctrBase,
-                uint8_t *data, size_t len)
-{
-    if (len == 0)
-        return;
-    cryptDmaPayload(crypto::Aes(aesKey), read, ctrBase, data, len);
-}
-
 uint64_t
 descriptorMac(const crypto::HmacSha256 &mac, ByteView encodedSansMac)
 {
@@ -116,12 +98,6 @@ encodeDescriptor(const crypto::HmacSha256 &mac, const DmaDescriptor &d)
     Bytes out = w.take();
     appendMac(mac, out);
     return out;
-}
-
-Bytes
-encodeDescriptor(ByteView macKey, const DmaDescriptor &d)
-{
-    return encodeDescriptor(crypto::HmacSha256(macKey), d);
 }
 
 DmaDescriptor
@@ -178,13 +154,7 @@ verifyDescriptorMac(const crypto::HmacSha256 &mac, ByteView encoded)
     uint64_t expect = descriptorMac(
         mac, ByteView(encoded.data(), encoded.size() - 8));
     uint64_t got = loadLe64(encoded.data() + encoded.size() - 8);
-    return macEqual(expect, got);
-}
-
-bool
-verifyDescriptorMac(ByteView macKey, ByteView encoded)
-{
-    return verifyDescriptorMac(crypto::HmacSha256(macKey), encoded);
+    return crypto::ctEqual64(expect, got);
 }
 
 Bytes
@@ -207,14 +177,6 @@ sealReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     return out;
 }
 
-Bytes
-sealReadResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                 uint64_t seq, uint64_t ctrBase, ByteView plain)
-{
-    return sealReadResponse(crypto::Aes(aesKey), crypto::HmacSha256(macKey),
-                            sessionId, seq, ctrBase, plain);
-}
-
 std::optional<Bytes>
 openReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                  uint32_t sessionId, uint64_t seq, uint64_t ctrBase,
@@ -235,19 +197,11 @@ openReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     uint64_t expect =
         truncatedHmac(mac, ByteView(blob.data(), blob.size() - 8));
     uint64_t got = loadLe64(blob.data() + blob.size() - 8);
-    if (!macEqual(expect, got))
+    if (!crypto::ctEqual64(expect, got))
         return std::nullopt;
     Bytes plain = r.readRaw(len);
     cryptDmaPayload(aes, true, ctrBase, plain.data(), plain.size());
     return plain;
-}
-
-std::optional<Bytes>
-openReadResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                 uint64_t seq, uint64_t ctrBase, ByteView blob)
-{
-    return openReadResponse(crypto::Aes(aesKey), crypto::HmacSha256(macKey),
-                            sessionId, seq, ctrBase, blob);
 }
 
 uint64_t
@@ -258,12 +212,6 @@ ackMac(const crypto::HmacSha256 &mac, uint32_t sessionId, uint64_t ackSeq)
     storeLe64(msg + 4, ackSeq);
     std::memcpy(msg + 12, "dack", 4);
     return truncatedHmac(mac, ByteView(msg, sizeof(msg)));
-}
-
-uint64_t
-ackMac(ByteView macKey, uint32_t sessionId, uint64_t ackSeq)
-{
-    return ackMac(crypto::HmacSha256(macKey), sessionId, ackSeq);
 }
 
 // ---- Sliding-window engine -------------------------------------------

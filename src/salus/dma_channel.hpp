@@ -130,13 +130,9 @@ size_t dmaCtrBlocks(size_t bytes);
 
 /** En/decrypts a DMA payload in place under the direction-separated
  *  CTR labels ("SDMAWRIT" host->device, "SDMAREAD" device->host).
- *  The `crypto::Aes` overloads borrow a caller-cached key schedule —
- *  the per-session fast path (one expansion per session, not one per
- *  megabyte descriptor). Likewise every MAC function below takes the
- *  slot's keyed `crypto::HmacSha256`; the raw-key overloads key a
- *  fresh one per call. */
-void cryptDmaPayload(ByteView aesKey, bool read, uint64_t ctrBase,
-                     uint8_t *data, size_t len);
+ *  Like every seal, open and MAC function below, it borrows the
+ *  slot's regchan::SessionKeys schedule (aes()) or keyed HMAC (mac()),
+ *  built once per session, not once per megabyte descriptor. */
 void cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
                      uint8_t *data, size_t len);
 
@@ -148,7 +144,6 @@ uint64_t descriptorMac(const crypto::HmacSha256 &mac,
  *  computes its MAC. */
 Bytes encodeDescriptor(const crypto::HmacSha256 &mac,
                        const DmaDescriptor &d);
-Bytes encodeDescriptor(ByteView macKey, const DmaDescriptor &d);
 
 /**
  * Parses an encoded descriptor, validating magic, version, bounds and
@@ -160,7 +155,6 @@ DmaDescriptor decodeDescriptor(ByteView encoded);
 
 /** Constant-time MAC check of an encoded descriptor. */
 bool verifyDescriptorMac(const crypto::HmacSha256 &mac, ByteView encoded);
-bool verifyDescriptorMac(ByteView macKey, ByteView encoded);
 
 // ---- Read responses --------------------------------------------------
 //
@@ -171,18 +165,12 @@ bool verifyDescriptorMac(ByteView macKey, ByteView encoded);
 // truncated HMAC over everything before it.
 
 /** Seals a read-response blob (fabric side). */
-Bytes sealReadResponse(ByteView aesKey, ByteView macKey,
-                       uint32_t sessionId, uint64_t seq,
-                       uint64_t ctrBase, ByteView plain);
 Bytes sealReadResponse(const crypto::Aes &aes,
                        const crypto::HmacSha256 &mac, uint32_t sessionId,
                        uint64_t seq, uint64_t ctrBase, ByteView plain);
 
 /** Verifies and decrypts a read-response blob (host side); empty
  *  optional = forged or mismatched. */
-std::optional<Bytes> openReadResponse(ByteView aesKey, ByteView macKey,
-                                      uint32_t sessionId, uint64_t seq,
-                                      uint64_t ctrBase, ByteView blob);
 std::optional<Bytes> openReadResponse(const crypto::Aes &aes,
                                       const crypto::HmacSha256 &mac,
                                       uint32_t sessionId, uint64_t seq,
@@ -193,7 +181,6 @@ std::optional<Bytes> openReadResponse(const crypto::Aes &aes,
  *  a fresh slot acks 0 and the value only ever grows. */
 uint64_t ackMac(const crypto::HmacSha256 &mac, uint32_t sessionId,
                 uint64_t ackSeq);
-uint64_t ackMac(ByteView macKey, uint32_t sessionId, uint64_t ackSeq);
 
 // ---- Sliding-window engine -------------------------------------------
 

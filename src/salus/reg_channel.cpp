@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/errors.hpp"
 #include "crypto/ct.hpp"
 #include "crypto/siphash.hpp"
 
@@ -81,13 +82,13 @@ truncatedHmac(const crypto::HmacSha256 &mac, uint64_t ctr, uint64_t ct0,
     return truncatedTag(mac, {ByteView(msg, sizeof(msg))});
 }
 
-bool
-macEqual(uint64_t expect, uint64_t got)
+/** A copy of `block`, which must be one session key block. */
+Bytes
+checkedKeyBlock(ByteView block)
 {
-    uint8_t a[8], b[8];
-    storeLe64(a, expect);
-    storeLe64(b, got);
-    return crypto::ctEqual(ByteView(a, 8), ByteView(b, 8));
+    if (block.size() != kKeySessionSize)
+        throw CryptoError("session key block must be 48 bytes");
+    return Bytes(block.begin(), block.end());
 }
 
 } // namespace
@@ -140,6 +141,23 @@ migrationTicketMac(ByteView keyAttest, uint32_t fromDevice,
     return crypto::sipHash24(keyAttest, msg);
 }
 
+SessionKeys::SessionKeys(ByteView block)
+    : block_(checkedKeyBlock(block)),
+      aes_(ByteView(block_).first(16)), mac_(ByteView(block_).subspan(16))
+{
+}
+
+SessionKeys::~SessionKeys()
+{
+    secureZero(block_);
+}
+
+ByteView
+SessionKeys::macKey() const
+{
+    return ByteView(block_).subspan(16);
+}
+
 SealedRegRequest
 sealRequest(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
             uint64_t ctr, const RegOp &op)
@@ -158,26 +176,12 @@ sealRequest(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     return req;
 }
 
-SealedRegRequest
-sealRequest(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
-            const RegOp &op)
-{
-    return sealRequest(aes, crypto::HmacSha256(macKey), ctr, op);
-}
-
-SealedRegRequest
-sealRequest(ByteView aesKey, ByteView macKey, uint64_t ctr,
-            const RegOp &op)
-{
-    return sealRequest(crypto::Aes(aesKey), macKey, ctr, op);
-}
-
 std::optional<RegOp>
 openRequest(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
             const SealedRegRequest &req)
 {
-    if (!macEqual(truncatedHmac(mac, req.ctr, req.ct0, req.ct1, "req"),
-                  req.mac))
+    if (!crypto::ctEqual64(
+            truncatedHmac(mac, req.ctr, req.ct0, req.ct1, "req"), req.mac))
         return std::nullopt;
 
     uint8_t buf[16];
@@ -190,19 +194,6 @@ openRequest(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     op.addr = loadLe32(buf + 1);
     op.data = loadLe64(buf + 5);
     return op;
-}
-
-std::optional<RegOp>
-openRequest(const crypto::Aes &aes, ByteView macKey,
-            const SealedRegRequest &req)
-{
-    return openRequest(aes, crypto::HmacSha256(macKey), req);
-}
-
-std::optional<RegOp>
-openRequest(ByteView aesKey, ByteView macKey, const SealedRegRequest &req)
-{
-    return openRequest(crypto::Aes(aesKey), macKey, req);
 }
 
 SealedRegResponse
@@ -221,27 +212,12 @@ sealResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     return rsp;
 }
 
-SealedRegResponse
-sealResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
-             uint8_t status, uint64_t data)
-{
-    return sealResponse(aes, crypto::HmacSha256(macKey), ctr, status,
-                        data);
-}
-
-SealedRegResponse
-sealResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
-             uint8_t status, uint64_t data)
-{
-    return sealResponse(crypto::Aes(aesKey), macKey, ctr, status, data);
-}
-
 std::optional<std::pair<uint8_t, uint64_t>>
 openResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
              uint64_t ctr, const SealedRegResponse &rsp)
 {
-    if (!macEqual(truncatedHmac(mac, ctr, rsp.ct0, rsp.ct1, "rsp"),
-                  rsp.mac))
+    if (!crypto::ctEqual64(truncatedHmac(mac, ctr, rsp.ct0, rsp.ct1, "rsp"),
+                           rsp.mac))
         return std::nullopt;
 
     uint8_t buf[16];
@@ -250,20 +226,6 @@ openResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     cryptStride(aes, "SRSPCHAN", ctr, buf, 1);
 
     return std::make_pair(buf[0], loadLe64(buf + 1));
-}
-
-std::optional<std::pair<uint8_t, uint64_t>>
-openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
-             const SealedRegResponse &rsp)
-{
-    return openResponse(aes, crypto::HmacSha256(macKey), ctr, rsp);
-}
-
-std::optional<std::pair<uint8_t, uint64_t>>
-openResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
-             const SealedRegResponse &rsp)
-{
-    return openResponse(crypto::Aes(aesKey), macKey, ctr, rsp);
 }
 
 // ---- Batched register bursts -----------------------------------------
@@ -285,13 +247,6 @@ cryptBatchBlock(const crypto::Aes &aes, bool response, uint64_t ctr,
                 uint8_t *block)
 {
     cryptBatchBlocks(aes, response, ctr, block, 1);
-}
-
-void
-cryptBatchBlock(ByteView aesKey, bool response, uint64_t ctr,
-                uint8_t *block)
-{
-    cryptBatchBlock(crypto::Aes(aesKey), response, ctr, block);
 }
 
 void
@@ -394,22 +349,14 @@ sealBatch(const crypto::Aes &aes, ByteView macKey, uint32_t sessionId,
                      ops);
 }
 
-SealedRegBatch
-sealBatch(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-          uint64_t ctrBase, const std::vector<RegOp> &ops)
-{
-    return sealBatch(crypto::Aes(aesKey), macKey, sessionId, ctrBase,
-                     ops);
-}
-
 std::optional<std::vector<RegOp>>
 openBatch(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
           const SealedRegBatch &batch)
 {
     if (!batchShapeOk(batch.payload.size(), batch.ctrBase) ||
-        !macEqual(batchMac(mac, batch.sessionId, batch.ctrBase,
-                           batch.payload, false),
-                  batch.mac))
+        !crypto::ctEqual64(batchMac(mac, batch.sessionId, batch.ctrBase,
+                                    batch.payload, false),
+                           batch.mac))
         return std::nullopt;
 
     uint8_t plain[kMaxBatchOps * kRegBatchBlock];
@@ -420,19 +367,6 @@ openBatch(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
         ops[i] = decodeBatchOp(plain + i * kRegBatchBlock);
     secureZero(plain, batch.payload.size());
     return ops;
-}
-
-std::optional<std::vector<RegOp>>
-openBatch(const crypto::Aes &aes, ByteView macKey,
-          const SealedRegBatch &batch)
-{
-    return openBatch(aes, crypto::HmacSha256(macKey), batch);
-}
-
-std::optional<std::vector<RegOp>>
-openBatch(ByteView aesKey, ByteView macKey, const SealedRegBatch &batch)
-{
-    return openBatch(crypto::Aes(aesKey), macKey, batch);
 }
 
 SealedBatchResponse
@@ -451,24 +385,6 @@ sealBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     return rsp;
 }
 
-SealedBatchResponse
-sealBatchResponse(const crypto::Aes &aes, ByteView macKey,
-                  uint32_t sessionId, uint64_t ctrBase,
-                  const std::vector<BatchResult> &results)
-{
-    return sealBatchResponse(aes, crypto::HmacSha256(macKey), sessionId,
-                             ctrBase, results);
-}
-
-SealedBatchResponse
-sealBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase,
-                  const std::vector<BatchResult> &results)
-{
-    return sealBatchResponse(crypto::Aes(aesKey), macKey, sessionId,
-                             ctrBase, results);
-}
-
 std::optional<std::vector<BatchResult>>
 openBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                   uint32_t sessionId, uint64_t ctrBase,
@@ -476,8 +392,8 @@ openBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
 {
     if (rsp.count() != expectCount ||
         !batchShapeOk(rsp.payload.size(), ctrBase) ||
-        !macEqual(batchMac(mac, sessionId, ctrBase, rsp.payload, true),
-                  rsp.mac))
+        !crypto::ctEqual64(
+            batchMac(mac, sessionId, ctrBase, rsp.payload, true), rsp.mac))
         return std::nullopt;
 
     uint8_t plain[kMaxBatchOps * kRegBatchBlock];
@@ -499,26 +415,17 @@ openBatchResponse(const crypto::Aes &aes, ByteView macKey,
                              ctrBase, expectCount, rsp);
 }
 
-std::optional<std::vector<BatchResult>>
-openBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase, size_t expectCount,
-                  const SealedBatchResponse &rsp)
-{
-    return openBatchResponse(crypto::Aes(aesKey), macKey, sessionId,
-                             ctrBase, expectCount, rsp);
-}
-
 // ---- Multi-session key fan-out ---------------------------------------
 
 uint64_t
-sessionOpenMac(ByteView baseMacKey, uint32_t slot, uint64_t nonce)
+sessionOpenMac(const crypto::HmacSha256 &baseMac, uint32_t slot,
+               uint64_t nonce)
 {
     uint8_t msg[21];
     storeLe32(msg, slot);
     storeLe64(msg + 4, nonce);
     std::memcpy(msg + 12, "sess-open", 9);
-    return truncatedTag(crypto::HmacSha256(baseMacKey),
-                        {ByteView(msg, sizeof(msg))});
+    return truncatedTag(baseMac, {ByteView(msg, sizeof(msg))});
 }
 
 Bytes
@@ -529,31 +436,27 @@ deriveSlotSessionKeys(ByteView baseKeySession, uint32_t slot,
     storeLe32(salt, slot);
     storeLe64(salt + 4, nonce);
     return crypto::hkdf(ByteView(salt, sizeof(salt)), baseKeySession,
-                        bytesFromString("salus-msess-v1"), 48);
+                        bytesFromString("salus-msess-v1"), kKeySessionSize);
 }
 
 uint64_t
-rekeyMac(ByteView macKey, uint64_t ctr, uint64_t nonce)
+rekeyMac(const crypto::HmacSha256 &mac, uint64_t ctr, uint64_t nonce)
 {
     uint8_t msg[21];
     storeLe64(msg, ctr);
     storeLe64(msg + 8, nonce);
     std::memcpy(msg + 16, "rekey", 5);
-    return truncatedTag(crypto::HmacSha256(macKey),
-                        {ByteView(msg, sizeof(msg))});
+    return truncatedTag(mac, {ByteView(msg, sizeof(msg))});
 }
 
-std::pair<Bytes, Bytes>
+Bytes
 deriveRekeyedKeys(ByteView oldMacKey, uint64_t nonce)
 {
     uint8_t salt[8];
     storeLe64(salt, nonce);
-    Bytes material = crypto::hkdf(ByteView(salt, 8), oldMacKey,
-                                  bytesFromString("salus-rekey-v1"), 48);
-    Bytes aes(material.begin(), material.begin() + 16);
-    Bytes mac(material.begin() + 16, material.end());
-    secureZero(material);
-    return {std::move(aes), std::move(mac)};
+    return crypto::hkdf(ByteView(salt, 8), oldMacKey,
+                        bytesFromString("salus-rekey-v1"),
+                        kKeySessionSize);
 }
 
 } // namespace salus::core::regchan

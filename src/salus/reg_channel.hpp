@@ -25,6 +25,7 @@
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/hmac.hpp"
+#include "salus/secrets.hpp"
 
 namespace salus::core::regchan {
 
@@ -93,49 +94,59 @@ struct SealedRegResponse
     uint64_t mac = 0;
 };
 
-// Every seal/open entry has three forms. The per-session fast path
-// borrows a caller-cached AES schedule and a keyed HMAC, both built
-// once when the session opens or re-keys, not once per register
-// transaction. The `const crypto::Aes &` + ByteView MAC key form keys
-// the HMAC for the one call, and the all-ByteView form also expands
-// the AES schedule; both forward to the fast path.
+// ---- Session keys ----------------------------------------------------
+
+/**
+ * One session slot's key block (Key_session, or a slot's derived
+ * block) with the expanded AES schedule and the keyed HMAC built from
+ * it once. Both channel ends hold one per open slot and seal and open
+ * every register and DMA message with it, so no message re-expands a
+ * key. This is the only code that splits the block into its AES and
+ * HMAC halves. The destructor wipes the block; the Aes and Hmac
+ * destructors wipe the round keys and midstates.
+ */
+class SessionKeys
+{
+  public:
+    /** @throws CryptoError unless `block` is kKeySessionSize long. */
+    explicit SessionKeys(ByteView block);
+    ~SessionKeys();
+    SessionKeys(const SessionKeys &) = delete;
+    SessionKeys &operator=(const SessionKeys &) = delete;
+
+    /** The 48-byte block the keys were built from. */
+    ByteView block() const { return block_; }
+    /** The HMAC half of the block: the re-key KDF's input. */
+    ByteView macKey() const;
+    const crypto::Aes &aes() const { return aes_; }
+    const crypto::HmacSha256 &mac() const { return mac_; }
+
+  private:
+    Bytes block_;
+    crypto::Aes aes_;
+    crypto::HmacSha256 mac_;
+};
+
+// Every seal/open entry takes the slot's expanded AES schedule and
+// keyed HMAC (a SessionKeys' aes() and mac()), built once when the
+// session opens or re-keys, never once per register transaction.
 
 /** Encrypts and MACs a register operation (host side). */
-SealedRegRequest sealRequest(ByteView aesKey, ByteView macKey,
-                             uint64_t ctr, const RegOp &op);
-SealedRegRequest sealRequest(const crypto::Aes &aes, ByteView macKey,
-                             uint64_t ctr, const RegOp &op);
 SealedRegRequest sealRequest(const crypto::Aes &aes,
                              const crypto::HmacSha256 &mac, uint64_t ctr,
                              const RegOp &op);
 
 /** Verifies and decrypts a request (fabric side); nullopt = reject. */
-std::optional<RegOp> openRequest(ByteView aesKey, ByteView macKey,
-                                 const SealedRegRequest &req);
-std::optional<RegOp> openRequest(const crypto::Aes &aes, ByteView macKey,
-                                 const SealedRegRequest &req);
 std::optional<RegOp> openRequest(const crypto::Aes &aes,
                                  const crypto::HmacSha256 &mac,
                                  const SealedRegRequest &req);
 
 /** Encrypts and MACs a response (fabric side). */
-SealedRegResponse sealResponse(ByteView aesKey, ByteView macKey,
-                               uint64_t ctr, uint8_t status,
-                               uint64_t data);
-SealedRegResponse sealResponse(const crypto::Aes &aes, ByteView macKey,
-                               uint64_t ctr, uint8_t status,
-                               uint64_t data);
 SealedRegResponse sealResponse(const crypto::Aes &aes,
                                const crypto::HmacSha256 &mac, uint64_t ctr,
                                uint8_t status, uint64_t data);
 
 /** Verifies and decrypts a response (host side). */
-std::optional<std::pair<uint8_t, uint64_t>>
-openResponse(ByteView aesKey, ByteView macKey, uint64_t ctr,
-             const SealedRegResponse &rsp);
-std::optional<std::pair<uint8_t, uint64_t>>
-openResponse(const crypto::Aes &aes, ByteView macKey, uint64_t ctr,
-             const SealedRegResponse &rsp);
 std::optional<std::pair<uint8_t, uint64_t>>
 openResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
              uint64_t ctr, const SealedRegResponse &rsp);
@@ -194,9 +205,8 @@ struct SealedBatchResponse
 void cryptBatchBlocks(const crypto::Aes &aes, bool response,
                       uint64_t ctrBase, uint8_t *blocks, size_t count);
 
-/** cryptBatchBlocks with count 1. */
-void cryptBatchBlock(ByteView aesKey, bool response, uint64_t ctr,
-                     uint8_t *block);
+/** cryptBatchBlocks with count 1 (salus_bench/tenant_regchan.cpp
+ *  replays the fabric's per-op crypt with it). */
 void cryptBatchBlock(const crypto::Aes &aes, bool response, uint64_t ctr,
                      uint8_t *block);
 
@@ -210,44 +220,29 @@ BatchResult decodeBatchResult(const uint8_t *block);
 
 /** Truncated HMAC over sessionId || ctrBase || count || payload with
  *  direction separation (request vs. response). */
-uint64_t batchMac(ByteView macKey, uint32_t sessionId, uint64_t ctrBase,
-                  ByteView payload, bool response);
 uint64_t batchMac(const crypto::HmacSha256 &mac, uint32_t sessionId,
                   uint64_t ctrBase, ByteView payload, bool response);
+/** Keys the HMAC for the one call (salus_bench/tenant_regchan.cpp). */
+uint64_t batchMac(ByteView macKey, uint32_t sessionId, uint64_t ctrBase,
+                  ByteView payload, bool response);
 
-/** Seals a burst of ops (host side, one-shot convenience). */
-SealedRegBatch sealBatch(ByteView aesKey, ByteView macKey,
-                         uint32_t sessionId, uint64_t ctrBase,
-                         const std::vector<RegOp> &ops);
-SealedRegBatch sealBatch(const crypto::Aes &aes, ByteView macKey,
-                         uint32_t sessionId, uint64_t ctrBase,
-                         const std::vector<RegOp> &ops);
+/** Seals a burst of ops (host side). */
 SealedRegBatch sealBatch(const crypto::Aes &aes,
                          const crypto::HmacSha256 &mac, uint32_t sessionId,
                          uint64_t ctrBase, const std::vector<RegOp> &ops);
+/** Keys the HMAC for the one call (salus_bench/tenant_regchan.cpp). */
+SealedRegBatch sealBatch(const crypto::Aes &aes, ByteView macKey,
+                         uint32_t sessionId, uint64_t ctrBase,
+                         const std::vector<RegOp> &ops);
 
 /** Verifies and decrypts a burst (fabric side); nullopt = reject.
  *  Rejects empty, oversize, misaligned and counter-wrapping bursts
  *  before touching any crypto. */
-std::optional<std::vector<RegOp>> openBatch(ByteView aesKey,
-                                            ByteView macKey,
-                                            const SealedRegBatch &batch);
-std::optional<std::vector<RegOp>> openBatch(const crypto::Aes &aes,
-                                            ByteView macKey,
-                                            const SealedRegBatch &batch);
 std::optional<std::vector<RegOp>> openBatch(const crypto::Aes &aes,
                                             const crypto::HmacSha256 &mac,
                                             const SealedRegBatch &batch);
 
 /** Seals the per-op results of a burst (fabric side). */
-SealedBatchResponse
-sealBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase,
-                  const std::vector<BatchResult> &results);
-SealedBatchResponse
-sealBatchResponse(const crypto::Aes &aes, ByteView macKey,
-                  uint32_t sessionId, uint64_t ctrBase,
-                  const std::vector<BatchResult> &results);
 SealedBatchResponse
 sealBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                   uint32_t sessionId, uint64_t ctrBase,
@@ -255,15 +250,12 @@ sealBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
 
 /** Verifies and decrypts a burst response (host side). */
 std::optional<std::vector<BatchResult>>
-openBatchResponse(ByteView aesKey, ByteView macKey, uint32_t sessionId,
-                  uint64_t ctrBase, size_t expectCount,
-                  const SealedBatchResponse &rsp);
-std::optional<std::vector<BatchResult>>
-openBatchResponse(const crypto::Aes &aes, ByteView macKey,
+openBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
                   uint32_t sessionId, uint64_t ctrBase,
                   size_t expectCount, const SealedBatchResponse &rsp);
+/** Keys the HMAC for the one call (salus_bench/tenant_regchan.cpp). */
 std::optional<std::vector<BatchResult>>
-openBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
+openBatchResponse(const crypto::Aes &aes, ByteView macKey,
                   uint32_t sessionId, uint64_t ctrBase,
                   size_t expectCount, const SealedBatchResponse &rsp);
 
@@ -276,9 +268,9 @@ openBatchResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
 // never share keystreams and a compromised tenant session reveals
 // nothing about any other.
 
-/** MAC authorizing a session-open command, keyed under the CURRENT
- *  base-session MAC key. */
-uint64_t sessionOpenMac(ByteView baseMacKey, uint32_t slot,
+/** MAC authorizing a session-open command under the CURRENT base
+ *  session's keyed HMAC. */
+uint64_t sessionOpenMac(const crypto::HmacSha256 &baseMac, uint32_t slot,
                         uint64_t nonce);
 
 /** Derives a slot's 48-byte session key block (AES-128 key + HMAC
@@ -293,13 +285,14 @@ Bytes deriveSlotSessionKeys(ByteView baseKeySession, uint32_t slot,
 // new keys = KDF(old MAC key, nonce). Compromise of a *future* key
 // state never reveals traffic sent before the roll.
 
-/** MAC authorizing a re-key request under the CURRENT MAC key. */
-uint64_t rekeyMac(ByteView macKey, uint64_t ctr, uint64_t nonce);
+/** MAC authorizing a re-key request under the CURRENT keyed HMAC. */
+uint64_t rekeyMac(const crypto::HmacSha256 &mac, uint64_t ctr,
+                  uint64_t nonce);
 
-/** Derives the next (AES key, MAC key) pair from the current MAC key
- *  and the re-key nonce. Deterministic: both ends converge. */
-std::pair<Bytes, Bytes> deriveRekeyedKeys(ByteView oldMacKey,
-                                          uint64_t nonce);
+/** Derives the next 48-byte session key block from the current MAC
+ *  key (SessionKeys::macKey()) and the re-key nonce. Deterministic:
+ *  both ends converge. */
+Bytes deriveRekeyedKeys(ByteView oldMacKey, uint64_t nonce);
 
 } // namespace salus::core::regchan
 

@@ -18,18 +18,6 @@ ClSecrets::generate(crypto::RandomSource &rng)
     return s;
 }
 
-ByteView
-ClSecrets::sessionAesKey() const
-{
-    return ByteView(keySession.data(), 16);
-}
-
-ByteView
-ClSecrets::sessionMacKey() const
-{
-    return ByteView(keySession.data() + 16, 32);
-}
-
 Bytes
 ClSecrets::ctrBytes() const
 {

@@ -35,11 +35,6 @@ struct ClSecrets
     /** Generates fresh random secrets (inside the SM enclave). */
     static ClSecrets generate(crypto::RandomSource &rng);
 
-    /** AES-128 portion of the session key. */
-    ByteView sessionAesKey() const;
-    /** HMAC portion of the session key. */
-    ByteView sessionMacKey() const;
-
     /** BRAM image of the counter cell. */
     Bytes ctrBytes() const;
 

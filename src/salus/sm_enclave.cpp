@@ -9,6 +9,7 @@
 #include "common/log.hpp"
 #include "common/serde.hpp"
 #include "crypto/aes_gcm.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
 #include "manufacturer/manufacturer.hpp"
@@ -505,7 +506,7 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
                                 file.size()) / 2);
         }
         Bytes digest = crypto::Sha256::digest(file);
-        if (digest != metadata_.digestH) {
+        if (!crypto::ctEqual(digest, metadata_.digestH)) {
             failure = "bitstream digest mismatch (tampered or wrong CL)";
             return false;
         }
@@ -629,7 +630,7 @@ SmEnclaveApp::attestCl(std::string &failure)
     }
     uint64_t expect =
         regchan::attestResponseMac(secrets_.keyAttest, nonce, dna);
-    if (outNonce != nonce + 1 || macRsp != expect) {
+    if (outNonce != nonce + 1 || !crypto::ctEqual64(macRsp, expect)) {
         failure = "CL attestation MAC mismatch";
         return false;
     }
@@ -665,8 +666,7 @@ SmEnclaveApp::rekeySession()
 
     uint64_t ctr = reserveCtrSpan(0, 1);
     uint64_t nonce = rng().nextU64();
-    uint64_t mac =
-        regchan::rekeyMac(secrets_.sessionMacKey(), ctr, nonce);
+    uint64_t mac = regchan::rekeyMac(slotKeys(0).mac(), ctr, nonce);
 
     shell::Shell &sh = activeShell();
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn0, ctr);
@@ -679,7 +679,7 @@ SmEnclaveApp::rekeySession()
         // on both sides) or only the completion was lost (the fabric
         // already rolled). Keep what we need to converge on the
         // rolled keys if the channel starts rejecting us.
-        ByteView current = secrets_.sessionMacKey();
+        ByteView current = slotKeys(0).macKey();
         pendingRekeyMacKey_.assign(current.begin(), current.end());
         pendingRekeyNonce_ = nonce;
         havePendingRekey_ = true;
@@ -687,7 +687,7 @@ SmEnclaveApp::rekeySession()
     }
 
     clearPendingRekey();
-    installRolledKeys(secrets_.sessionMacKey(), nonce);
+    installRolledKeys(slotKeys(0).macKey(), nonce);
     // Rolled keys are part of the session metadata — persist them, or
     // a recovered SM would hold the pre-roll keys the fabric rejects.
     commitJournal();
@@ -697,11 +697,9 @@ SmEnclaveApp::rekeySession()
 void
 SmEnclaveApp::installRolledKeys(ByteView macKey, uint64_t nonce)
 {
-    auto [aes, mac] = regchan::deriveRekeyedKeys(macKey, nonce);
-    std::copy(aes.begin(), aes.end(), secrets_.keySession.begin());
-    std::copy(mac.begin(), mac.end(), secrets_.keySession.begin() + 16);
-    secureZero(aes);
-    secureZero(mac);
+    Bytes rolled = regchan::deriveRekeyedKeys(macKey, nonce);
+    std::copy(rolled.begin(), rolled.end(), secrets_.keySession.begin());
+    secureZero(rolled);
 }
 
 void
@@ -747,6 +745,34 @@ SmEnclaveApp::reattestCl()
     return ok;
 }
 
+template <typename Attempt>
+bool
+SmEnclaveApp::runSealedAttempts(uint32_t slot, const char *method,
+                                Attempt &&attempt)
+{
+    int maxAttempts = std::max(1, deps_.retry.maxAttempts);
+    RekeyProbe probe;
+    for (int n = 1; n <= maxAttempts; ++n) {
+        if (n > 1) {
+            deps_.sim.spend(net::kRetryBackoffPhase,
+                            deps_.retry.backoffBefore(n));
+        }
+        // Every attempt reseals under fresh counters, so a lost or
+        // garbled message can never be replayed into acceptance.
+        bool accepted = attempt();
+        // Only the base session ever re-keys.
+        if (slot == 0)
+            convergePendingRekey(probe, accepted);
+        if (accepted)
+            return true;
+    }
+    // Every sealed attempt was lost or rejected — the device is not
+    // serving the channel. Tell the supervisor; it owns the decision
+    // to quarantine and fail the session over.
+    reportDeviceFailure(method, maxAttempts);
+    return false;
+}
+
 std::pair<uint8_t, uint64_t>
 SmEnclaveApp::secureRegOp(const regchan::RegOp &op)
 {
@@ -755,60 +781,36 @@ SmEnclaveApp::secureRegOp(const regchan::RegOp &op)
     if (!haveSecrets_ || !status_.ok())
         return {0xfd, 0}; // no attested CL behind the channel
 
-    int maxAttempts = std::max(1, deps_.retry.maxAttempts);
     std::pair<uint8_t, uint64_t> result{0xfc, 0};
-    RekeyProbe probe;
-    for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-        if (attempt > 1) {
-            deps_.sim.spend(net::kRetryBackoffPhase,
-                            deps_.retry.backoffBefore(attempt));
-        }
-        // Each retry reseals under a fresh counter, so a lost or
-        // garbled transaction cannot be replayed into acceptance.
+    runSealedAttempts(0, "secureRegOp", [&] {
         result = secureRegOpOnce(op);
-        bool accepted = result.first != 0xfc && result.first != 0xfb;
-        convergePendingRekey(probe, accepted);
-        if (accepted)
-            return result;
-    }
-    // Every sealed attempt was lost or rejected — the device is not
-    // serving the channel. Tell the supervisor; it owns the decision
-    // to quarantine and fail the session over.
-    reportDeviceFailure("secureRegOp", maxAttempts);
+        return result.first != 0xfc && result.first != 0xfb;
+    });
     return result;
 }
 
-ByteView
-SmEnclaveApp::slotKeys(uint32_t slot) const
+const regchan::SessionKeys &
+SmEnclaveApp::slotKeys(uint32_t slot)
 {
-    return slot == 0 ? ByteView(secrets_.keySession)
-                     : ByteView(slots_[slot].keySession);
-}
-
-const SmEnclaveApp::SessionSlot &
-SmEnclaveApp::slotCrypto(uint32_t slot)
-{
-    ByteView keys = slotKeys(slot);
     SessionSlot &s = slots_[slot];
-    if (!s.aes || !std::equal(s.cachedKeys.begin(), s.cachedKeys.end(),
-                              keys.begin(), keys.end())) {
-        secureZero(s.cachedKeys);
-        s.cachedKeys.assign(keys.begin(), keys.end());
-        s.aes = std::make_unique<crypto::Aes>(keys.subspan(0, 16));
-        s.mac = std::make_unique<crypto::HmacSha256>(keys.subspan(16, 32));
+    if (slot == 0 &&
+        (!s.keys || !std::ranges::equal(s.keys->block(),
+                                        secrets_.keySession))) {
+        s.keys =
+            std::make_unique<regchan::SessionKeys>(secrets_.keySession);
     }
-    return s;
+    return *s.keys;
 }
 
 std::pair<uint8_t, uint64_t>
 SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
 {
     uint64_t ctr = reserveCtrSpan(0, 1);
-    const SessionSlot &keys = slotCrypto(0);
+    const regchan::SessionKeys &keys = slotKeys(0);
     regchan::SealedRegRequest req;
     {
         obs::Span crypto(obs::Category::Channel, "op_crypto");
-        req = regchan::sealRequest(*keys.aes, *keys.mac, ctr, op);
+        req = regchan::sealRequest(keys.aes(), keys.mac(), ctr, op);
     }
 
     shell::Shell &sh = activeShell();
@@ -833,7 +835,7 @@ SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
     }
 
     obs::Span crypto(obs::Category::Channel, "op_crypto");
-    auto opened = regchan::openResponse(*keys.aes, *keys.mac, ctr, rsp);
+    auto opened = regchan::openResponse(keys.aes(), keys.mac(), ctr, rsp);
     if (!opened) {
         obs::count("channel.rejects");
         return {0xfb, 0}; // response forged or corrupted
@@ -862,8 +864,7 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
     // fabric refuses stale opens) and is covered by the journal's
     // write-ahead reservation.
     uint64_t nonce = reserveCtrSpan(0, 1);
-    uint64_t mac = regchan::sessionOpenMac(secrets_.sessionMacKey(),
-                                           slot, nonce);
+    uint64_t mac = regchan::sessionOpenMac(slotKeys(0).mac(), slot, nonce);
 
     shell::Shell &sh = activeShell();
     PhaseScope transport(deps_.sim, phases::kChanTransport);
@@ -878,8 +879,10 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
 
     SessionSlot &s = slots_[slot];
     s.opened = true;
-    s.keySession =
+    Bytes derived =
         regchan::deriveSlotSessionKeys(secrets_.keySession, slot, nonce);
+    s.keys = std::make_unique<regchan::SessionKeys>(derived);
+    secureZero(derived);
     s.openNonce = nonce;
     // Persist: a recovered SM must hold the slot keys the fabric holds.
     commitJournal();
@@ -920,7 +923,6 @@ SmEnclaveApp::secureRegBatch(uint32_t slot,
         return results;
     }
 
-    int maxAttempts = std::max(1, deps_.retry.maxAttempts);
     size_t at = 0;
     while (at < ops.size()) {
         size_t n = std::min(ops.size() - at, regchan::kMaxBatchOps);
@@ -928,14 +930,7 @@ SmEnclaveApp::secureRegBatch(uint32_t slot,
                                           ops.begin() + long(at + n));
         std::vector<regchan::BatchResult> chunkResults;
         uint8_t code = 0xfc;
-        RekeyProbe probe;
-        for (int attempt = 1; attempt <= maxAttempts; ++attempt) {
-            if (attempt > 1) {
-                deps_.sim.spend(net::kRetryBackoffPhase,
-                                deps_.retry.backoffBefore(attempt));
-            }
-            // Every attempt reseals under a fresh counter stride, so a
-            // lost or garbled burst can never replay into acceptance.
+        bool accepted = runSealedAttempts(slot, "secureRegBatch", [&] {
             if (!ensureFabricSession(slot)) {
                 code = 0xfc;
             } else {
@@ -943,17 +938,11 @@ SmEnclaveApp::secureRegBatch(uint32_t slot,
                 code = secureRegBatchOnce(slot, ctrBase, chunk,
                                           chunkResults);
             }
-            // Only the base session ever re-keys.
-            if (slot == 0)
-                convergePendingRekey(probe, code == 0);
-            if (code == 0)
-                break;
-        }
-        if (code != 0) {
-            // Every sealed attempt was lost or rejected: surface the
-            // device to the supervisor and fail the remaining ops with
-            // the channel-level status.
-            reportDeviceFailure("secureRegBatch", maxAttempts);
+            return code == 0;
+        });
+        if (!accepted) {
+            // The device is reported: fail the remaining ops with the
+            // channel-level status.
             while (results.size() < ops.size())
                 results.push_back(regchan::BatchResult{code, 0});
             return results;
@@ -970,7 +959,7 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
                                  const std::vector<regchan::RegOp> &ops,
                                  std::vector<regchan::BatchResult> &out)
 {
-    const SessionSlot &keys = slotCrypto(slot);
+    const regchan::SessionKeys &keys = slotKeys(slot);
 
     // Host-side crypto (seal + open) is one AES block per op each way
     // plus a single MAC pass per direction — the cost batching
@@ -983,7 +972,7 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
             deps_.sim.spend(phases::kChanCrypto,
                             deps_.sim.cost->batchCrypto(ops.size()));
         }
-        batch = regchan::sealBatch(*keys.aes, *keys.mac, slot, ctrBase,
+        batch = regchan::sealBatch(keys.aes(), keys.mac(), slot, ctrBase,
                                    ops);
     }
 
@@ -1030,7 +1019,7 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
 
     obs::Span crypto(obs::Category::Channel, "batch_crypto",
                      uint64_t(ops.size()));
-    auto opened = regchan::openBatchResponse(*keys.aes, *keys.mac, slot,
+    auto opened = regchan::openBatchResponse(keys.aes(), keys.mac(), slot,
                                              ctrBase, ops.size(), rsp);
     if (!opened) {
         obs::count("channel.rejects");
@@ -1118,11 +1107,9 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         return report;
     }
 
-    // Sealing lambdas share the slot's cached schedule and keyed MAC;
-    // the slot outlives the window engine's run() below.
-    const SessionSlot &keys = slotCrypto(slot);
-    const crypto::Aes *aesCtx = keys.aes.get();
-    const crypto::HmacSha256 *macCtx = keys.mac.get();
+    // Sealing lambdas share the slot's keys, which outlive the window
+    // engine's run() below.
+    const regchan::SessionKeys *keys = &slotKeys(slot);
 
     size_t chunkBytes =
         std::clamp<size_t>(opts.descriptorBytes, dmachan::kDmaBlock,
@@ -1154,8 +1141,8 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         w.payloadBytes = c.bytes;
         w.sgCount = c.sg.size();
         w.read = read;
-        w.seal = [aesCtx, macCtx, slot, read, sync, seq, ctrBase,
-                  respAddr, &c, data]() -> Bytes {
+        w.seal = [keys, slot, read, sync, seq, ctrBase, respAddr, &c,
+                  data]() -> Bytes {
             dmachan::DmaDescriptor d;
             d.read = read;
             d.sync = sync;
@@ -1168,19 +1155,19 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
                 d.payload.assign(data.begin() + long(c.dataOff),
                                  data.begin() +
                                      long(c.dataOff + c.bytes));
-                dmachan::cryptDmaPayload(*aesCtx, false, ctrBase,
+                dmachan::cryptDmaPayload(keys->aes(), false, ctrBase,
                                          d.payload.data(),
                                          d.payload.size());
             }
-            Bytes encoded = dmachan::encodeDescriptor(*macCtx, d);
+            Bytes encoded = dmachan::encodeDescriptor(keys->mac(), d);
             secureZero(d.payload);
             return encoded;
         };
         if (read) {
             size_t bytes = c.bytes;
             size_t dataOff = c.dataOff;
-            w.complete = [aesCtx, macCtx, slot, seq, ctrBase, respAddr,
-                          bytes, dataOff, out, &sh]() -> bool {
+            w.complete = [keys, slot, seq, ctrBase, respAddr, bytes,
+                          dataOff, out, &sh]() -> bool {
                 Bytes blob;
                 try {
                     blob = sh.dmaPostedRead(
@@ -1189,7 +1176,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
                     return false;
                 }
                 auto plain = dmachan::openReadResponse(
-                    *aesCtx, *macCtx, slot, seq, ctrBase, blob);
+                    keys->aes(), keys->mac(), slot, seq, ctrBase, blob);
                 if (!plain || plain->size() != bytes)
                     return false;
                 std::copy(plain->begin(), plain->end(),
@@ -1258,7 +1245,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         stage(seq, copy);
         flushStash();
     };
-    hooks.readAck = [&sh, slot, macCtx](uint64_t &ackSeq) -> bool {
+    hooks.readAck = [&sh, slot, keys](uint64_t &ackSeq) -> bool {
         sh.dmaPostedRegWrite(pcie::Window::SmSecure, kSmRegIn0, slot);
         sh.dmaPostedRegWrite(pcie::Window::SmSecure, kSmRegCmd,
                              kSmCmdDmaAck);
@@ -1269,7 +1256,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut0);
         uint64_t mac =
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut1);
-        if (mac != dmachan::ackMac(*macCtx, slot, seq))
+        if (!crypto::ctEqual64(mac, dmachan::ackMac(keys->mac(), slot, seq)))
             return false;
         ackSeq = seq;
         return true;
@@ -1332,8 +1319,9 @@ SmEnclaveApp::heartbeatDevice(uint32_t deviceId)
         uint64_t mac =
             sh.registerRead(pcie::Window::SmSecure, kSmRegOut2);
         if (outNonce != nonce + 1 ||
-            mac != regchan::heartbeatResponseMac(secrets_.keyAttest,
-                                                 nonce, dna, res.count)) {
+            !crypto::ctEqual64(
+                mac, regchan::heartbeatResponseMac(secrets_.keyAttest,
+                                                   nonce, dna, res.count))) {
             res.failure = "heartbeat response MAC forged";
             return res; // reachable but inauthentic — quarantine-worthy
         }
@@ -1423,13 +1411,13 @@ SmEnclaveApp::commitMigration(const MigrationTicket &ticket)
     // Epoch binding: a ticket for an already-retired secret set (the
     // migration it authorized committed, or a failover rolled the
     // keys) no longer matches the live fingerprint — replay is dead.
-    if (ticket.sourceFingerprint != secrets_.fingerprint())
+    if (!crypto::ctEqual(ticket.sourceFingerprint, secrets_.fingerprint()))
         return false;
-    if (ticket.mac !=
-        regchan::migrationTicketMac(
-            secrets_.keyAttest, ticket.fromDevice, ticket.toDevice,
-            ticket.fromDna, ticket.toDna, ticket.nonce,
-            ticket.sourceFingerprint))
+    if (!crypto::ctEqual64(
+            ticket.mac, regchan::migrationTicketMac(
+                            secrets_.keyAttest, ticket.fromDevice,
+                            ticket.toDevice, ticket.fromDna, ticket.toDna,
+                            ticket.nonce, ticket.sourceFingerprint)))
         return false;
 
     obs::count("sm.migrations");
@@ -1461,14 +1449,11 @@ SmEnclaveApp::retireCurrentSecrets()
     // wipe them. The next batch on each derived slot lazily re-opens
     // it under the fresh base session. Fresh keys mean a fresh
     // keystream space, so the counter and DMA sequence spaces restart
-    // with them (the fabric's window resets on open). Dropping the
-    // cached contexts wipes their round keys and HMAC midstates (the
-    // Aes and Hmac destructors).
-    for (SessionSlot &s : slots_) {
-        secureZero(s.keySession);
-        secureZero(s.cachedKeys);
+    // with them (the fabric's window resets on open). Dropping each
+    // slot's SessionKeys wipes its block, round keys and HMAC
+    // midstates.
+    for (SessionSlot &s : slots_)
         s = SessionSlot{};
-    }
     if (!haveSecrets_)
         return;
     retiredFingerprints_.insert(secretsFingerprint());
@@ -1512,7 +1497,8 @@ SmEnclaveApp::buildJournal() const
                         continue; // derived slots only
                     SmJournalSession js;
                     js.slot = slot;
-                    js.keySession = s.keySession;
+                    js.keySession.assign(s.keys->block().begin(),
+                                         s.keys->block().end());
                     js.openNonce = s.openNonce;
                     js.ctrReserve = s.reserve;
                     js.dmaSeqReserve = s.dmaSeqReserve;
@@ -1674,7 +1660,8 @@ SmEnclaveApp::rehydrate()
                     continue; // implausible journal entry
                 SessionSlot &s = slots_[js.slot];
                 s.opened = true;
-                s.keySession = js.keySession;
+                s.keys =
+                    std::make_unique<regchan::SessionKeys>(js.keySession);
                 s.openNonce = js.openNonce;
                 resume(s, 0, js.ctrReserve, js.dmaSeqReserve);
             }

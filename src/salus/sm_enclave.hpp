@@ -356,8 +356,11 @@ class SmEnclaveApp : public tee::Enclave
      *  derived slots opened by kSmCmdOpenSession. */
     struct SessionSlot
     {
-        bool opened = false;    ///< derived slot opened on the fabric
-        Bytes keySession;       ///< derived slots: 48 bytes (AES + MAC)
+        bool opened = false; ///< derived slot opened on the fabric
+        /** The slot's session keys. A derived slot's are set when it
+         *  opens and live only here; slot 0's mirror
+         *  secrets_.keySession (see slotKeys()). */
+        std::unique_ptr<regchan::SessionKeys> keys;
         uint64_t openNonce = 0; ///< nonce the slot was opened with
         uint64_t ctr = 0;       ///< last counter handed out
         /** Write-ahead counter reservation persisted in the journal;
@@ -365,11 +368,6 @@ class SmEnclaveApp : public tee::Enclave
         uint64_t reserve = 0;
         uint64_t dmaSeq = 0;        ///< next DMA descriptor sequence
         uint64_t dmaSeqReserve = 0; ///< write-ahead DMA seq bound
-        /** The 48 session bytes `aes` and `mac` were built from
-         *  (see slotCrypto()). */
-        Bytes cachedKeys;
-        std::unique_ptr<crypto::Aes> aes;
-        std::unique_ptr<crypto::HmacSha256> mac;
     };
 
     /** Retry-loop state for converging on a re-key whose completion
@@ -382,8 +380,6 @@ class SmEnclaveApp : public tee::Enclave
 
     Bytes handlePlainRequest(uint32_t peer, ByteView plain);
     Peer *findPeer(uint32_t peer);
-    /** The slot's 48-byte session keys (AES key, then MAC key). */
-    ByteView slotKeys(uint32_t slot) const;
     /** Opens the fabric session slot if not already open (lazy, after
      *  every failover the next batch re-opens it under the fresh base
      *  keys). The base slot is always open. */
@@ -398,12 +394,11 @@ class SmEnclaveApp : public tee::Enclave
     uint8_t secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
                                const std::vector<regchan::RegOp> &ops,
                                std::vector<regchan::BatchResult> &out);
-    /** Returns the slot with its cached AES schedule and keyed HMAC
-     *  current, rebuilding both only when the slot's 48 session bytes
-     *  differ from the cached copy (open, re-key, failover and journal
-     *  restore all change the bytes, so the cache self-heals on every
-     *  key-rolling path). */
-    const SessionSlot &slotCrypto(uint32_t slot);
+    /** The slot's session keys. Slot 0's are rebuilt only when
+     *  secrets_.keySession no longer matches them (re-key, pending
+     *  re-key convergence, failover and journal restore all replace
+     *  those bytes); a derived slot's must already be open. */
+    const regchan::SessionKeys &slotKeys(uint32_t slot);
     /** Reserves n DMA descriptor sequence numbers on the slot,
      *  extending the journal's write-ahead reservation first when
      *  needed. @return the first sequence number of the span, or
@@ -428,6 +423,15 @@ class SmEnclaveApp : public tee::Enclave
      *  upsets and re-attests; false = redeploy needed. */
     bool tryScrubRecovery(std::string &failure);
     std::pair<uint8_t, uint64_t> secureRegOp(const regchan::RegOp &op);
+    /** The sealed-attempt loop behind secureRegOp and secureRegBatch:
+     *  up to the retry schedule's attempts, backoff before each retry.
+     *  `attempt` seals under fresh counters, sends once and returns
+     *  true when the fabric accepted; every attempt on the base slot
+     *  steps the pending-rekey convergence. When all attempts fail,
+     *  reports the device as `method` and returns false. */
+    template <typename Attempt>
+    bool runSealedAttempts(uint32_t slot, const char *method,
+                           Attempt &&attempt);
     std::pair<uint8_t, uint64_t> secureRegOpOnce(const regchan::RegOp &op);
     /** One step of the pending-rekey convergence after an attempt on
      *  the base slot. Accepted: commit to the rolled keys if they were

@@ -2,21 +2,11 @@
 
 #include "common/errors.hpp"
 #include "common/serde.hpp"
+#include "crypto/ct.hpp"
 #include "salus/reg_channel.hpp"
 #include "salus/secrets.hpp"
 
 namespace salus::core {
-
-void
-SmLogic::SessionSlot::setKeys(Bytes aes, Bytes mac)
-{
-    secureZero(aesKey);
-    secureZero(macKey);
-    aesKey = std::move(aes);
-    macKey = std::move(mac);
-    aesCtx = std::make_unique<crypto::Aes>(aesKey);
-    macCtx = std::make_unique<crypto::HmacSha256>(macKey);
-}
 
 SmLogic::SmLogic(const netlist::Cell &cell,
                  const netlist::Netlist &design,
@@ -45,7 +35,7 @@ SmLogic::SmLogic(const netlist::Cell &cell,
     Bytes session = bramInit(keySessionPath, kKeySessionSize);
     SessionSlot &base = sessions_[0];
     base.open = true;
-    base.setKeys(sliceBytes(session, 0, 16), sliceBytes(session, 16, 32));
+    base.keys = std::make_unique<regchan::SessionKeys>(session);
     Bytes ctr = bramInit(ctrSessionPath, kCtrSessionSize);
     base.lastCtr = loadLe64(ctr.data());
     secureZero(session);
@@ -213,7 +203,7 @@ SmLogic::doAttest()
     uint64_t macReq = in_[1];
 
     uint64_t expect = regchan::attestRequestMac(keyAttest_, nonce, dna_);
-    if (macReq != expect) {
+    if (!crypto::ctEqual64(macReq, expect)) {
         ++statAttestRejected_;
         status_ = kSmStatusRejected;
         return;
@@ -233,7 +223,8 @@ SmLogic::doHeartbeat()
     uint64_t nonce = in_[0];
     uint64_t macReq = in_[1];
 
-    if (macReq != regchan::heartbeatRequestMac(keyAttest_, nonce, dna_)) {
+    if (!crypto::ctEqual64(
+            macReq, regchan::heartbeatRequestMac(keyAttest_, nonce, dna_))) {
         ++statHeartbeatRejected_;
         status_ = kSmStatusRejected;
         return;
@@ -255,14 +246,16 @@ SmLogic::doRekey()
 
     SessionSlot &base = sessions_[0];
     if (ctr <= base.lastCtr ||
-        mac != regchan::rekeyMac(base.macKey, ctr, nonce)) {
+        !crypto::ctEqual64(mac,
+                           regchan::rekeyMac(base.keys->mac(), ctr, nonce))) {
         ++statRegOpRejected_;
         status_ = kSmStatusRejected;
         return;
     }
     base.lastCtr = ctr;
-    auto [aes, macKey] = regchan::deriveRekeyedKeys(base.macKey, nonce);
-    base.setKeys(std::move(aes), std::move(macKey));
+    Bytes rolled = regchan::deriveRekeyedKeys(base.keys->macKey(), nonce);
+    base.keys = std::make_unique<regchan::SessionKeys>(rolled);
+    secureZero(rolled);
     ++statRegOpOk_;
     status_ = kSmStatusOk;
 }
@@ -299,7 +292,8 @@ SmLogic::doSecureReg()
         status_ = kSmStatusRejected;
         return;
     }
-    auto op = regchan::openRequest(base.aes(), base.mac(), req);
+    auto op =
+        regchan::openRequest(base.keys->aes(), base.keys->mac(), req);
     if (!op) {
         ++statRegOpRejected_;
         status_ = kSmStatusRejected;
@@ -311,7 +305,7 @@ SmLogic::doSecureReg()
     uint64_t data = executeOp(*op, opStatus);
 
     regchan::SealedRegResponse rsp = regchan::sealResponse(
-        base.aes(), base.mac(), req.ctr, opStatus, data);
+        base.keys->aes(), base.keys->mac(), req.ctr, opStatus, data);
     out_[0] = rsp.ct0;
     out_[1] = rsp.ct1;
     out_[2] = rsp.mac;
@@ -347,9 +341,9 @@ SmLogic::doSecureBatch()
         return;
     }
     uint64_t expect = regchan::batchMac(
-        slot.mac(), static_cast<uint32_t>(slotId), ctrBase, burstIn_,
-        /*response=*/false);
-    if (mac != expect) {
+        slot.keys->mac(), static_cast<uint32_t>(slotId), ctrBase,
+        burstIn_, /*response=*/false);
+    if (!crypto::ctEqual64(mac, expect)) {
         reject();
         return;
     }
@@ -361,8 +355,8 @@ SmLogic::doSecureBatch()
     // execute in order, their results are encoded straight into the
     // output FIFO, and one more pass encrypts it. No intermediate
     // plaintext vector.
-    regchan::cryptBatchBlocks(slot.aes(), /*response=*/false, ctrBase,
-                              burstIn_.data(), count);
+    regchan::cryptBatchBlocks(slot.keys->aes(), /*response=*/false,
+                              ctrBase, burstIn_.data(), count);
     burstOut_.assign(count * regchan::kRegBatchBlock, 0);
     burstOutPos_ = 0;
     for (uint64_t i = 0; i < count; ++i) {
@@ -373,10 +367,10 @@ SmLogic::doSecureBatch()
         regchan::encodeBatchResult(
             opStatus, data, burstOut_.data() + i * regchan::kRegBatchBlock);
     }
-    regchan::cryptBatchBlocks(slot.aes(), /*response=*/true, ctrBase,
-                              burstOut_.data(), count);
+    regchan::cryptBatchBlocks(slot.keys->aes(), /*response=*/true,
+                              ctrBase, burstOut_.data(), count);
     out_[0] = count;
-    out_[2] = regchan::batchMac(slot.mac(),
+    out_[2] = regchan::batchMac(slot.keys->mac(),
                                 static_cast<uint32_t>(slotId), ctrBase,
                                 burstOut_, /*response=*/true);
     secureZero(burstIn_);
@@ -399,21 +393,19 @@ SmLogic::doOpenSession()
     // MAC key with a strictly increasing per-slot nonce.
     if (slotId == 0 || slotId >= kSmMaxSessions ||
         nonce <= sessions_[slotId].openNonce ||
-        mac != regchan::sessionOpenMac(
-                   base.macKey, static_cast<uint32_t>(slotId), nonce)) {
+        !crypto::ctEqual64(
+            mac, regchan::sessionOpenMac(base.keys->mac(),
+                                         static_cast<uint32_t>(slotId),
+                                         nonce))) {
         ++statBatchRejected_;
         status_ = kSmStatusRejected;
         return;
     }
-    Bytes baseBlock = base.aesKey;
-    baseBlock.insert(baseBlock.end(), base.macKey.begin(),
-                     base.macKey.end());
     Bytes derived = regchan::deriveSlotSessionKeys(
-        baseBlock, static_cast<uint32_t>(slotId), nonce);
-    secureZero(baseBlock);
+        base.keys->block(), static_cast<uint32_t>(slotId), nonce);
 
     SessionSlot &slot = sessions_[slotId];
-    slot.setKeys(sliceBytes(derived, 0, 16), sliceBytes(derived, 16, 32));
+    slot.keys = std::make_unique<regchan::SessionKeys>(derived);
     secureZero(derived);
     slot.lastCtr = 0;
     slot.openNonce = nonce;
@@ -464,7 +456,7 @@ SmLogic::doDmaDoorbell()
     SessionSlot &slot = sessions_[d.sessionId];
     // Fail closed on the MAC before looking at anything else the
     // descriptor claims; a forged descriptor never mutates state.
-    if (!dmachan::verifyDescriptorMac(slot.mac(), encoded)) {
+    if (!dmachan::verifyDescriptorMac(slot.keys->mac(), encoded)) {
         reject();
         return;
     }
@@ -533,14 +525,16 @@ SmLogic::applyDmaDescriptor(SessionSlot &slot, uint32_t slotId,
             Bytes part = dram_->read(e.addr, e.len);
             plain.insert(plain.end(), part.begin(), part.end());
         }
-        Bytes blob = dmachan::sealReadResponse(
-            slot.aes(), slot.mac(), slotId, d.seq, d.ctrBase, plain);
+        Bytes blob =
+            dmachan::sealReadResponse(slot.keys->aes(), slot.keys->mac(),
+                                      slotId, d.seq, d.ctrBase, plain);
         dram_->write(d.respAddr, blob);
         secureZero(plain);
         statDmaBytes_ += d.sgBytes();
     } else {
-        dmachan::cryptDmaPayload(slot.aes(), /*read=*/false, d.ctrBase,
-                                 d.payload.data(), d.payload.size());
+        dmachan::cryptDmaPayload(slot.keys->aes(), /*read=*/false,
+                                 d.ctrBase, d.payload.data(),
+                                 d.payload.size());
         size_t off = 0;
         for (const dmachan::DmaSgEntry &e : d.sg) {
             dram_->write(e.addr,
@@ -563,7 +557,7 @@ SmLogic::doDmaAck()
     }
     const SessionSlot &slot = sessions_[slotId];
     out_[0] = slot.dmaExpectedSeq;
-    out_[1] = dmachan::ackMac(slot.mac(),
+    out_[1] = dmachan::ackMac(slot.keys->mac(),
                               static_cast<uint32_t>(slotId),
                               slot.dmaExpectedSeq);
     status_ = kSmStatusOk;

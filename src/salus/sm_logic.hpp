@@ -124,14 +124,11 @@ class SmLogic : public fpga::IpBehavior
     struct SessionSlot
     {
         bool open = false;
-        Bytes aesKey;
-        Bytes macKey;
-        /** Expanded AES key schedule and keyed HMAC, rebuilt only when
-         *  the keys change (construction, open-session, re-key) —
-         *  register and DMA messages reuse both instead of
-         *  re-keying. */
-        std::unique_ptr<crypto::Aes> aesCtx;
-        std::unique_ptr<crypto::HmacSha256> macCtx;
+        /** The slot's key block with its AES schedule and keyed HMAC,
+         *  replaced only when the keys change (construction,
+         *  open-session, re-key); every register and DMA message
+         *  reuses them. */
+        std::unique_ptr<regchan::SessionKeys> keys;
         uint64_t lastCtr = 0;
         uint64_t openNonce = 0; ///< strictly increasing per slot
         /** DMA plane: lowest sequence number not yet applied — also
@@ -140,12 +137,6 @@ class SmLogic : public fpga::IpBehavior
         /** Bounded reorder buffer for out-of-order but in-window
          *  descriptors (<= dmachan::kDmaMaxWindow entries). */
         std::map<uint64_t, dmachan::DmaDescriptor> dmaBuffer;
-
-        /** Installs new AES and MAC keys: zeroes the old ones and
-         *  rebuilds the cached schedule and keyed HMAC. */
-        void setKeys(Bytes aes, Bytes mac);
-        const crypto::Aes &aes() const { return *aesCtx; }
-        const crypto::HmacSha256 &mac() const { return *macCtx; }
     };
 
     void execute(uint64_t cmd);

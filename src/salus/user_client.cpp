@@ -5,6 +5,7 @@
 #include "common/errors.hpp"
 #include "common/serde.hpp"
 #include "crypto/aes_gcm.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/x25519.hpp"
 #include "obs/trace.hpp"
 #include "salus/user_enclave.hpp"
@@ -143,7 +144,7 @@ UserClient::attemptOnce()
     Bytes expect = tee::padReportData(cascadedReportData(
         req.clientNonce, config_.metadata.digest(), config_.expectedSm,
         true, true, resp.wrapPubKey));
-    if (verdict.body.reportData != expect) {
+    if (!crypto::ctEqual(verdict.body.reportData, expect)) {
         out.failure = "cascaded report binding mismatch";
         out.failureClass = net::FailureClass::Security;
         return out;

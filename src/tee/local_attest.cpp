@@ -2,6 +2,7 @@
 
 #include "common/errors.hpp"
 #include "common/serde.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 #include "crypto/x25519.hpp"
@@ -76,7 +77,7 @@ LocalAttestInitiator::finish(ByteView msg2)
         return std::nullopt;
     Bytes expectBind =
         padReportData(binding(nonce_, ephPub_, peerEph, "responder"));
-    if (report.body.reportData != expectBind)
+    if (!crypto::ctEqual(report.body.reportData, expectBind))
         return std::nullopt;
 
     Bytes shared;
@@ -156,7 +157,7 @@ LocalAttestResponder::confirm(ByteView msg3)
         return false;
     Bytes expectBind =
         padReportData(binding(nonce_, ephPub_, peerEphPub_, "initiator"));
-    if (report.body.reportData != expectBind)
+    if (!crypto::ctEqual(report.body.reportData, expectBind))
         return false;
 
     Bytes shared;

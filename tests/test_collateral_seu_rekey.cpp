@@ -314,8 +314,7 @@ TEST(Rekey, OldKeyTrafficRejectedAfterRoll)
     netlist::Netlist design = bitstream::extractDesign(dev.readback(0));
     Bytes session =
         design.findCell(rig.tb->layout().keySessionPath)->init;
-    Bytes oldAes = sliceBytes(session, 0, 16);
-    Bytes oldMac = sliceBytes(session, 16, 32);
+    core::regchan::SessionKeys oldKeys(session);
     Bytes ctrCell =
         design.findCell(rig.tb->layout().ctrSessionPath)->init;
     uint64_t ctrBase = loadLe64(ctrCell.data());
@@ -323,7 +322,7 @@ TEST(Rekey, OldKeyTrafficRejectedAfterRoll)
     ASSERT_TRUE(user.rekeySession());
 
     auto stale = core::regchan::sealRequest(
-        oldAes, oldMac, ctrBase + 1000,
+        oldKeys.aes(), oldKeys.mac(), ctrBase + 1000,
         core::regchan::RegOp{true, 0x00, 0xbad});
     auto &sh = rig.tb->shell();
     sh.registerWrite(pcie::Window::SmSecure, core::kSmRegIn0, stale.ctr);

@@ -21,6 +21,7 @@
 #include "bitstream/manipulator.hpp"
 #include "common/hex.hpp"
 #include "common/serde.hpp"
+#include "crash_sweep.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/random.hpp"
@@ -58,17 +59,13 @@ pattern(size_t n, uint64_t salt = 0)
     return out;
 }
 
-struct DmaKeys
-{
-    Bytes aes;
-    Bytes mac;
-};
+using DmaKeys = regchan::SessionKeys;
 
 DmaKeys
 testKeys(uint64_t seed)
 {
     crypto::CtrDrbg rng(seed);
-    return {rng.bytes(16), rng.bytes(32)};
+    return DmaKeys(concatBytes({rng.bytes(16), rng.bytes(32)}));
 }
 
 /** Builds a sealed write descriptor scattering `plain` to `addr`. */
@@ -84,9 +81,9 @@ sealWrite(const DmaKeys &k, uint32_t sessionId, uint64_t seq, bool sync,
     d.ctrBase = seq * dmachan::kDmaCtrStride;
     d.sg.push_back({addr, uint32_t(plain.size())});
     d.payload.assign(plain.begin(), plain.end());
-    dmachan::cryptDmaPayload(k.aes, /*read=*/false, d.ctrBase,
+    dmachan::cryptDmaPayload(k.aes(), /*read=*/false, d.ctrBase,
                              d.payload.data(), d.payload.size());
-    return dmachan::encodeDescriptor(k.mac, d);
+    return dmachan::encodeDescriptor(k.mac(), d);
 }
 
 /** Builds a sealed read (gather) descriptor. */
@@ -101,7 +98,7 @@ sealRead(const DmaKeys &k, uint32_t sessionId, uint64_t seq,
     d.ctrBase = seq * dmachan::kDmaCtrStride;
     d.respAddr = respAddr;
     d.sg.push_back({addr, len});
-    return dmachan::encodeDescriptor(k.mac, d);
+    return dmachan::encodeDescriptor(k.mac(), d);
 }
 
 } // namespace
@@ -121,12 +118,12 @@ TEST(DmaDescriptor, WriteRoundTripPreservesEveryField)
         d.ctrBase = seq * dmachan::kDmaCtrStride;
         d.sg = {{0x1000, 1024}, {0x9000, 3072}};
         d.payload = plain;
-        dmachan::cryptDmaPayload(k.aes, false, d.ctrBase,
+        dmachan::cryptDmaPayload(k.aes(), false, d.ctrBase,
                                  d.payload.data(), d.payload.size());
         EXPECT_NE(d.payload, plain) << "payload not encrypted";
 
-        Bytes encoded = dmachan::encodeDescriptor(k.mac, d);
-        EXPECT_TRUE(dmachan::verifyDescriptorMac(k.mac, encoded));
+        Bytes encoded = dmachan::encodeDescriptor(k.mac(), d);
+        EXPECT_TRUE(dmachan::verifyDescriptorMac(k.mac(), encoded));
         dmachan::DmaDescriptor back = dmachan::decodeDescriptor(encoded);
         EXPECT_EQ(back.read, d.read);
         EXPECT_EQ(back.sync, d.sync);
@@ -138,7 +135,7 @@ TEST(DmaDescriptor, WriteRoundTripPreservesEveryField)
             EXPECT_EQ(back.sg[i].addr, d.sg[i].addr);
             EXPECT_EQ(back.sg[i].len, d.sg[i].len);
         }
-        dmachan::cryptDmaPayload(k.aes, false, back.ctrBase,
+        dmachan::cryptDmaPayload(k.aes(), false, back.ctrBase,
                                  back.payload.data(),
                                  back.payload.size());
         EXPECT_EQ(back.payload, plain);
@@ -156,22 +153,22 @@ TEST(DmaDescriptor, ReadRoundTripAndResponse)
     EXPECT_EQ(back.sgBytes(), 512u);
 
     Bytes plain = pattern(512, 2);
-    Bytes blob = dmachan::sealReadResponse(k.aes, k.mac, 2, 5,
+    Bytes blob = dmachan::sealReadResponse(k.aes(), k.mac(), 2, 5,
                                            back.ctrBase, plain);
     EXPECT_EQ(blob.size(), plain.size() + dmachan::kDmaRespOverhead);
-    auto open = dmachan::openReadResponse(k.aes, k.mac, 2, 5,
+    auto open = dmachan::openReadResponse(k.aes(), k.mac(), 2, 5,
                                           back.ctrBase, blob);
     ASSERT_TRUE(open.has_value());
     EXPECT_EQ(*open, plain);
 
     // Echoed-context mismatches and tampering are all fatal.
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes, k.mac, 3, 5,
+    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac(), 3, 5,
                                            back.ctrBase, blob));
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes, k.mac, 2, 6,
+    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac(), 2, 6,
                                            back.ctrBase, blob));
     Bytes flipped = blob;
     flipped[dmachan::kDmaRespHeaderBytes] ^= 0x80;
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes, k.mac, 2, 5,
+    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac(), 2, 5,
                                            back.ctrBase, flipped));
 }
 
@@ -195,16 +192,16 @@ TEST(DmaDescriptor, RejectsTruncationBitFlipsAndWrongKey)
                        encoded.size() - 1}) {
         Bytes flipped = encoded;
         flipped[pos] ^= 0x01;
-        EXPECT_FALSE(dmachan::verifyDescriptorMac(k.mac, flipped))
+        EXPECT_FALSE(dmachan::verifyDescriptorMac(k.mac(), flipped))
             << "pos " << pos;
     }
 
     DmaKeys other = testKeys(24);
-    EXPECT_FALSE(dmachan::verifyDescriptorMac(other.mac, encoded));
-    EXPECT_NE(dmachan::ackMac(k.mac, 1, 4),
-              dmachan::ackMac(other.mac, 1, 4));
-    EXPECT_NE(dmachan::ackMac(k.mac, 1, 4), dmachan::ackMac(k.mac, 2, 4));
-    EXPECT_NE(dmachan::ackMac(k.mac, 1, 4), dmachan::ackMac(k.mac, 1, 5));
+    EXPECT_FALSE(dmachan::verifyDescriptorMac(other.mac(), encoded));
+    EXPECT_NE(dmachan::ackMac(k.mac(), 1, 4),
+              dmachan::ackMac(other.mac(), 1, 4));
+    EXPECT_NE(dmachan::ackMac(k.mac(), 1, 4), dmachan::ackMac(k.mac(), 2, 4));
+    EXPECT_NE(dmachan::ackMac(k.mac(), 1, 4), dmachan::ackMac(k.mac(), 1, 5));
 }
 
 namespace {
@@ -325,11 +322,6 @@ TEST(DmaDescriptor, WireFormatKnownAnswers)
                                                    ctrBase, plain);
             EXPECT_EQ(hexEncode(crypto::Sha256::digest(desc)), e.descSha);
             EXPECT_EQ(hexEncode(crypto::Sha256::digest(resp)), e.respSha);
-            // The raw-key overloads produce the same bytes.
-            EXPECT_EQ(dmachan::encodeDescriptor(macKey, d), desc);
-            EXPECT_EQ(dmachan::sealReadResponse(aesKey, macKey, slot,
-                                                e.seq, ctrBase, plain),
-                      resp);
             if (e.n == 16) {
                 EXPECT_EQ(hexEncode(desc), fullHex.at(e.seq).first);
                 EXPECT_EQ(hexEncode(resp), fullHex.at(e.seq).second);
@@ -374,7 +366,8 @@ dmaKeystreamBlock(const crypto::Aes &aes, uint64_t seq, uint64_t block)
 
 TEST(DmaDescriptor, CounterBlocksDisjointBelowSeqBound)
 {
-    crypto::Aes aes(testKeys(41).aes);
+    DmaKeys keys = testKeys(41);
+    const crypto::Aes &aes = keys.aes();
     // The layout arithmetic is what cryptDmaPayload actually runs.
     for (auto [seq, block] :
          {std::pair<uint64_t, uint64_t>{5, 0}, {5, 256},
@@ -436,9 +429,9 @@ struct FabricRig
     fpga::DeviceModelInfo model = fpga::testModel();
     fpga::FpgaDevice device{fpga::testModel(),
                             fpga::DeviceDna{0x5a5a5a5a5a5aULL}};
-    ClSecrets secrets;
+    ClSecrets secrets = ClSecrets::generate(rng);
     fpga::IpBehavior *sm = nullptr;
-    DmaKeys keys;
+    DmaKeys keys{secrets.keySession};
 
     FabricRig()
     {
@@ -451,7 +444,6 @@ struct FabricRig
         bitstream::Compiler compiler(model.name);
         auto compiled =
             compiler.compile(design.netlist, model.partitions[0]);
-        secrets = ClSecrets::generate(rng);
         bitstream::Manipulator::patchCell(
             compiled.file, compiled.logicLocations,
             design.layout.keyAttestPath, secrets.keyAttest);
@@ -468,8 +460,6 @@ struct FabricRig
                   fpga::LoadStatus::Ok);
         sm = device.design(0)->behaviorAt(design.layout.smCellPath);
         EXPECT_NE(sm, nullptr);
-        keys = {sliceBytes(secrets.keySession, 0, 16),
-                sliceBytes(secrets.keySession, 16, 32)};
     }
 
     /** Stages `encoded` in DRAM and rings the doorbell. */
@@ -491,7 +481,7 @@ struct FabricRig
         EXPECT_EQ(sm->readRegister(kSmRegStatus), kSmStatusOk);
         uint64_t seq = sm->readRegister(kSmRegOut0);
         EXPECT_EQ(sm->readRegister(kSmRegOut1),
-                  dmachan::ackMac(keys.mac, slot, seq));
+                  dmachan::ackMac(keys.mac(), slot, seq));
         return seq;
     }
 
@@ -538,7 +528,7 @@ TEST(DmaFabric, RejectsReplayDuplicateAndBadCtrBinding)
     d.ctrBase = 7; // not 2 * kDmaCtrStride
     d.sg.push_back({0x1200, 16});
     d.payload = pattern(16, 7);
-    Bytes bad = dmachan::encodeDescriptor(rig.keys.mac, d);
+    Bytes bad = dmachan::encodeDescriptor(rig.keys.mac(), d);
     EXPECT_EQ(rig.doorbell(bad), kSmStatusRejected);
     EXPECT_EQ(rig.ack(), 2u);
     EXPECT_EQ(rig.stat(kSmRegStatDmaRejected), 3u);
@@ -639,7 +629,7 @@ TEST(DmaFabric, ReadGatherSealsVerifiableResponse)
     EXPECT_EQ(rig.ack(), 1u);
     Bytes blob = rig.device.dram().read(
         0x340000, plain.size() + dmachan::kDmaRespOverhead);
-    auto open = dmachan::openReadResponse(rig.keys.aes, rig.keys.mac, 0,
+    auto open = dmachan::openReadResponse(rig.keys.aes(), rig.keys.mac(), 0,
                                           0, 0, blob);
     ASSERT_TRUE(open.has_value());
     EXPECT_EQ(*open, plain);
@@ -879,69 +869,46 @@ runDmaJournalSession(Testbed &tb)
         throw SalusError("dma write failed");
 }
 
+TestbedConfig
+dmaJournalConfig()
+{
+    TestbedConfig cfg;
+    cfg.rngSeed = 31;
+    return cfg;
+}
+
 int
 dmaJournalWrites()
 {
-    static int n = [] {
-        TestbedConfig cfg;
-        cfg.rngSeed = 31;
-        Testbed tb(cfg);
-        runDmaJournalSession(tb);
-        return int(tb.smApp().journalWrites());
-    }();
+    static int n =
+        test::journalWritesOf(dmaJournalConfig(), runDmaJournalSession);
     return n;
 }
 
 } // namespace
 
-class DmaCrashSweep
-    : public ::testing::TestWithParam<std::tuple<int, bool>>
+class DmaCrashSweep : public ::testing::TestWithParam<test::CrashPoint>
 {
 };
 
 TEST_P(DmaCrashSweep, EveryJournalStepRecoversAndResyncsTheWindow)
 {
-    auto [step, afterPersist] = GetParam();
     ASSERT_GE(dmaJournalWrites(), 3)
         << "scenario no longer journals enough steps to sweep";
-    if (step >= dmaJournalWrites())
-        GTEST_SKIP() << "scenario only journals " << dmaJournalWrites()
-                     << " steps";
-
-    TestbedConfig cfg;
-    cfg.rngSeed = 31;
-    cfg.faultPlan.add(
-        sim::FaultRule::smCrash(uint64_t(step), afterPersist));
-    Testbed tb(cfg);
-
-    bool crashed = false;
-    try {
-        runDmaJournalSession(tb);
-    } catch (const SmCrashError &) {
-        crashed = true;
-    }
-    ASSERT_TRUE(crashed) << "armed crash at step " << step
-                         << " never fired";
-
-    SmEnclaveApp::RecoveryReport rep = tb.crashAndRecoverSmApp();
-    EXPECT_TRUE(rep.status == SmEnclaveApp::RecoveryStatus::Recovered ||
-                rep.status == SmEnclaveApp::RecoveryStatus::NoJournal)
-        << rep.detail;
-    EXPECT_FALSE(tb.smApp().failedClosed());
+    SmEnclaveApp::RecoveryReport rep;
+    auto tb = test::crashAndRecover(dmaJournalConfig(), GetParam(),
+                                    runDmaJournalSession, rep);
+    ASSERT_TRUE(tb);
 
     // The recovered instance resumes PAST its seq reservation and the
     // sync flag jumps the fabric forward — bulk transfers work again
     // end to end, whatever step the crash hit.
-    ASSERT_TRUE(tb.runDeployment().ok);
+    ASSERT_TRUE(tb->runDeployment().ok);
     Bytes data = pattern(32 * 1024, 28);
-    ASSERT_EQ(tb.smApp().dmaWrite(0, 0x8000, data).status, 0);
-    EXPECT_EQ(tb.shell().dmaPostedRead(0x8000, data.size()), data);
+    ASSERT_EQ(tb->smApp().dmaWrite(0, 0x8000, data).status, 0);
+    EXPECT_EQ(tb->shell().dmaPostedRead(0x8000, data.size()), data);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllJournalSteps, DmaCrashSweep,
-    ::testing::Combine(::testing::Range(0, 8), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &info) {
-        return "step" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_postStore" : "_preStore");
-    });
+INSTANTIATE_TEST_SUITE_P(AllJournalSteps, DmaCrashSweep,
+                         test::crashPoints(dmaJournalWrites()),
+                         test::crashPointName);

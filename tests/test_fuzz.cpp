@@ -450,8 +450,8 @@ TEST(Fuzz, BatchParserNeverCrashesOrFalselyAccepts)
     // bursts must be rejected cleanly; only the genuine seal opens.
     using namespace core::regchan;
     crypto::CtrDrbg rng(uint64_t(2024));
-    Bytes aes = rng.bytes(16);
-    Bytes mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    crypto::HmacSha256 mac(rng.bytes(32));
 
     for (int i = 0; i < 300; ++i) {
         SealedRegBatch junk;
@@ -624,8 +624,8 @@ TEST(Fuzz, ScenarioParserNeverCrashesOnMangledCampaigns)
 TEST(Fuzz, DmaDescriptorDecodeNeverCrashesOrFalselyAccepts)
 {
     crypto::CtrDrbg rng(uint64_t(6003));
-    Bytes aes = rng.bytes(16);
-    Bytes mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    crypto::HmacSha256 mac(rng.bytes(32));
     core::dmachan::DmaDescriptor d;
     d.sessionId = 1;
     d.seq = 3;
@@ -785,7 +785,7 @@ salus_fuzz_scenario_file(const uint8_t *data, size_t size)
 extern "C" int
 salus_fuzz_dma_descriptor(const uint8_t *data, size_t size)
 {
-    static const Bytes mac(32, 0x77);
+    static const crypto::HmacSha256 mac(Bytes(32, 0x77));
     try {
         (void)core::dmachan::decodeDescriptor(ByteView(data, size));
         (void)core::dmachan::verifyDescriptorMac(mac,

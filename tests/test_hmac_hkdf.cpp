@@ -1,12 +1,14 @@
 /**
  * @file
- * HMAC (RFC 4231) and HKDF (RFC 5869) known-answer tests.
+ * HMAC (RFC 4231) and HKDF (RFC 5869) known-answer tests, and the
+ * constant-time compares every tag check goes through.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/errors.hpp"
 #include "common/hex.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/hmac.hpp"
 #include "crypto/sha256.hpp"
 
@@ -178,4 +180,38 @@ TEST(Hkdf, InfoSeparatesDomains)
     Bytes prk = hkdfExtract(Bytes(16, 3), Bytes(16, 4));
     EXPECT_NE(hkdfExpand(prk, bytesFromString("a"), 32),
               hkdfExpand(prk, bytesFromString("b"), 32));
+}
+
+TEST(CtEqual, BuffersMatchOnlyOnSameLengthAndEveryByte)
+{
+    Bytes a(32);
+    for (size_t i = 0; i < a.size(); ++i)
+        a[i] = uint8_t(0x30 + i);
+    EXPECT_TRUE(ctEqual(a, Bytes(a)));
+    EXPECT_TRUE(ctEqual(ByteView(), ByteView()));
+    for (size_t i = 0; i < a.size(); ++i) {
+        Bytes b = a;
+        b[i] ^= 0x80;
+        EXPECT_FALSE(ctEqual(a, b)) << "byte " << i;
+    }
+    // A prefix is not a match, in either order.
+    ByteView prefix = ByteView(a).first(31);
+    EXPECT_FALSE(ctEqual(a, prefix));
+    EXPECT_FALSE(ctEqual(prefix, a));
+    EXPECT_FALSE(ctEqual(a, ByteView()));
+}
+
+TEST(CtEqual, TruncatedTagsMatchOnlyOnEveryBit)
+{
+    for (uint64_t v : {uint64_t(0), uint64_t(1),
+                       uint64_t(0x0123456789abcdefull), UINT64_MAX}) {
+        EXPECT_TRUE(ctEqual64(v, v));
+        for (int bit = 0; bit < 64; ++bit) {
+            EXPECT_FALSE(ctEqual64(v, v ^ (uint64_t(1) << bit)))
+                << std::hex << v << " bit " << std::dec << bit;
+        }
+    }
+    // A difference confined to any one byte position is caught.
+    for (int byte = 0; byte < 8; ++byte)
+        EXPECT_FALSE(ctEqual64(0, uint64_t(0xff) << (8 * byte)));
 }

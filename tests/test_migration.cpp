@@ -17,6 +17,7 @@
 
 #include "common/errors.hpp"
 #include "common/serde.hpp"
+#include "crash_sweep.hpp"
 #include "fpga/health.hpp"
 #include "obs/trace.hpp"
 #include "salus/placement.hpp"
@@ -595,93 +596,72 @@ runMigratingSession(Testbed &tb, Bytes &preFp)
         throw SalusError("write failed");
 }
 
+TestbedConfig
+migrationSweepConfig()
+{
+    TestbedConfig cfg;
+    cfg.rngSeed = 31;
+    cfg.deviceCount = 2;
+    return cfg;
+}
+
 int
 baselineMigrationJournalWrites()
 {
-    static int n = [] {
-        TestbedConfig cfg;
-        cfg.rngSeed = 31;
-        cfg.deviceCount = 2;
-        Testbed tb(cfg);
-        Bytes fp;
-        runMigratingSession(tb, fp);
-        return int(tb.smApp().journalWrites());
-    }();
+    static int n = test::journalWritesOf(migrationSweepConfig(),
+                                         [](Testbed &tb) {
+                                             Bytes fp;
+                                             runMigratingSession(tb, fp);
+                                         });
     return n;
 }
 
 } // namespace
 
 class MigrationCrashSweep
-    : public ::testing::TestWithParam<std::tuple<int, bool>>
+    : public ::testing::TestWithParam<test::CrashPoint>
 {
 };
 
 TEST_P(MigrationCrashSweep, EveryJournalStepFailsClosedOrCompletes)
 {
-    auto [step, afterPersist] = GetParam();
     ASSERT_GE(baselineMigrationJournalWrites(), 4)
         << "scenario no longer journals enough steps to sweep";
-    if (step >= baselineMigrationJournalWrites())
-        GTEST_SKIP() << "scenario only journals "
-                     << baselineMigrationJournalWrites() << " steps";
-
-    TestbedConfig cfg;
-    cfg.rngSeed = 31;
-    cfg.deviceCount = 2;
-    cfg.faultPlan.add(
-        sim::FaultRule::smCrash(uint64_t(step), afterPersist));
-    Testbed tb(cfg);
-
-    Bytes preFp;
-    bool crashed = false;
-    try {
-        runMigratingSession(tb, preFp);
-    } catch (const SmCrashError &) {
-        crashed = true;
-    }
-    ASSERT_TRUE(crashed) << "armed crash at step " << step
-                         << " never fired";
-
-    // Honest host: every crash point recovers consistent (or a fresh
-    // start when the crash preceded the first persist) — never a
+    // Honest host: every crash point recovers consistent — never a
     // partially adopted migration.
-    SmEnclaveApp::RecoveryReport rep = tb.crashAndRecoverSmApp();
-    EXPECT_TRUE(rep.status == SmEnclaveApp::RecoveryStatus::Recovered ||
-                rep.status == SmEnclaveApp::RecoveryStatus::NoJournal)
-        << rep.detail;
-    EXPECT_FALSE(tb.smApp().failedClosed());
+    Bytes preFp;
+    SmEnclaveApp::RecoveryReport rep;
+    auto tb = test::crashAndRecover(
+        migrationSweepConfig(), GetParam(),
+        [&](Testbed &t) { runMigratingSession(t, preFp); }, rep);
+    ASSERT_TRUE(tb);
     EXPECT_EQ(rep.reattestFailures, 0u);
 
     // The recovered table lands in exactly one of two states: the
     // migration committed (active = target, source epoch tombstoned)
     // or it failed closed on the source (active = source). Either
     // way the source epoch's keys are never live on two devices.
-    uint32_t active = tb.smApp().activeDevice();
+    uint32_t active = tb->smApp().activeDevice();
     EXPECT_TRUE(active == 0 || active == 1);
     if (!preFp.empty() && active == 1) {
-        EXPECT_TRUE(tb.smApp().everRetiredFingerprint(preFp))
+        EXPECT_TRUE(tb->smApp().everRetiredFingerprint(preFp))
             << "migration adopted without tombstoning the source";
     }
-    Bytes liveFp = tb.smApp().secretsFingerprint();
+    Bytes liveFp = tb->smApp().secretsFingerprint();
     if (!liveFp.empty()) {
-        EXPECT_FALSE(tb.smApp().everRetiredFingerprint(liveFp));
+        EXPECT_FALSE(tb->smApp().everRetiredFingerprint(liveFp));
     }
 
     // And the fleet serves attested traffic again end to end.
-    UserClient::Outcome out = tb.runDeployment();
+    UserClient::Outcome out = tb->runDeployment();
     ASSERT_TRUE(out.ok) << out.failure;
-    EXPECT_TRUE(tb.userApp().secureWrite(0x10, 5));
-    EXPECT_EQ(tb.userApp().secureRead(0x10), 5u);
-    Bytes finalFp = tb.smApp().secretsFingerprint();
+    EXPECT_TRUE(tb->userApp().secureWrite(0x10, 5));
+    EXPECT_EQ(tb->userApp().secureRead(0x10), 5u);
+    Bytes finalFp = tb->smApp().secretsFingerprint();
     ASSERT_FALSE(finalFp.empty());
-    EXPECT_FALSE(tb.smApp().everRetiredFingerprint(finalFp));
+    EXPECT_FALSE(tb->smApp().everRetiredFingerprint(finalFp));
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllMigrationJournalSteps, MigrationCrashSweep,
-    ::testing::Combine(::testing::Range(0, 10), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &info) {
-        return "step" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_postStore" : "_preStore");
-    });
+INSTANTIATE_TEST_SUITE_P(AllMigrationJournalSteps, MigrationCrashSweep,
+                         test::crashPoints(baselineMigrationJournalWrites()),
+                         test::crashPointName);

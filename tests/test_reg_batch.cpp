@@ -40,15 +40,15 @@ loopbackAccel()
 
 struct BatchKeys
 {
-    Bytes aes;
-    Bytes mac;
+    crypto::Aes aes;
+    crypto::HmacSha256 mac;
 };
 
 BatchKeys
 testKeys(uint64_t seed)
 {
     crypto::CtrDrbg rng(seed);
-    return {rng.bytes(16), rng.bytes(32)};
+    return {crypto::Aes(rng.bytes(16)), crypto::HmacSha256(rng.bytes(32))};
 }
 
 std::vector<regchan::RegOp>
@@ -260,8 +260,8 @@ struct ScopedBackend
 TEST(RegBatch, WireFormatKnownAnswers)
 {
     ScopedBackend restore;
-    Bytes aesKey = countingBytes(16, 0x00);
-    Bytes macKey = countingBytes(32, 0x40);
+    crypto::Aes aes(countingBytes(16, 0x00));
+    crypto::HmacSha256 mac(countingBytes(32, 0x40));
     const uint32_t slot = 3;
     const uint64_t ctrBase = 0x00000001fffffff0ull;
     struct Expect
@@ -291,9 +291,9 @@ TEST(RegBatch, WireFormatKnownAnswers)
             SCOPED_TRACE("n " + std::to_string(e.n) +
                          (scalar ? " scalar" : " dispatched"));
             regchan::SealedRegBatch req = regchan::sealBatch(
-                aesKey, macKey, slot, ctrBase, katOps(e.n));
+                aes, mac, slot, ctrBase, katOps(e.n));
             regchan::SealedBatchResponse rsp = regchan::sealBatchResponse(
-                aesKey, macKey, slot, ctrBase, katResults(e.n));
+                aes, mac, slot, ctrBase, katResults(e.n));
             EXPECT_EQ(hexEncode(crypto::Sha256::digest(req.payload)),
                       e.reqSha);
             EXPECT_EQ(req.mac, e.reqMac);
@@ -309,13 +309,13 @@ TEST(RegBatch, WireFormatKnownAnswers)
         }
 
         regchan::SealedRegRequest single = regchan::sealRequest(
-            aesKey, macKey, 0x1234,
+            aes, mac, 0x1234,
             regchan::RegOp{true, 0x40, 0xdeadbeefcafef00dull});
         EXPECT_EQ(single.ct0, 0x81435ef3858c8549ull);
         EXPECT_EQ(single.ct1, 0x4eaaa88b5021e6d7ull);
         EXPECT_EQ(single.mac, 0xc415579eb0cc9298ull);
         regchan::SealedRegResponse singleRsp = regchan::sealResponse(
-            aesKey, macKey, 0x1234, 7, 0x0123456789abcdefull);
+            aes, mac, 0x1234, 7, 0x0123456789abcdefull);
         EXPECT_EQ(singleRsp.ct0, 0x5b6e5fd2cf973377ull);
         EXPECT_EQ(singleRsp.ct1, 0xeb8bb842a6f3f419ull);
         EXPECT_EQ(singleRsp.mac, 0xbfd9ffeda01b5635ull);
@@ -330,7 +330,7 @@ TEST(RegBatch, BurstKeystreamMatchesPerBlockCalls)
 {
     ScopedBackend restore;
     BatchKeys k = testKeys(29);
-    crypto::Aes aes(k.aes);
+    const crypto::Aes &aes = k.aes;
     for (bool scalar : {false, true}) {
         crypto::setForceScalar(scalar);
         for (size_t n : {1, 2, 7, 8, 9, 16, 17, 32, 256, 257}) {
@@ -386,17 +386,17 @@ TEST(RegBatch, SlotKeyDerivationIsolatesSessions)
     EXPECT_EQ(slot1, regchan::deriveSlotSessionKeys(base, 1, 10));
 
     // A burst sealed under slot 1's keys never opens under slot 2's.
-    ByteView aes1 = ByteView(slot1).subspan(0, 16);
-    ByteView mac1 = ByteView(slot1).subspan(16, 32);
-    ByteView aes2 = ByteView(slot2).subspan(0, 16);
-    ByteView mac2 = ByteView(slot2).subspan(16, 32);
+    regchan::SessionKeys keys1(slot1), keys2(slot2);
     regchan::SealedRegBatch sealed =
-        regchan::sealBatch(aes1, mac1, 1, 50, sampleOps(4));
-    EXPECT_TRUE(regchan::openBatch(aes1, mac1, sealed).has_value());
-    EXPECT_FALSE(regchan::openBatch(aes2, mac2, sealed).has_value());
+        regchan::sealBatch(keys1.aes(), keys1.mac(), 1, 50, sampleOps(4));
+    EXPECT_TRUE(
+        regchan::openBatch(keys1.aes(), keys1.mac(), sealed).has_value());
+    EXPECT_FALSE(
+        regchan::openBatch(keys2.aes(), keys2.mac(), sealed).has_value());
 
     // Open authorization MACs are slot- and nonce-specific.
-    ByteView baseMac = ByteView(base).subspan(16, 32);
+    regchan::SessionKeys baseKeys(base);
+    const crypto::HmacSha256 &baseMac = baseKeys.mac();
     EXPECT_NE(regchan::sessionOpenMac(baseMac, 1, 10),
               regchan::sessionOpenMac(baseMac, 2, 10));
     EXPECT_NE(regchan::sessionOpenMac(baseMac, 1, 10),

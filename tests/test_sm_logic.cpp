@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bitstream/compiler.hpp"
 #include "bitstream/encryptor.hpp"
 #include "bitstream/manipulator.hpp"
+#include "common/errors.hpp"
 #include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
 #include "fpga/device.hpp"
@@ -183,33 +186,26 @@ TEST(SmLogicTest, SecretsNotReadableOverBus)
 TEST(SmLogicTest, SecureRegReadWrite)
 {
     Rig rig;
+    regchan::SessionKeys keys(rig.secrets.keySession);
     uint64_t ctr = rig.secrets.ctrBase + 1;
 
     regchan::RegOp write{true, 0x00, 0x1234};
     regchan::SealedRegResponse rsp;
     EXPECT_EQ(rig.secureOp(
-                  regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                       rig.secrets.sessionMacKey(), ctr,
-                                       write),
+                  regchan::sealRequest(keys.aes(), keys.mac(), ctr, write),
                   &rsp),
               kSmStatusOk);
-    auto opened = regchan::openResponse(rig.secrets.sessionAesKey(),
-                                        rig.secrets.sessionMacKey(),
-                                        ctr, rsp);
+    auto opened = regchan::openResponse(keys.aes(), keys.mac(), ctr, rsp);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(opened->first, 0);
 
     ++ctr;
     regchan::RegOp read{false, 0x00, 0};
     EXPECT_EQ(rig.secureOp(
-                  regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                       rig.secrets.sessionMacKey(), ctr,
-                                       read),
+                  regchan::sealRequest(keys.aes(), keys.mac(), ctr, read),
                   &rsp),
               kSmStatusOk);
-    opened = regchan::openResponse(rig.secrets.sessionAesKey(),
-                                   rig.secrets.sessionMacKey(), ctr,
-                                   rsp);
+    opened = regchan::openResponse(keys.aes(), keys.mac(), ctr, rsp);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(opened->second, 0x1234u);
 }
@@ -217,33 +213,31 @@ TEST(SmLogicTest, SecureRegReadWrite)
 TEST(SmLogicTest, CounterRulesEnforced)
 {
     Rig rig;
+    regchan::SessionKeys keys(rig.secrets.keySession);
     uint64_t ctr = rig.secrets.ctrBase + 5;
     regchan::RegOp op{true, 0x08, 1};
-    auto req = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                    rig.secrets.sessionMacKey(), ctr, op);
+    auto req = regchan::sealRequest(keys.aes(), keys.mac(), ctr, op);
 
     EXPECT_EQ(rig.secureOp(req), kSmStatusOk);
     // Exact replay: rejected.
     EXPECT_EQ(rig.secureOp(req), kSmStatusRejected);
     // Counter below the base: rejected even with a valid MAC.
-    auto stale = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                      rig.secrets.sessionMacKey(),
+    auto stale = regchan::sealRequest(keys.aes(), keys.mac(),
                                       rig.secrets.ctrBase, op);
     EXPECT_EQ(rig.secureOp(stale), kSmStatusRejected);
     // Skipping forward is fine (lost messages tolerated).
-    auto ahead = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                      rig.secrets.sessionMacKey(),
-                                      ctr + 100, op);
+    auto ahead =
+        regchan::sealRequest(keys.aes(), keys.mac(), ctr + 100, op);
     EXPECT_EQ(rig.secureOp(ahead), kSmStatusOk);
 }
 
 TEST(SmLogicTest, TamperedSealedRequestRejected)
 {
     Rig rig;
+    regchan::SessionKeys keys(rig.secrets.keySession);
     uint64_t ctr = rig.secrets.ctrBase + 1;
     regchan::RegOp op{true, 0x00, 42};
-    auto req = regchan::sealRequest(rig.secrets.sessionAesKey(),
-                                    rig.secrets.sessionMacKey(), ctr, op);
+    auto req = regchan::sealRequest(keys.aes(), keys.mac(), ctr, op);
 
     auto flipCt = req;
     flipCt.ct0 ^= 1;
@@ -271,7 +265,8 @@ TEST(SmLogicTest, UnknownCommandRejected)
 TEST(RegChannel, SealOpenRoundtrip)
 {
     crypto::CtrDrbg rng(uint64_t(5));
-    Bytes aes = rng.bytes(16), mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    crypto::HmacSha256 mac(rng.bytes(32));
 
     for (uint64_t ctr : {1ull, 77ull, ~0ull}) {
         regchan::RegOp op{true, 0xabcd, 0x1122334455667788ull};
@@ -290,7 +285,8 @@ TEST(RegChannel, RequestsAndResponsesDomainSeparated)
     // must not verify: directions use distinct MAC labels and CTR
     // blocks.
     crypto::CtrDrbg rng(uint64_t(6));
-    Bytes aes = rng.bytes(16), mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    crypto::HmacSha256 mac(rng.bytes(32));
     auto req = regchan::sealRequest(aes, mac, 10,
                                     regchan::RegOp{false, 0, 0});
     regchan::SealedRegResponse fakeRsp{req.ct0, req.ct1, req.mac};
@@ -298,20 +294,45 @@ TEST(RegChannel, RequestsAndResponsesDomainSeparated)
         regchan::openResponse(aes, mac, 10, fakeRsp).has_value());
 }
 
+TEST(RegChannel, SessionKeysSplitTheBlockAesThenMac)
+{
+    crypto::CtrDrbg rng(uint64_t(8));
+    Bytes block = rng.bytes(kKeySessionSize);
+    regchan::SessionKeys keys(block);
+    EXPECT_TRUE(std::equal(keys.block().begin(), keys.block().end(),
+                           block.begin(), block.end()));
+
+    // AES-128 under the first 16 bytes, HMAC under the other 32.
+    crypto::Aes aes(ByteView(block).first(16));
+    uint8_t in[16] = {1, 2, 3}, want[16], got[16];
+    aes.encryptBlock(in, want);
+    keys.aes().encryptBlock(in, got);
+    EXPECT_TRUE(std::equal(want, want + 16, got));
+    Bytes macKey(block.begin() + 16, block.end());
+    EXPECT_EQ(Bytes(keys.macKey().begin(), keys.macKey().end()), macKey);
+    Bytes msg = bytesFromString("tag me");
+    EXPECT_EQ(keys.mac().mac(msg), crypto::HmacSha256(macKey).mac(msg));
+
+    EXPECT_THROW(regchan::SessionKeys(ByteView(block).first(47)),
+                 CryptoError);
+    EXPECT_THROW(regchan::SessionKeys(Bytes(49, 0)), CryptoError);
+}
+
 TEST(RegChannel, WrongKeysFail)
 {
     crypto::CtrDrbg rng(uint64_t(7));
-    Bytes aes = rng.bytes(16), mac = rng.bytes(32);
+    crypto::Aes aes(rng.bytes(16));
+    crypto::HmacSha256 mac(rng.bytes(32));
     auto req = regchan::sealRequest(aes, mac, 3,
                                     regchan::RegOp{true, 4, 5});
 
-    Bytes otherMac = rng.bytes(32);
+    crypto::HmacSha256 otherMac(rng.bytes(32));
     EXPECT_FALSE(regchan::openRequest(aes, otherMac, req).has_value());
 
     // Wrong AES key with right MAC key: MAC still verifies (MAC is
     // over ciphertext) but the decrypted op is garbage -- this is why
     // both halves of Key_session come from the same injection.
-    Bytes otherAes = rng.bytes(16);
+    crypto::Aes otherAes(rng.bytes(16));
     auto opened = regchan::openRequest(otherAes, mac, req);
     ASSERT_TRUE(opened.has_value());
     EXPECT_FALSE(opened->isWrite == true && opened->addr == 4 &&

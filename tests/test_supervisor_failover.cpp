@@ -14,6 +14,7 @@
 
 #include "common/errors.hpp"
 #include "common/serde.hpp"
+#include "crash_sweep.hpp"
 #include "fpga/health.hpp"
 #include "obs/trace.hpp"
 #include "salus/sm_logic.hpp"
@@ -718,75 +719,50 @@ runJournaledSession(Testbed &tb)
         throw SalusError("write failed");
 }
 
+TestbedConfig
+journaledSessionConfig()
+{
+    TestbedConfig cfg;
+    cfg.rngSeed = 11;
+    return cfg;
+}
+
 int
 baselineJournalWrites()
 {
-    static int n = [] {
-        TestbedConfig cfg;
-        cfg.rngSeed = 11;
-        Testbed tb(cfg);
-        runJournaledSession(tb);
-        return int(tb.smApp().journalWrites());
-    }();
+    static int n = test::journalWritesOf(journaledSessionConfig(),
+                                         runJournaledSession);
     return n;
 }
 
 } // namespace
 
-class SmCrashSweep
-    : public ::testing::TestWithParam<std::tuple<int, bool>>
+class SmCrashSweep : public ::testing::TestWithParam<test::CrashPoint>
 {
 };
 
 TEST_P(SmCrashSweep, EveryJournalStepRecoversConsistently)
 {
-    auto [step, afterPersist] = GetParam();
     ASSERT_GE(baselineJournalWrites(), 3)
         << "scenario no longer journals enough steps to sweep";
-    if (step >= baselineJournalWrites())
-        GTEST_SKIP() << "scenario only journals "
-                     << baselineJournalWrites() << " steps";
-
-    TestbedConfig cfg;
-    cfg.rngSeed = 11;
-    cfg.faultPlan.add(
-        sim::FaultRule::smCrash(uint64_t(step), afterPersist));
-    Testbed tb(cfg);
-
-    bool crashed = false;
-    try {
-        runJournaledSession(tb);
-    } catch (const SmCrashError &) {
-        crashed = true;
-    }
-    ASSERT_TRUE(crashed) << "armed crash at step " << step
-                         << " never fired";
-
-    SmEnclaveApp::RecoveryReport rep = tb.crashAndRecoverSmApp();
     // Honest host: every crash point recovers to a consistent
-    // deployment table (or a genuine fresh start when the crash
-    // preceded the very first persist). Never fail-closed, never a
-    // partially adopted journal.
-    EXPECT_TRUE(rep.status == SmEnclaveApp::RecoveryStatus::Recovered ||
-                rep.status == SmEnclaveApp::RecoveryStatus::NoJournal)
-        << rep.detail;
-    EXPECT_FALSE(tb.smApp().failedClosed());
+    // deployment table, never a partially adopted journal.
+    SmEnclaveApp::RecoveryReport rep;
+    auto tb = test::crashAndRecover(journaledSessionConfig(), GetParam(),
+                                    runJournaledSession, rep);
+    ASSERT_TRUE(tb);
     EXPECT_EQ(rep.reattestFailures, 0u);
 
     // And the platform serves attested traffic again end to end.
-    UserClient::Outcome out = tb.runDeployment();
+    UserClient::Outcome out = tb->runDeployment();
     ASSERT_TRUE(out.ok) << out.failure;
-    EXPECT_TRUE(tb.userApp().secureWrite(0x10, 5));
-    EXPECT_EQ(tb.userApp().secureRead(0x10), 5u);
+    EXPECT_TRUE(tb->userApp().secureWrite(0x10, 5));
+    EXPECT_EQ(tb->userApp().secureRead(0x10), 5u);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    AllJournalSteps, SmCrashSweep,
-    ::testing::Combine(::testing::Range(0, 4), ::testing::Bool()),
-    [](const ::testing::TestParamInfo<std::tuple<int, bool>> &info) {
-        return "step" + std::to_string(std::get<0>(info.param)) +
-               (std::get<1>(info.param) ? "_postStore" : "_preStore");
-    });
+INSTANTIATE_TEST_SUITE_P(AllJournalSteps, SmCrashSweep,
+                         test::crashPoints(baselineJournalWrites()),
+                         test::crashPointName);
 
 TEST(SmCrashRecovery, RecoveredInstanceSkipsManufacturerRoundTrip)
 {
