@@ -20,7 +20,6 @@
  */
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -82,10 +81,10 @@ struct TracedArtifacts
 {
     std::string traceJson;
     std::string metricsText;
-    double cryptoSpanMs = 0;
-    double cryptoClockMs = 0;
-    double transportSpanMs = 0;
-    double transportClockMs = 0;
+    sim::Nanos cryptoSpan = 0;
+    sim::Nanos cryptoClock = 0;
+    sim::Nanos transportSpan = 0;
+    sim::Nanos transportClock = 0;
 };
 
 PointResult
@@ -206,14 +205,13 @@ runPoint(uint32_t sessions, size_t batch,
         // the clock's own phase totals.
         traced->traceJson = capture->trace().chromeTraceJson();
         traced->metricsText = capture->metrics().renderText();
-        traced->cryptoSpanMs = bench::ms(
-            capture->trace().phaseTotal(phases::kChanCrypto));
-        traced->cryptoClockMs =
-            bench::ms(tb.clock().totalFor(phases::kChanCrypto));
-        traced->transportSpanMs = bench::ms(
-            capture->trace().phaseTotal(phases::kChanTransport));
-        traced->transportClockMs =
-            bench::ms(tb.clock().totalFor(phases::kChanTransport));
+        traced->cryptoSpan =
+            capture->trace().phaseTotal(phases::kChanCrypto);
+        traced->cryptoClock = tb.clock().totalFor(phases::kChanCrypto);
+        traced->transportSpan =
+            capture->trace().phaseTotal(phases::kChanTransport);
+        traced->transportClock =
+            tb.clock().totalFor(phases::kChanTransport);
     }
     return r;
 }
@@ -273,7 +271,7 @@ main(int argc, char **argv)
     // ---- Traced rerun: artifacts + determinism ----------------------
     // One mid-sweep point is rerun with tracing enabled (twice, same
     // seed) to publish trace/metrics artifacts and to enforce that
-    // (a) per-phase span sums match the cost model within 1% and
+    // (a) per-phase span sums equal the cost model's totals exactly and
     // (b) same-seed traces are byte-identical.
     {
         TracedArtifacts first;
@@ -285,18 +283,16 @@ main(int argc, char **argv)
               "same-seed traces are not byte-identical");
         check(first.metricsText == second.metricsText,
               "same-seed metrics dumps are not byte-identical");
-        auto within1pct = [](double spans, double clock) {
-            return std::fabs(spans - clock) <= clock / 100.0;
-        };
-        check(within1pct(first.cryptoSpanMs, first.cryptoClockMs),
-              "crypto span sum off the cost model by more than 1%");
-        check(within1pct(first.transportSpanMs, first.transportClockMs),
-              "transport span sum off the cost model by more than 1%");
+        check(first.cryptoSpan == first.cryptoClock,
+              "crypto span sum differs from the clock's phase total");
+        check(first.transportSpan == first.transportClock,
+              "transport span sum differs from the clock's phase total");
         std::printf("\ntraced point (2 sessions, batch 8): crypto "
                     "%.3f/%.3f ms, transport %.3f/%.3f ms "
                     "(spans/clock), deterministic=%s\n",
-                    first.cryptoSpanMs, first.cryptoClockMs,
-                    first.transportSpanMs, first.transportClockMs,
+                    bench::ms(first.cryptoSpan), bench::ms(first.cryptoClock),
+                    bench::ms(first.transportSpan),
+                    bench::ms(first.transportClock),
                     first.traceJson == second.traceJson ? "yes" : "NO");
         FILE *tf = std::fopen("TRACE_channel_throughput.json", "w");
         if (tf) {

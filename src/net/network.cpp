@@ -89,7 +89,7 @@ Network::call(const std::string &from, const std::string &to,
                        ctx);
 
     sim::LinkKind kind = linkKind(from, to);
-    const std::string phaseName =
+    const std::string &phaseName =
         phase.empty() ? clock_.currentPhase() : phase;
     sim::Nanos start = clock_.now();
 

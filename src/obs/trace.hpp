@@ -17,8 +17,10 @@
 #define SALUS_OBS_TRACE_HPP
 
 #include <cstdint>
+#include <deque>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -43,37 +45,47 @@ constexpr size_t kCategoryCount = 8;
 /** Stable lowercase category name ("boot", "channel", ...). */
 const char *categoryName(Category cat);
 
-/** One completed trace event (span, instant marker or clock slice). */
+/** One completed trace event (span, instant marker or clock slice).
+ *  Fixed-size and owning no heap memory: the name is an index into
+ *  the recorder's interned names (TraceRecorder::nameOf), each copied
+ *  once, the first time the recorder sees it. */
 struct SpanEvent
 {
     uint32_t id = 0;
     uint32_t parent = 0; ///< enclosing span id; 0 = root
+    uint32_t nameId = 0; ///< interned name (TraceRecorder::nameOf)
     Category cat = Category::Boot;
     bool instant = false;  ///< zero-duration marker
     bool hasValue = false; ///< carries the "v" argument
     uint64_t value = 0;    ///< e.g. batch op count, byte count
-    std::string name;
     sim::Nanos begin = 0;
     sim::Nanos end = 0;
 };
+
+static_assert(sizeof(SpanEvent) <= 40, "SpanEvent must stay compact");
 
 /** Records spans against one virtual clock and exports them. */
 class TraceRecorder final : public sim::SpendObserver
 {
   public:
     explicit TraceRecorder(sim::VirtualClock &clock);
+    /** Not copyable: nameIds_ views the recorder's own names_, and a
+     *  tapped clock holds the recorder's address. */
+    TraceRecorder(const TraceRecorder &) = delete;
+    TraceRecorder &operator=(const TraceRecorder &) = delete;
 
     /** Opens a span nested under the innermost open span. */
-    uint32_t beginSpan(Category cat, std::string name);
-    uint32_t beginSpan(Category cat, std::string name, uint64_t value);
+    uint32_t beginSpan(Category cat, std::string_view name);
+    uint32_t beginSpan(Category cat, std::string_view name,
+                       uint64_t value);
 
     /** Closes a span. Out-of-order ids unwind (and close) every span
      *  opened after `id`, keeping the stack consistent. */
     void endSpan(uint32_t id);
 
     /** Emits a zero-duration marker at the current virtual time. */
-    void instant(Category cat, std::string name);
-    void instant(Category cat, std::string name, uint64_t value);
+    void instant(Category cat, std::string_view name);
+    void instant(Category cat, std::string_view name, uint64_t value);
 
     /** sim::SpendObserver: mirrors a clock slice as a Clock leaf. */
     void onSpend(const sim::PhaseRecord &record) override;
@@ -83,6 +95,12 @@ class TraceRecorder final : public sim::SpendObserver
     /** Completed events, in completion order (Chrome convention). */
     const std::vector<SpanEvent> &events() const { return events_; }
     size_t openSpans() const { return open_.size(); }
+
+    /** An event's name; valid for the recorder's lifetime. */
+    std::string_view nameOf(const SpanEvent &ev) const
+    {
+        return names_[ev.nameId];
+    }
 
     /** Sum of the Clock leaf slices with this exact phase name —
      *  matches VirtualClock::totalFor for phases spent while the
@@ -97,10 +115,18 @@ class TraceRecorder final : public sim::SpendObserver
     bool writeChromeTrace(const std::string &path) const;
 
   private:
+    /** The id of `name`, copying it on first sight (callers may pass
+     *  views of temporaries). */
+    uint32_t intern(std::string_view name);
+    /** A new event with id, parent, category and name filled in. */
+    SpanEvent makeEvent(Category cat, std::string_view name);
+
     sim::VirtualClock &clock_;
     std::vector<SpanEvent> events_;
     std::vector<SpanEvent> open_; ///< stack of open spans
     uint32_t nextId_ = 1;
+    std::deque<std::string> names_; ///< stable storage, by nameId
+    std::unordered_map<std::string_view, uint32_t> nameIds_;
 };
 
 // ---- Global enablement (one branch when off) -------------------------

@@ -22,7 +22,7 @@ struct SimHooks
     bool active() const { return clock != nullptr && cost != nullptr; }
 
     void
-    spend(const std::string &phase, sim::Nanos duration) const
+    spend(std::string_view phase, sim::Nanos duration) const
     {
         if (clock)
             clock->spend(phase, duration);
@@ -33,7 +33,7 @@ struct SimHooks
 class PhaseScope
 {
   public:
-    PhaseScope(const SimHooks &hooks, const std::string &phase)
+    PhaseScope(const SimHooks &hooks, std::string_view phase)
         : clock_(hooks.clock)
     {
         if (clock_)

@@ -1,5 +1,6 @@
 #include "sim/clock.hpp"
 
+#include <algorithm>
 #include <cstdio>
 
 namespace salus::sim {
@@ -20,25 +21,54 @@ formatNanos(Nanos d)
     return buf;
 }
 
-void
-VirtualClock::spend(const std::string &phase, Nanos duration)
+namespace {
+
+constexpr std::string_view kUntracked = "(untracked)";
+
+} // namespace
+
+uint32_t
+VirtualClock::phaseIndex(std::string_view phase)
 {
-    trace_.push_back({phase, now_, duration});
+    if (lastHit_ < names_.size() && names_[lastHit_] == phase)
+        return lastHit_;
+    for (uint32_t i = 0; i < names_.size(); ++i) {
+        if (names_[i] == phase)
+            return lastHit_ = i;
+    }
+    names_.emplace_back(phase);
+    totals_.push_back(0);
+    return lastHit_ = uint32_t(names_.size() - 1);
+}
+
+void
+VirtualClock::charge(uint32_t index, Nanos duration)
+{
+    totals_[index] += duration;
+    PhaseRecord record{names_[index], now_, duration};
     now_ += duration;
     if (observer_)
-        observer_->onSpend(trace_.back());
+        observer_->onSpend(record);
+}
+
+void
+VirtualClock::spend(std::string_view phase, Nanos duration)
+{
+    charge(phaseIndex(phase), duration);
 }
 
 void
 VirtualClock::spend(Nanos duration)
 {
-    spend(currentPhase(), duration);
+    charge(phaseStack_.empty() ? phaseIndex(kUntracked)
+                               : phaseStack_.back(),
+           duration);
 }
 
 void
-VirtualClock::pushPhase(const std::string &phase)
+VirtualClock::pushPhase(std::string_view phase)
 {
-    phaseStack_.push_back(phase);
+    phaseStack_.push_back(phaseIndex(phase));
 }
 
 void
@@ -48,29 +78,30 @@ VirtualClock::popPhase()
         phaseStack_.pop_back();
 }
 
-std::string
+const std::string &
 VirtualClock::currentPhase() const
 {
-    return phaseStack_.empty() ? std::string("(untracked)")
-                               : phaseStack_.back();
+    static const std::string untracked(kUntracked);
+    return phaseStack_.empty() ? untracked : names_[phaseStack_.back()];
 }
 
 Nanos
-VirtualClock::totalFor(const std::string &phase) const
+VirtualClock::totalFor(std::string_view phase) const
 {
-    Nanos total = 0;
-    for (const auto &r : trace_) {
-        if (r.phase == phase)
-            total += r.duration;
+    for (size_t i = 0; i < names_.size(); ++i) {
+        if (names_[i] == phase)
+            return totals_[i];
     }
-    return total;
+    return 0;
 }
 
 void
 VirtualClock::reset()
 {
+    // Names stay (open ScopedPhases hold their indices); only the
+    // totals and the time go back to zero.
     now_ = 0;
-    trace_.clear();
+    std::fill(totals_.begin(), totals_.end(), Nanos(0));
 }
 
 } // namespace salus::sim

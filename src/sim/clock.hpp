@@ -10,7 +10,9 @@
 #define SALUS_SIM_CLOCK_HPP
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace salus::sim {
@@ -25,11 +27,11 @@ constexpr Nanos kSec = 1000 * kMs;
 /** Renders a duration as a human-friendly string ("13.8 s", "836 us"). */
 std::string formatNanos(Nanos d);
 
-/** One attributed slice of virtual time. */
+/** One attributed slice of virtual time, handed to a SpendObserver. */
 struct PhaseRecord
 {
-    std::string phase; ///< e.g. "Bitstream Manipulation"
-    Nanos start;       ///< virtual timestamp at which it began
+    std::string_view phase; ///< e.g. "Bitstream Manipulation"
+    Nanos start;            ///< virtual timestamp at which it began
     Nanos duration;
 };
 
@@ -47,8 +49,11 @@ class SpendObserver
 
 /**
  * A monotonically advancing virtual clock with per-phase attribution.
- * Components call spend() naming the activity; benches read the trace
- * to rebuild the paper's Figure 9 breakdown.
+ * Components call spend() naming the activity; the clock keeps one
+ * running total per distinct phase (memory is O(phases), not
+ * O(slices)), which benches read to rebuild the paper's Figure 9
+ * breakdown. The ordered slice log is the obs TraceRecorder's Clock
+ * leaves, kept only while something traces.
  */
 class VirtualClock
 {
@@ -57,7 +62,7 @@ class VirtualClock
     Nanos now() const { return now_; }
 
     /** Advances time, attributing it to the named phase. */
-    void spend(const std::string &phase, Nanos duration);
+    void spend(std::string_view phase, Nanos duration);
 
     /** Advances time, attributed to the innermost active phase. */
     void spend(Nanos duration);
@@ -67,22 +72,21 @@ class VirtualClock
 
     /** Pushes a phase label; components that don't know the protocol
      *  step charge time to the innermost label. */
-    void pushPhase(const std::string &phase);
+    void pushPhase(std::string_view phase);
     void popPhase();
-    /** Innermost label, or "(untracked)" when none is active. */
-    std::string currentPhase() const;
-
-    /** All recorded slices in order. */
-    const std::vector<PhaseRecord> &trace() const { return trace_; }
+    /** Innermost label, or "(untracked)" when none is active. The
+     *  reference stays valid for the clock's lifetime. */
+    const std::string &currentPhase() const;
 
     /** Sum of all slices attributed to the given phase. */
-    Nanos totalFor(const std::string &phase) const;
+    Nanos totalFor(std::string_view phase) const;
 
-    /** Clears the trace and rewinds to zero. */
+    /** Zeroes every phase total and rewinds to zero. */
     void reset();
 
     /** Taps every future spend() slice (nullptr = untapped). The
-     *  observer sees slices AFTER they are appended to the trace. */
+     *  observer sees slices AFTER they are added to the totals; the
+     *  record's phase view lives as long as the clock. */
     void setSpendObserver(SpendObserver *observer)
     {
         observer_ = observer;
@@ -90,9 +94,17 @@ class VirtualClock
     SpendObserver *spendObserver() const { return observer_; }
 
   private:
+    /** Index of `phase` in names_/totals_, adding it on first sight. A
+     *  linear scan behind a last-hit check: phases are few and most
+     *  spends repeat the previous one. */
+    uint32_t phaseIndex(std::string_view phase);
+    void charge(uint32_t index, Nanos duration);
+
     Nanos now_ = 0;
-    std::vector<PhaseRecord> trace_;
-    std::vector<std::string> phaseStack_;
+    std::deque<std::string> names_; ///< distinct phases; never move
+    std::vector<Nanos> totals_;     ///< running total, by names_ index
+    uint32_t lastHit_ = 0;
+    std::vector<uint32_t> phaseStack_; ///< indices into names_
     SpendObserver *observer_ = nullptr;
 };
 
@@ -100,7 +112,7 @@ class VirtualClock
 class ScopedPhase
 {
   public:
-    ScopedPhase(VirtualClock &clock, const std::string &phase)
+    ScopedPhase(VirtualClock &clock, std::string_view phase)
         : clock_(clock)
     {
         clock_.pushPhase(phase);

@@ -9,10 +9,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "salus/boot_report.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/testbed.hpp"
 #include "sim/clock.hpp"
@@ -118,11 +120,11 @@ TEST(Trace, SpanNestingParentsAndCompletionOrder)
     // Completion order: inner closes first (Chrome convention).
     const obs::SpanEvent &first = rec.events()[0];
     const obs::SpanEvent &second = rec.events()[1];
-    EXPECT_EQ(first.name, "inner");
+    EXPECT_EQ(rec.nameOf(first), "inner");
     EXPECT_EQ(first.parent, outer);
     EXPECT_EQ(first.begin, 100u);
     EXPECT_EQ(first.end, 150u);
-    EXPECT_EQ(second.name, "outer");
+    EXPECT_EQ(rec.nameOf(second), "outer");
     EXPECT_EQ(second.parent, 0u);
     EXPECT_EQ(second.begin, 0u);
     EXPECT_EQ(second.end, 175u);
@@ -142,9 +144,9 @@ TEST(Trace, OutOfOrderEndUnwindsTheStack)
 
     ASSERT_EQ(rec.events().size(), 3u);
     EXPECT_EQ(rec.openSpans(), 0u);
-    EXPECT_EQ(rec.events()[0].name, "c");
-    EXPECT_EQ(rec.events()[1].name, "b");
-    EXPECT_EQ(rec.events()[2].name, "a");
+    EXPECT_EQ(rec.nameOf(rec.events()[0]), "c");
+    EXPECT_EQ(rec.nameOf(rec.events()[1]), "b");
+    EXPECT_EQ(rec.nameOf(rec.events()[2]), "a");
     for (const obs::SpanEvent &ev : rec.events())
         EXPECT_EQ(ev.end, 10u);
 }
@@ -231,6 +233,116 @@ TEST(Trace, JsonEscapesHostileNames)
               std::string::npos);
     // The raw control byte never reaches the output unescaped.
     EXPECT_EQ(json.find("slash\n"), std::string::npos);
+}
+
+namespace {
+
+/** The export after the fixed header (process + category tracks). */
+std::string
+eventLines(const std::string &json)
+{
+    const std::string lastTrack = "\"args\":{\"name\":\"clock\"}}";
+    size_t at = json.find(lastTrack);
+    return at == std::string::npos ? json
+                                   : json.substr(at + lastTrack.size());
+}
+
+} // namespace
+
+TEST(Trace, ExportRendersFractionsZeroDurationsAndMaxValues)
+{
+    sim::VirtualClock clock;
+    obs::TraceRecorder rec(clock);
+    obs::MetricsRegistry reg;
+    obs::ObsScope scope(&rec, &reg);
+    clock.advance(1000);
+    obs::mark(obs::Category::Boot, "at_000");
+    clock.advance(1007);
+    obs::mark(obs::Category::Shell, "at_007", UINT64_MAX);
+    rec.endSpan(rec.beginSpan(obs::Category::Channel, "zero"));
+    clock.spend("Phase Z", 0);
+    clock.spend("Phase Seven", 7);
+    clock.advance(1056);
+    clock.spend("Phase Seventy", 70);
+    uint32_t big =
+        rec.beginSpan(obs::Category::Scheduler, "max", UINT64_MAX);
+    clock.advance(123456789007ull);
+    rec.endSpan(big);
+
+    const std::string expected =
+        ",\n"
+        "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":1.000,\"s\":\"t\","
+        "\"name\":\"at_000\",\"cat\":\"boot\","
+        "\"args\":{\"id\":1,\"parent\":0}},\n"
+        "{\"ph\":\"i\",\"pid\":1,\"tid\":7,\"ts\":2.007,\"s\":\"t\","
+        "\"name\":\"at_007\",\"cat\":\"shell\","
+        "\"args\":{\"id\":2,\"parent\":0,\"v\":18446744073709551615}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":4,\"ts\":2.007,\"dur\":0.000,"
+        "\"name\":\"zero\",\"cat\":\"channel\","
+        "\"args\":{\"id\":3,\"parent\":0}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":8,\"ts\":2.007,\"dur\":0.000,"
+        "\"name\":\"Phase Z\",\"cat\":\"clock\","
+        "\"args\":{\"id\":4,\"parent\":0}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":8,\"ts\":2.007,\"dur\":0.007,"
+        "\"name\":\"Phase Seven\",\"cat\":\"clock\","
+        "\"args\":{\"id\":5,\"parent\":0}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":8,\"ts\":3.070,\"dur\":0.070,"
+        "\"name\":\"Phase Seventy\",\"cat\":\"clock\","
+        "\"args\":{\"id\":6,\"parent\":0}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":5,\"ts\":3.140,"
+        "\"dur\":123456789.007,\"name\":\"max\",\"cat\":\"scheduler\","
+        "\"args\":{\"id\":7,\"parent\":0,\"v\":18446744073709551615}}\n"
+        "]}\n";
+    EXPECT_EQ(eventLines(rec.chromeTraceJson()), expected);
+}
+
+TEST(Trace, NamesAreInternedByTextAndCopiedOnFirstSight)
+{
+    sim::VirtualClock clock;
+    obs::TraceRecorder rec(clock);
+    obs::MetricsRegistry reg;
+    obs::ObsScope scope(&rec, &reg);
+
+    // Same text, two different pointers: one interned entry.
+    std::string heap = "a span name longer than the small-string buffer";
+    char stack[] = "a span name longer than the small-string buffer";
+    ASSERT_NE(static_cast<const void *>(heap.data()),
+              static_cast<const void *>(stack));
+    rec.instant(obs::Category::Boot, heap);
+    rec.instant(obs::Category::Boot, stack);
+    ASSERT_EQ(rec.events().size(), 2u);
+    EXPECT_EQ(rec.events()[0].nameId, rec.events()[1].nameId);
+
+    // A phase spent from a temporary that is gone (and was scribbled
+    // over) before export: the recorder kept its own copy.
+    {
+        std::string phase = std::string("temporary phase ") +
+                            "owned by a scope that ends first";
+        clock.spend(phase, 42);
+        phase.assign(phase.size(), 'x');
+    }
+    clock.spend("temporary phase owned by a scope that ends first", 8);
+    EXPECT_EQ(rec.events()[2].nameId, rec.events()[3].nameId);
+    EXPECT_EQ(rec.phaseTotal(
+                  "temporary phase owned by a scope that ends first"),
+              50u);
+
+    const std::string expected =
+        ",\n"
+        "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":0.000,\"s\":\"t\","
+        "\"name\":\"a span name longer than the small-string buffer\","
+        "\"cat\":\"boot\",\"args\":{\"id\":1,\"parent\":0}},\n"
+        "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"ts\":0.000,\"s\":\"t\","
+        "\"name\":\"a span name longer than the small-string buffer\","
+        "\"cat\":\"boot\",\"args\":{\"id\":2,\"parent\":0}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":8,\"ts\":0.000,\"dur\":0.042,"
+        "\"name\":\"temporary phase owned by a scope that ends first\","
+        "\"cat\":\"clock\",\"args\":{\"id\":3,\"parent\":0}},\n"
+        "{\"ph\":\"X\",\"pid\":1,\"tid\":8,\"ts\":0.042,\"dur\":0.008,"
+        "\"name\":\"temporary phase owned by a scope that ends first\","
+        "\"cat\":\"clock\",\"args\":{\"id\":4,\"parent\":0}}\n"
+        "]}\n";
+    EXPECT_EQ(eventLines(rec.chromeTraceJson()), expected);
 }
 
 // ---- Disabled-mode and scope nesting --------------------------------
@@ -322,6 +434,34 @@ runTracedBoot(uint64_t seed)
 }
 
 } // namespace
+
+TEST(Trace, ClockTotalsEqualRecorderPhaseTotalsForFigure9)
+{
+    // The clock keeps per-phase totals; the recorder keeps the ordered
+    // slices. Tapped from the start, the two agree to the nanosecond.
+    fpga::ensureBuiltinIps();
+    SmLogic::registerIp();
+    Testbed tb;
+    obs::TraceRecorder rec(tb.clock());
+    {
+        obs::ObsScope scope(&rec, nullptr);
+        netlist::Cell accel;
+        accel.path = "engine";
+        accel.kind = netlist::CellKind::Logic;
+        accel.behaviorId = fpga::kIpLoopback;
+        accel.resources = {100, 100, 0, 0};
+        tb.installCl(accel);
+        ASSERT_TRUE(tb.runDeployment().ok);
+    }
+    BootReport report = buildBootReport(tb.clock());
+    ASSERT_EQ(report.rows.size(), 7u);
+    for (const BootPhaseRow &row : report.rows) {
+        EXPECT_GT(row.modelTime, 0u) << row.phase;
+        EXPECT_EQ(tb.clock().totalFor(row.phase),
+                  rec.phaseTotal(row.phase))
+            << row.phase;
+    }
+}
 
 TEST(Trace, SameSeedDeploymentTraceIsByteIdentical)
 {

@@ -9,6 +9,7 @@
 
 #include "common/log.hpp"
 #include "fpga/ip.hpp"
+#include "obs/trace.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/testbed.hpp"
 #include "sim/clock.hpp"
@@ -20,6 +21,8 @@ using namespace salus::sim;
 TEST(VirtualClockTest, AdvanceAndAttribution)
 {
     VirtualClock clock;
+    obs::TraceRecorder slices(clock); // the ordered slice log
+    obs::ObsScope scope(&slices, nullptr);
     EXPECT_EQ(clock.now(), 0u);
 
     clock.spend("alpha", 100);
@@ -31,12 +34,32 @@ TEST(VirtualClockTest, AdvanceAndAttribution)
     EXPECT_EQ(clock.totalFor("alpha"), 105u);
     EXPECT_EQ(clock.totalFor("beta"), 25u);
     EXPECT_EQ(clock.totalFor("gamma"), 0u);
-    ASSERT_EQ(clock.trace().size(), 3u);
-    EXPECT_EQ(clock.trace()[1].start, 150u);
+    ASSERT_EQ(slices.events().size(), 3u);
+    EXPECT_EQ(slices.events()[1].begin, 150u);
 
     clock.reset();
     EXPECT_EQ(clock.now(), 0u);
-    EXPECT_TRUE(clock.trace().empty());
+    clock.spend("alpha", 1);
+    ASSERT_EQ(slices.events().size(), 4u);
+    EXPECT_EQ(slices.events()[3].begin, 0u);
+}
+
+TEST(VirtualClockTest, TotalsReadZeroAfterReset)
+{
+    VirtualClock clock;
+    {
+        ScopedPhase open(clock, "open");
+        clock.spend("alpha", 100);
+        clock.spend(20);
+        clock.reset();
+        EXPECT_EQ(clock.totalFor("alpha"), 0u);
+        EXPECT_EQ(clock.totalFor("open"), 0u);
+        EXPECT_EQ(clock.currentPhase(), "open"); // open scopes survive
+        clock.spend(5);
+    }
+    EXPECT_EQ(clock.totalFor("open"), 5u);
+    EXPECT_EQ(clock.totalFor("alpha"), 0u);
+    EXPECT_EQ(clock.now(), 5u);
 }
 
 TEST(VirtualClockTest, PhaseStackSemantics)
