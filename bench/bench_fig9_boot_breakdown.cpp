@@ -12,10 +12,16 @@
  *      verification / manipulation / encryption on the same artifact
  *      (showing what replacing RapidWright-under-Occlum with native
  *      enclave code would buy — see EXPERIMENTS.md).
+ *
+ * It also gates host memory: the peak resident set may grow by at
+ * most kMaxBootGrowthMib across testbed build, CL install and
+ * deployment, which leaves no room for one more whole-bitstream copy.
  */
 
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "baseline/shef.hpp"
 #include "bench_util.hpp"
@@ -30,6 +36,30 @@
 using namespace salus;
 using namespace salus::core;
 
+namespace {
+
+/**
+ * Bound on the peak-RSS growth of one 32 MiB boot. It holds the stored
+ * file, the SM enclave's one bitstream buffer and the partition's
+ * frames (3 x 32 MiB) plus a margin smaller than a 32 MiB copy.
+ */
+constexpr double kMaxBootGrowthMib = 112;
+
+/** The process's peak resident set (VmHWM) in MiB; -1 without /proc. */
+double
+peakRssMib()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::stod(line.substr(6)) / 1024.0;
+    }
+    return -1;
+}
+
+} // namespace
+
 
 int
 main()
@@ -39,10 +69,12 @@ main()
     fpga::ensureBuiltinIps();
     SmLogic::registerIp();
 
+    const double hwmStart = peakRssMib();
     TestbedConfig cfg;
     cfg.deviceModel = fpga::u200ScaledModel(); // 32 MiB RP bitstream
     Testbed tb(cfg);
     bench::ObsCapture capture(tb.clock());
+    const double hwmBuilt = peakRssMib();
 
     netlist::Cell accel;
     accel.path = "engine";
@@ -50,6 +82,7 @@ main()
     accel.behaviorId = fpga::kIpLoopback;
     accel.resources = {19735, 20169, 326, 512}; // Conv-like footprint
     tb.installCl(accel);
+    const double hwmInstalled = peakRssMib();
 
     std::printf("partial bitstream size: %.1f MiB\n",
                 double(tb.storedBitstream().size()) / (1 << 20));
@@ -61,6 +94,8 @@ main()
             std::exit(1);
         }
     });
+
+    const double hwmDeployed = peakRssMib();
 
     BootReport report = buildBootReport(tb.clock());
     std::printf("\n%s", report.render().c_str());
@@ -99,6 +134,28 @@ main()
     std::printf("trace span sums match the phase breakdown "
                 "(%zu phases, exact)\n",
                 report.rows.size());
+
+    // ---- Host memory gate ---------------------------------------------
+    bench::banner("Peak RSS growth (VmHWM) of one 32 MiB boot");
+    if (hwmStart < 0) {
+        std::printf("VmHWM unavailable (no /proc/self/status); "
+                    "memory gate skipped\n");
+    } else {
+        const double growth = hwmDeployed - hwmStart;
+        std::printf("testbed build:   +%7.1f MiB\n", hwmBuilt - hwmStart);
+        std::printf("CL install:      +%7.1f MiB\n",
+                    hwmInstalled - hwmBuilt);
+        std::printf("deployment:      +%7.1f MiB\n",
+                    hwmDeployed - hwmInstalled);
+        std::printf("total:           +%7.1f MiB (bound %.0f MiB)\n",
+                    growth, kMaxBootGrowthMib);
+        if (growth > kMaxBootGrowthMib) {
+            std::printf("PEAK RSS GROWTH %.1f MiB EXCEEDS %.0f MiB: a "
+                        "whole-bitstream copy came back\n",
+                        growth, kMaxBootGrowthMib);
+            return 1;
+        }
+    }
 
     // ---- §6.3 ShEF comparison ---------------------------------------
     bench::banner("ShEF baseline boot (paper: ~5.1 s)");

@@ -91,7 +91,7 @@ main()
     smDeps.selfEndpoint = endpoints::kCloudHost;
     smDeps.manufacturerEndpoint = endpoints::kManufacturer;
     smDeps.devices = {{&shell, device->dna().value}};
-    smDeps.fetchBitstream = [&] { return storedBitstream; };
+    smDeps.fetchBitstream = [&]() -> ByteView { return storedBitstream; };
     SmEnclaveApp smApp(platform, smDeps);
 
     SmTransport transport;

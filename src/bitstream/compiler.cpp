@@ -47,33 +47,33 @@ Compiler::compile(const netlist::Netlist &design,
     size_t pad = maxPad ? (loadLe32(digest.data()) % maxPad) : 0;
     size_t payloadOffset = kBodyHeader + pad;
 
-    Bytes body(bodySize);
-    storeLe32(body.data(), kBodyMagic);
-    storeLe32(body.data() + 4, uint32_t(payloadOffset));
-    storeLe32(body.data() + 8, uint32_t(payload.size()));
-
-    // Deterministic filler standing in for the configuration of
-    // unused cells (real partial bitstreams configure every cell of
-    // the region, used or not -- paper Observation 2).
-    crypto::CtrDrbg filler(digest);
-    filler.fill(body.data() + kBodyHeader, bodySize - kBodyHeader);
-
-    std::memcpy(body.data() + payloadOffset, payload.data(),
-                payload.size());
-
+    // The file is written in place: header, then the body straight
+    // into its slot, then the CRC into the room left for it.
     Bitstream bs;
     bs.deviceModel = deviceModel_;
     bs.partitionId = geometry.partitionId;
     bs.frameStart = geometry.frameStart;
     bs.frameCount = geometry.frameCount;
     bs.frameSize = geometry.frameSize;
-    bs.body = std::move(body);
 
     CompiledDesign out;
-    out.file = bs.toFile();
+    out.file = bs.emptyFile();
     out.utilization = used;
-
     size_t bodyFileOffset = bs.bodyOffsetInFile();
+    uint8_t *body = out.file.data() + bodyFileOffset;
+    storeLe32(body, kBodyMagic);
+    storeLe32(body + 4, uint32_t(payloadOffset));
+    storeLe32(body + 8, uint32_t(payload.size()));
+
+    // Deterministic filler standing in for the configuration of
+    // unused cells (real partial bitstreams configure every cell of
+    // the region, used or not -- paper Observation 2).
+    crypto::CtrDrbg filler(digest);
+    filler.fill(body + kBodyHeader, bodySize - kBodyHeader);
+
+    std::memcpy(body + payloadOffset, payload.data(), payload.size());
+    refreshFileCrc(out.file);
+
     for (const auto &s : spans) {
         LogicLocationEntry e;
         e.cellPath = s.path;

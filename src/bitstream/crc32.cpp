@@ -30,15 +30,13 @@ struct Crc32Table
 
 const Crc32Table kTable;
 
-} // namespace
+constexpr uint32_t kPoly = 0xedb88320u; ///< reflected IEEE polynomial
 
+/** Runs the CRC register `c` over the data (no init, no final XOR). */
 uint32_t
-crc32(ByteView data)
+update(uint32_t c, const uint8_t *p, size_t n)
 {
     const auto &t = kTable.tbl;
-    const uint8_t *p = data.data();
-    size_t n = data.size();
-    uint32_t c = 0xffffffffu;
     for (; n >= 8; n -= 8, p += 8) {
         const uint32_t lo = c ^ loadLe32(p);
         const uint32_t hi = loadLe32(p + 4);
@@ -49,7 +47,63 @@ crc32(ByteView data)
     }
     for (; n > 0; --n, ++p)
         c = t[0][(c ^ *p) & 0xff] ^ (c >> 8);
-    return c ^ 0xffffffffu;
+    return c;
+}
+
+/**
+ * a * b mod P over GF(2) in the reflected representation (bit 31 is
+ * the x^0 coefficient): b is multiplied by x once per coefficient of
+ * a, reducing x^32 by the polynomial as it falls off bit 0.
+ */
+uint32_t
+mulModP(uint32_t a, uint32_t b)
+{
+    uint32_t product = 0;
+    for (uint32_t m = 1u << 31; m != 0; m >>= 1) {
+        if (a & m)
+            product ^= b;
+        b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;
+    }
+    return product;
+}
+
+/** x^(2^i) mod P for every i a 64-bit exponent needs. */
+struct PowerTable
+{
+    uint32_t x2i[64];
+
+    PowerTable()
+    {
+        x2i[0] = 1u << 30; // x^1
+        for (int i = 1; i < 64; ++i)
+            x2i[i] = mulModP(x2i[i - 1], x2i[i - 1]);
+    }
+};
+
+const PowerTable kPowers;
+
+} // namespace
+
+uint32_t
+crc32(ByteView data, uint32_t prior)
+{
+    return ~update(~prior, data.data(), data.size());
+}
+
+uint32_t
+crc32Delta(ByteView delta, uint64_t tailBytes)
+{
+    // For equal-length messages crc32(m) ^ crc32(m ^ d) is the register
+    // run from zero over d, and leading zero bytes of d leave it zero.
+    // Trailing zero bytes multiply it by x^8 each, so the tail is one
+    // multiply by x^(8 * tailBytes), built from the squares table.
+    uint32_t shift = 1u << 31; // x^0
+    uint64_t bits = tailBytes * 8;
+    for (int i = 0; bits != 0; ++i, bits >>= 1) {
+        if (bits & 1)
+            shift = mulModP(kPowers.x2i[i], shift);
+    }
+    return mulModP(shift, update(0, delta.data(), delta.size()));
 }
 
 } // namespace salus::bitstream

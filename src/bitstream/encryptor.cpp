@@ -25,25 +25,49 @@ headerBytes(const EncryptedHeader &header, ByteView iv)
 
 } // namespace
 
+BitstreamEnvelope::BitstreamEnvelope(EncryptedHeader header,
+                                     ByteView rawFile)
+    : header_(std::move(header)),
+      // The clear header and the ciphertext's length prefix; the IV
+      // is always 12 bytes, so the size is known before it is drawn.
+      fileOffset_(headerBytes(header_, Bytes(12)).size() + 4)
+{
+    blob_.reserve(fileOffset_ + rawFile.size() + 4 + crypto::kGcmTagSize);
+    blob_.resize(fileOffset_);
+    blob_.insert(blob_.end(), rawFile.begin(), rawFile.end());
+    blob_.resize(blob_.size() + 4 + crypto::kGcmTagSize);
+}
+
+std::span<uint8_t>
+BitstreamEnvelope::file()
+{
+    return std::span<uint8_t>(blob_).subspan(
+        fileOffset_, blob_.size() - fileOffset_ - 4 - crypto::kGcmTagSize);
+}
+
 Bytes
-encryptBitstream(ByteView rawFile, ByteView deviceKey,
-                 const EncryptedHeader &header,
-                 crypto::RandomSource &rng)
+BitstreamEnvelope::seal(ByteView deviceKey, crypto::RandomSource &rng) &&
 {
     if (deviceKey.size() != 32)
         throw CryptoError("bitstream device key must be AES-256");
 
     Bytes iv = rng.bytes(12);
-    Bytes aad = headerBytes(header, iv);
+    Bytes aad = headerBytes(header_, iv);
+    std::span<uint8_t> text = file();
+    std::memcpy(blob_.data(), aad.data(), aad.size());
+    storeLe32(blob_.data() + aad.size(), uint32_t(text.size()));
+    uint8_t *tagField = text.data() + text.size();
+    storeLe32(tagField, uint32_t(crypto::kGcmTagSize));
+    crypto::AesGcm(deviceKey).sealInPlace(iv, aad, text, tagField + 4);
+    return std::move(blob_);
+}
 
-    crypto::AesGcm gcm(deviceKey);
-    crypto::GcmSealed sealed = gcm.seal(iv, aad, rawFile);
-
-    BinaryWriter w;
-    w.writeRaw(aad);
-    w.writeBytes(sealed.ciphertext);
-    w.writeBytes(sealed.tag);
-    return w.take();
+Bytes
+encryptBitstream(ByteView rawFile, ByteView deviceKey,
+                 const EncryptedHeader &header,
+                 crypto::RandomSource &rng)
+{
+    return BitstreamEnvelope(header, rawFile).seal(deviceKey, rng);
 }
 
 EncryptedHeader
@@ -64,29 +88,37 @@ peekEncryptedHeader(ByteView blob)
     }
 }
 
-std::optional<Bytes>
-decryptBitstream(ByteView blob, ByteView deviceKey)
+std::optional<SealedBitstream>
+parseSealedBitstream(ByteView blob)
 {
     try {
         BinaryReader r(blob);
         Bytes magic = r.readRaw(4);
         if (std::memcmp(magic.data(), kMagic, 4) != 0)
             return std::nullopt;
-        EncryptedHeader h;
-        h.deviceModel = r.readString();
-        h.partitionId = r.readU32();
-        Bytes iv = r.readBytes();
-        Bytes ciphertext = r.readBytes();
-        Bytes tag = r.readBytes();
+        r.readBytesView(); // deviceModel
+        r.readU32();       // partitionId
+        SealedBitstream s;
+        s.iv = r.readBytesView();
+        s.aad = blob.first(blob.size() - r.remaining());
+        s.ciphertext = r.readBytesView();
+        s.tag = r.readBytesView();
         if (!r.atEnd())
             return std::nullopt;
-
-        Bytes aad = headerBytes(h, iv);
-        crypto::AesGcm gcm(deviceKey);
-        return gcm.open(iv, aad, ciphertext, tag);
+        return s;
     } catch (const SerdeError &) {
         return std::nullopt;
     }
+}
+
+std::optional<Bytes>
+decryptBitstream(ByteView blob, ByteView deviceKey)
+{
+    std::optional<SealedBitstream> s = parseSealedBitstream(blob);
+    if (!s)
+        return std::nullopt;
+    return crypto::AesGcm(deviceKey).open(s->iv, s->aad, s->ciphertext,
+                                          s->tag);
 }
 
 } // namespace salus::bitstream

@@ -14,6 +14,7 @@
 #define SALUS_BITSTREAM_ENCRYPTOR_HPP
 
 #include <optional>
+#include <span>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -44,6 +45,52 @@ EncryptedHeader peekEncryptedHeader(ByteView blob);
  * blob was tampered with — the device refuses to configure.
  */
 std::optional<Bytes> decryptBitstream(ByteView blob, ByteView deviceKey);
+
+/** The parts of an encrypted blob, as views into it. */
+struct SealedBitstream
+{
+    ByteView aad; ///< the clear header, magic through IV: the GCM AAD
+    ByteView iv;
+    ByteView ciphertext; ///< the encrypted bitstream file
+    ByteView tag;
+};
+
+/**
+ * Splits a blob into its parts without copying. Nothing is
+ * authenticated yet. nullopt when the envelope is malformed.
+ */
+std::optional<SealedBitstream> parseSealedBitstream(ByteView blob);
+
+/**
+ * An encrypted blob built in place around one copy of a raw file: the
+ * SM enclave's single bitstream buffer. The constructor copies the
+ * file into the blob's layout, with room left for the clear header in
+ * front and the tag behind. The caller digests and patches file()
+ * where it lies, then seal() encrypts it there, so the bytes that
+ * were digested are the bytes that get sealed, and the finished blob
+ * holds only ciphertext.
+ */
+class BitstreamEnvelope
+{
+  public:
+    BitstreamEnvelope(EncryptedHeader header, ByteView rawFile);
+
+    /** The plaintext file inside the blob (until seal()). */
+    std::span<uint8_t> file();
+
+    /**
+     * Draws the IV, writes the clear header, encrypts file() in place
+     * and appends the tag.
+     * @return the finished blob; the envelope is spent.
+     * @throws CryptoError unless deviceKey is an AES-256 key.
+     */
+    Bytes seal(ByteView deviceKey, crypto::RandomSource &rng) &&;
+
+  private:
+    EncryptedHeader header_;
+    size_t fileOffset_;
+    Bytes blob_;
+};
 
 } // namespace salus::bitstream
 

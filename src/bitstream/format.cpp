@@ -15,12 +15,11 @@ const char kMagic[4] = {'S', 'B', 'I', 'T'};
 } // namespace
 
 Bytes
-Bitstream::toFile() const
+Bitstream::emptyFile() const
 {
-    if (body.size() != size_t(frameCount) * frameSize)
-        throw BitstreamError("body size does not match geometry");
-
+    size_t bodySize = size_t(frameCount) * frameSize;
     BinaryWriter w;
+    w.reserve(bodyOffsetInFile() + bodySize + 4);
     w.writeRaw(ByteView(reinterpret_cast<const uint8_t *>(kMagic), 4));
     w.writeU16(version);
     w.writeString(deviceModel);
@@ -28,14 +27,61 @@ Bitstream::toFile() const
     w.writeU32(frameStart);
     w.writeU32(frameCount);
     w.writeU32(frameSize);
-    w.writeBytes(body);
-
+    w.writeU32(uint32_t(bodySize));
     Bytes file = w.take();
-    uint32_t crc = crc32(file);
-    uint8_t crcBytes[4];
-    storeLe32(crcBytes, crc);
-    file.insert(file.end(), crcBytes, crcBytes + 4);
+    file.resize(file.size() + bodySize + 4);
     return file;
+}
+
+FileHeader
+parseFileHeader(size_t fileSize, const FileReader &read)
+{
+    if (fileSize < 4 + 4)
+        throw BitstreamError("file too short");
+    // Field by field up to the body, which must then run exactly to
+    // the CRC word.
+    const size_t end = fileSize - 4;
+    size_t pos = 0;
+    auto take = [&](void *out, size_t len) {
+        if (end - pos < len)
+            throw BitstreamError("parse: truncated input");
+        read(pos, static_cast<uint8_t *>(out), len);
+        pos += len;
+    };
+    auto u32 = [&] {
+        uint8_t b[4];
+        take(b, 4);
+        return loadLe32(b);
+    };
+    auto length = [&] {
+        uint32_t n = u32();
+        if (n > end - pos)
+            throw BitstreamError("parse: length prefix exceeds buffer");
+        return n;
+    };
+
+    uint8_t magic[4];
+    take(magic, 4);
+    if (std::memcmp(magic, kMagic, 4) != 0)
+        throw BitstreamError("bad magic");
+    FileHeader h;
+    uint8_t version[2];
+    take(version, 2);
+    h.version = uint16_t(version[0] | (version[1] << 8));
+    h.deviceModel.resize(length());
+    take(h.deviceModel.data(), h.deviceModel.size());
+    h.partitionId = u32();
+    h.frameStart = u32();
+    h.frameCount = u32();
+    h.frameSize = u32();
+    uint32_t bodyLen = length();
+    if (bodyLen != end - pos)
+        throw BitstreamError("trailing garbage");
+    if (h.frameSize == 0 ||
+        bodyLen != uint64_t(h.frameCount) * h.frameSize)
+        throw BitstreamError("body/geometry mismatch");
+    h.bodyOffset = pos;
+    return h;
 }
 
 Bitstream
@@ -46,29 +92,19 @@ Bitstream::fromFile(ByteView file)
     if (!fileCrcValid(file))
         throw BitstreamError("CRC mismatch");
 
-    try {
-        BinaryReader r(ByteView(file.data(), file.size() - 4));
-        Bytes magic = r.readRaw(4);
-        if (std::memcmp(magic.data(), kMagic, 4) != 0)
-            throw BitstreamError("bad magic");
-        Bitstream bs;
-        bs.version = r.readU16();
-        bs.deviceModel = r.readString();
-        bs.partitionId = r.readU32();
-        bs.frameStart = r.readU32();
-        bs.frameCount = r.readU32();
-        bs.frameSize = r.readU32();
-        bs.body = r.readBytes();
-        if (!r.atEnd())
-            throw BitstreamError("trailing garbage");
-        if (bs.frameSize == 0 ||
-            bs.body.size() != size_t(bs.frameCount) * bs.frameSize) {
-            throw BitstreamError("body/geometry mismatch");
-        }
-        return bs;
-    } catch (const SerdeError &e) {
-        throw BitstreamError(std::string("parse: ") + e.what());
-    }
+    FileHeader h = parseFileHeader(
+        file.size(), [file](size_t offset, uint8_t *out, size_t len) {
+            std::memcpy(out, file.data() + offset, len);
+        });
+    Bitstream bs;
+    bs.version = h.version;
+    bs.deviceModel = std::move(h.deviceModel);
+    bs.partitionId = h.partitionId;
+    bs.frameStart = h.frameStart;
+    bs.frameCount = h.frameCount;
+    bs.frameSize = h.frameSize;
+    bs.body.assign(file.begin() + h.bodyOffset, file.end() - 4);
+    return bs;
 }
 
 size_t

@@ -4,8 +4,9 @@
  *
  * A bitstream *file* is raw bytes — that is what the developer ships,
  * what the SM enclave digests and patches, and what gets encrypted.
- * The parsed view (`Bitstream`) is what the device's configuration
- * port consumes after decryption. Layout:
+ * The device parses a decrypted file's header with parseFileHeader()
+ * and decrypts the body straight into its frames; the parsed view
+ * (`Bitstream`) serves the cleartext (legacy) load. Layout:
  *
  *   "SBIT" | u16 version | deviceModel | u32 partitionId |
  *   u32 frameStart | u32 frameCount | u32 frameSize |
@@ -19,6 +20,7 @@
 #ifndef SALUS_BITSTREAM_FORMAT_HPP
 #define SALUS_BITSTREAM_FORMAT_HPP
 
+#include <functional>
 #include <string>
 
 #include "common/bytes.hpp"
@@ -49,8 +51,13 @@ struct Bitstream
     uint32_t frameSize = 0;
     Bytes body; ///< frameCount * frameSize bytes
 
-    /** Serializes to the raw file format (computes the CRC). */
-    Bytes toFile() const;
+    /**
+     * The raw file of this header's geometry, of exact size, with the
+     * body (frameCount * frameSize bytes at bodyOffsetInFile()) and
+     * the trailing CRC word left zero: the compiler fills the body in
+     * place, then calls refreshFileCrc(). Ignores `body`.
+     */
+    Bytes emptyFile() const;
 
     /**
      * Parses and validates a raw file (magic, sizes, CRC).
@@ -61,6 +68,32 @@ struct Bitstream
     /** Byte offset of the body within the serialized file. */
     size_t bodyOffsetInFile() const;
 };
+
+/** The header fields of a raw bitstream file, read without its body. */
+struct FileHeader
+{
+    uint16_t version = 1;
+    std::string deviceModel;
+    uint32_t partitionId = 0;
+    uint32_t frameStart = 0;
+    uint32_t frameCount = 0;
+    uint32_t frameSize = 0;
+    size_t bodyOffset = 0; ///< first of the frameCount * frameSize body bytes
+};
+
+/** Copies `len` bytes of a file, starting at `offset`, to `out`. */
+using FileReader =
+    std::function<void(size_t offset, uint8_t *out, size_t len)>;
+
+/**
+ * Parses a raw file's header through `read`, so the file need not be
+ * in memory (the device decrypts it piece by piece), and checks its
+ * structure: magic, field sizes, a body that runs exactly to the CRC
+ * word, and a body length that matches the geometry. Does not check
+ * the CRC. `read` is only asked for bytes inside the file.
+ * @throws BitstreamError on any structural violation.
+ */
+FileHeader parseFileHeader(size_t fileSize, const FileReader &read);
 
 /** Offset of the body for a file with the given header fields. */
 size_t bitstreamBodyOffset(const std::string &deviceModel);

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "bitstream/format.hpp"
+#include "bitstream/crc32.hpp"
 #include "common/errors.hpp"
 
 namespace salus::bitstream {
@@ -29,7 +29,7 @@ lookup(const LogicLocationFile &ll, const std::string &cellPath,
 } // namespace
 
 void
-Manipulator::patchCell(Bytes &file, const LogicLocationFile &ll,
+Manipulator::patchCell(std::span<uint8_t> file, const LogicLocationFile &ll,
                        const std::string &cellPath, ByteView newInit)
 {
     LogicLocationEntry entry = lookup(ll, cellPath, file.size());
@@ -39,9 +39,17 @@ Manipulator::patchCell(Bytes &file, const LogicLocationFile &ll,
             std::to_string(newInit.size()) + ", cell holds " +
             std::to_string(entry.length));
     }
-    std::memcpy(file.data() + entry.fileOffset, newInit.data(),
-                newInit.size());
-    refreshFileCrc(file);
+    // Fold the patch into the CRC word instead of re-reading the file:
+    // the CRC moves by the CRC of the XOR delta, shifted across the
+    // bytes between the cell and the CRC word.
+    uint8_t *cell = file.data() + entry.fileOffset;
+    Bytes delta(newInit.begin(), newInit.end());
+    for (size_t i = 0; i < delta.size(); ++i)
+        delta[i] ^= cell[i];
+    std::memcpy(cell, newInit.data(), newInit.size());
+    uint8_t *crcWord = file.data() + file.size() - 4;
+    uint64_t tail = uint64_t(crcWord - cell) - newInit.size();
+    storeLe32(crcWord, loadLe32(crcWord) ^ crc32Delta(delta, tail));
 }
 
 Bytes

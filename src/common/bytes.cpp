@@ -1,8 +1,17 @@
 #include "common/bytes.hpp"
 
+#include <new>
 #include <stdexcept>
 
 namespace salus {
+
+ZeroedBytes::ZeroedBytes(size_t size)
+    : mem_(static_cast<uint8_t *>(std::calloc(size ? size : 1, 1))),
+      size_(size)
+{
+    if (!mem_)
+        throw std::bad_alloc();
+}
 
 Bytes
 bytesFromString(const std::string &s)

@@ -7,7 +7,9 @@
 #define SALUS_COMMON_BYTES_HPP
 
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -19,6 +21,33 @@ using Bytes = std::vector<uint8_t>;
 
 /** Non-owning read-only view over bytes. */
 using ByteView = std::span<const uint8_t>;
+
+/**
+ * Fixed-size zero-filled storage whose pages are not touched when it
+ * is made: a large calloc maps fresh zero pages, so a region that is
+ * never written costs no resident memory. Device memories use it,
+ * where a model reserves far more than one run touches.
+ */
+class ZeroedBytes
+{
+  public:
+    /** @throws std::bad_alloc when the memory is not available. */
+    explicit ZeroedBytes(size_t size);
+
+    size_t size() const { return size_; }
+    uint8_t *data() { return mem_.get(); }
+    const uint8_t *data() const { return mem_.get(); }
+    std::span<uint8_t> span() { return {mem_.get(), size_}; }
+    ByteView view() const { return {mem_.get(), size_}; }
+
+  private:
+    struct Free
+    {
+        void operator()(uint8_t *p) const { std::free(p); }
+    };
+    std::unique_ptr<uint8_t[], Free> mem_;
+    size_t size_;
+};
 
 /** Builds a Bytes buffer from a C string (no terminating NUL). */
 Bytes bytesFromString(const std::string &s);

@@ -97,10 +97,17 @@ BinaryReader::readRaw(size_t n)
 Bytes
 BinaryReader::readBytes()
 {
+    ByteView v = readBytesView();
+    return Bytes(v.begin(), v.end());
+}
+
+ByteView
+BinaryReader::readBytesView()
+{
     uint32_t n = readU32();
     if (n > remaining())
         throw SerdeError("length prefix exceeds buffer");
-    return readRaw(n);
+    return ByteView(need(n), n);
 }
 
 std::string

@@ -62,6 +62,8 @@ class BinaryReader
     Bytes readRaw(size_t n);
     /** Reads a u32 length prefix then that many bytes. */
     Bytes readBytes();
+    /** readBytes() as a view into the input, without a copy. */
+    ByteView readBytesView();
     /** Reads a u32 length prefix then that many chars. */
     std::string readString();
 

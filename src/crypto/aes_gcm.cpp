@@ -84,13 +84,6 @@ struct GhashTables
     }
 };
 
-void
-inc32(uint8_t ctr[16])
-{
-    uint32_t v = loadBe32(ctr + 12);
-    storeBe32(ctr + 12, v + 1);
-}
-
 } // namespace
 
 /** Streaming GHASH accumulator. With PCLMULQDQ active the blocks go
@@ -188,19 +181,32 @@ AesGcm::deriveCounter0(ByteView iv, uint8_t j0[16]) const
 }
 
 void
-AesGcm::ctrCrypt(const uint8_t j0[16], ByteView in, Bytes &out) const
+AesGcm::ctrCrypt(const uint8_t j0[16], uint64_t offset, const uint8_t *src,
+                 uint8_t *dst, size_t len) const
 {
-    // GCM steps only the low 32 counter bits (inc32, wrapping mod
-    // 2^32). Aes::ctrXor steps all 128, which agrees until that word
-    // wraps, so the text runs through it in pieces that stop at the
-    // wrap; the upper 96 bits are restored from J0 after each piece.
+    // Byte `offset` of the text sits in block offset / 16, keyed by
+    // inc32^(block + 1)(J0). GCM steps only the low 32 counter bits
+    // (inc32, wrapping mod 2^32). Aes::ctrXor steps all 128, which
+    // agrees until that word wraps, so the text runs through it in
+    // pieces that stop at the wrap; the upper 96 bits are restored
+    // from J0 after each piece.
     uint8_t ctr[16];
     std::memcpy(ctr, j0, 16);
-    inc32(ctr);
-    out.resize(in.size());
-    const uint8_t *src = in.data();
-    uint8_t *dst = out.data();
-    size_t blocks = in.size() / 16;
+    storeBe32(ctr + 12, loadBe32(j0 + 12) + 1 + uint32_t(offset / 16));
+    size_t skip = size_t(offset % 16);
+    if (skip > 0 && len > 0) {
+        uint8_t ks[16] = {};
+        aes_.ctrXor(ctr, ks, ks, 1);
+        std::memcpy(ctr, j0, 12);
+        size_t n = std::min(len, 16 - skip);
+        for (size_t i = 0; i < n; ++i)
+            dst[i] = uint8_t(src[i] ^ ks[skip + i]);
+        secureZero(ks, sizeof(ks));
+        src += n;
+        dst += n;
+        len -= n;
+    }
+    size_t blocks = len / 16;
     while (blocks > 0) {
         size_t run = size_t(std::min<uint64_t>(
             blocks, (uint64_t(1) << 32) - loadBe32(ctr + 12)));
@@ -210,7 +216,7 @@ AesGcm::ctrCrypt(const uint8_t j0[16], ByteView in, Bytes &out) const
         dst += 16 * run;
         blocks -= run;
     }
-    size_t tail = in.size() % 16;
+    size_t tail = len % 16;
     if (tail > 0) {
         uint8_t last[16] = {};
         std::memcpy(last, src, tail);
@@ -223,48 +229,14 @@ AesGcm::ctrCrypt(const uint8_t j0[16], ByteView in, Bytes &out) const
 void
 AesGcm::ctrCryptRaw(const uint8_t j0[16], ByteView in, Bytes &out) const
 {
-    ctrCrypt(j0, in, out);
+    out.resize(in.size());
+    ctrCrypt(j0, 0, in.data(), out.data(), in.size());
 }
 
-GcmSealed
-AesGcm::seal(ByteView iv, ByteView aad, ByteView plaintext) const
+void
+AesGcm::tagOf(const uint8_t j0[16], ByteView aad, ByteView ciphertext,
+              uint8_t tag[16]) const
 {
-    if (iv.empty())
-        throw CryptoError("GCM IV must not be empty");
-
-    uint8_t j0[16];
-    deriveCounter0(iv, j0);
-
-    GcmSealed out;
-    ctrCrypt(j0, plaintext, out.ciphertext);
-
-    Ghash g(h_[0], h_[1]);
-    g.absorbPadded(aad);
-    g.absorbPadded(out.ciphertext);
-    g.lengths(aad.size(), out.ciphertext.size());
-    uint8_t s[16];
-    g.digest(s);
-
-    uint8_t ekj0[16];
-    aes_.encryptBlock(j0, ekj0);
-    out.tag.resize(kGcmTagSize);
-    for (int i = 0; i < 16; ++i)
-        out.tag[i] = uint8_t(s[i] ^ ekj0[i]);
-    return out;
-}
-
-std::optional<Bytes>
-AesGcm::open(ByteView iv, ByteView aad, ByteView ciphertext,
-             ByteView tag) const
-{
-    if (iv.empty())
-        throw CryptoError("GCM IV must not be empty");
-    if (tag.size() != kGcmTagSize)
-        return std::nullopt;
-
-    uint8_t j0[16];
-    deriveCounter0(iv, j0);
-
     Ghash g(h_[0], h_[1]);
     g.absorbPadded(aad);
     g.absorbPadded(ciphertext);
@@ -274,15 +246,85 @@ AesGcm::open(ByteView iv, ByteView aad, ByteView ciphertext,
 
     uint8_t ekj0[16];
     aes_.encryptBlock(j0, ekj0);
-    uint8_t expect[16];
     for (int i = 0; i < 16; ++i)
-        expect[i] = uint8_t(s[i] ^ ekj0[i]);
+        tag[i] = uint8_t(s[i] ^ ekj0[i]);
+}
 
-    if (!ctEqual(ByteView(expect, 16), tag))
+void
+AesGcm::sealTo(ByteView iv, ByteView aad, const uint8_t *in, uint8_t *out,
+               size_t len, uint8_t *tag) const
+{
+    if (iv.empty())
+        throw CryptoError("GCM IV must not be empty");
+
+    uint8_t j0[16];
+    deriveCounter0(iv, j0);
+    ctrCrypt(j0, 0, in, out, len);
+    tagOf(j0, aad, ByteView(out, len), tag);
+}
+
+GcmSealed
+AesGcm::seal(ByteView iv, ByteView aad, ByteView plaintext) const
+{
+    GcmSealed out;
+    out.ciphertext.resize(plaintext.size());
+    out.tag.resize(kGcmTagSize);
+    sealTo(iv, aad, plaintext.data(), out.ciphertext.data(),
+           plaintext.size(), out.tag.data());
+    return out;
+}
+
+void
+AesGcm::sealInPlace(ByteView iv, ByteView aad, std::span<uint8_t> text,
+                    uint8_t *tag) const
+{
+    sealTo(iv, aad, text.data(), text.data(), text.size(), tag);
+}
+
+bool
+AesGcm::verify(ByteView iv, ByteView aad, ByteView ciphertext,
+               ByteView tag) const
+{
+    if (iv.empty())
+        throw CryptoError("GCM IV must not be empty");
+    if (tag.size() != kGcmTagSize)
+        return false;
+
+    uint8_t j0[16];
+    deriveCounter0(iv, j0);
+    uint8_t expect[16];
+    tagOf(j0, aad, ciphertext, expect);
+    return ctEqual(ByteView(expect, 16), tag);
+}
+
+void
+AesGcm::cryptAt(ByteView iv, uint64_t offset, const uint8_t *in,
+                uint8_t *out, size_t len) const
+{
+    if (iv.empty())
+        throw CryptoError("GCM IV must not be empty");
+    uint8_t j0[16];
+    deriveCounter0(iv, j0);
+    ctrCrypt(j0, offset, in, out, len);
+}
+
+bool
+AesGcm::openInto(ByteView iv, ByteView aad, ByteView ciphertext,
+                 ByteView tag, uint8_t *out) const
+{
+    if (!verify(iv, aad, ciphertext, tag))
+        return false;
+    cryptAt(iv, 0, ciphertext.data(), out, ciphertext.size());
+    return true;
+}
+
+std::optional<Bytes>
+AesGcm::open(ByteView iv, ByteView aad, ByteView ciphertext,
+             ByteView tag) const
+{
+    Bytes plain(ciphertext.size());
+    if (!openInto(iv, aad, ciphertext, tag, plain.data()))
         return std::nullopt;
-
-    Bytes plain;
-    ctrCrypt(j0, ciphertext, plain);
     return plain;
 }
 

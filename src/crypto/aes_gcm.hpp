@@ -53,6 +53,34 @@ class AesGcm
                               ByteView ciphertext, ByteView tag) const;
 
     /**
+     * seal() without a copy: encrypts `text` where it lies and writes
+     * the tag to `tag` (kGcmTagSize bytes).
+     */
+    void sealInPlace(ByteView iv, ByteView aad, std::span<uint8_t> text,
+                     uint8_t *tag) const;
+
+    /**
+     * open() into caller memory: verifies the tag, then decrypts into
+     * `out` (ciphertext.size() bytes; may be ciphertext itself).
+     * @return false, with `out` untouched, when the tag does not verify.
+     */
+    bool openInto(ByteView iv, ByteView aad, ByteView ciphertext,
+                  ByteView tag, uint8_t *out) const;
+
+    /** The tag check of open() on its own; nothing is decrypted. */
+    bool verify(ByteView iv, ByteView aad, ByteView ciphertext,
+                ByteView tag) const;
+
+    /**
+     * Decrypts (or encrypts: it is the same XOR) the bytes at
+     * [offset, offset + len) of a text sealed under `iv`, reading `in`
+     * and writing `out` (which may alias). Lets a verified ciphertext
+     * be decrypted piece by piece straight to where each piece goes.
+     */
+    void cryptAt(ByteView iv, uint64_t offset, const uint8_t *in,
+                 uint8_t *out, size_t len) const;
+
+    /**
      * White-box seam for counter-wrap KATs: runs the GCM CTR core
      * against an explicit pre-increment counter block J0 (the keystream
      * starts at inc32(J0)), which lets tests pin the 32-bit counter
@@ -65,7 +93,12 @@ class AesGcm
   private:
     struct Ghash;
     void deriveCounter0(ByteView iv, uint8_t j0[16]) const;
-    void ctrCrypt(const uint8_t j0[16], ByteView in, Bytes &out) const;
+    void ctrCrypt(const uint8_t j0[16], uint64_t offset, const uint8_t *in,
+                  uint8_t *out, size_t len) const;
+    void sealTo(ByteView iv, ByteView aad, const uint8_t *in, uint8_t *out,
+                size_t len, uint8_t *tag) const;
+    void tagOf(const uint8_t j0[16], ByteView aad, ByteView ciphertext,
+               uint8_t tag[16]) const;
 
     Aes aes_;
     uint64_t h_[2]; ///< GHASH key H = E_K(0), big-endian halves.

@@ -1,11 +1,14 @@
 #include "fpga/device.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "bitstream/compiler.hpp"
+#include "bitstream/crc32.hpp"
 #include "bitstream/encryptor.hpp"
 #include "common/errors.hpp"
 #include "common/log.hpp"
+#include "crypto/aes_gcm.hpp"
 #include "sim/fault.hpp"
 
 namespace salus::fpga {
@@ -134,7 +137,7 @@ LoadedDesign::behaviorPaths() const
 
 FpgaDevice::FpgaDevice(DeviceModelInfo model, DeviceDna dna)
     : model_(std::move(model)), dna_(dna), dram_(model_.dramBytes),
-      configMem_(size_t(model_.totalFrames) * model_.frameSize, 0)
+      configMem_(size_t(model_.totalFrames) * model_.frameSize)
 {
     dna_.value &= (uint64_t(1) << 57) - 1;
 }
@@ -150,48 +153,103 @@ FpgaDevice::fuseKey(ByteView key32)
     keyFused_ = true;
 }
 
-LoadStatus
-FpgaDevice::configureFrames(const bitstream::Bitstream &bs)
+namespace {
+
+/** Plaintext is decrypted and checked this many bytes at a time. */
+constexpr size_t kPlainChunk = 64 * 1024;
+
+/**
+ * The plaintext file inside an authenticated blob, decrypted on demand
+ * at any offset: the device never holds the whole file, only what it
+ * reads (a header field, a chunk) or writes straight to the frames.
+ */
+class PlainFile
 {
-    const auto *part = model_.findPartition(bs.partitionId);
-    if (!part || bs.frameStart != part->frameStart ||
-        bs.frameCount != part->frameCount ||
-        bs.frameSize != part->frameSize) {
-        return LoadStatus::GeometryMismatch;
+  public:
+    PlainFile(const crypto::AesGcm &gcm,
+              const bitstream::SealedBitstream &sealed)
+        : gcm_(gcm), sealed_(sealed)
+    {}
+
+    size_t size() const { return sealed_.ciphertext.size(); }
+
+    void
+    read(size_t offset, uint8_t *out, size_t len) const
+    {
+        gcm_.cryptAt(sealed_.iv, offset,
+                     sealed_.ciphertext.data() + offset, out, len);
     }
 
-    // Partial reconfiguration rewrites the ENTIRE partition: zeroize
-    // first so nothing from the previous tenant can survive, then
-    // write every frame the bitstream carries (which by construction
-    // is every frame of the partition).
-    size_t base = size_t(part->frameStart) * part->frameSize;
-    size_t len = part->bodyBytes();
-    std::memset(configMem_.data() + base, 0, len);
-    std::memcpy(configMem_.data() + base, bs.body.data(), len);
+    uint32_t
+    readLe32(size_t offset) const
+    {
+        uint8_t word[4];
+        read(offset, word, 4);
+        return loadLe32(word);
+    }
 
+    /** CRC-32 of plaintext [0, len), decrypted through a scratch
+     *  buffer of at most one chunk. */
+    uint32_t
+    crc(size_t len) const
+    {
+        Bytes chunk(std::min(len, kPlainChunk));
+        uint32_t crc = 0;
+        for (size_t done = 0; done < len; done += chunk.size()) {
+            size_t n = std::min(chunk.size(), len - done);
+            read(done, chunk.data(), n);
+            crc = bitstream::crc32(ByteView(chunk.data(), n), crc);
+        }
+        secureZero(chunk);
+        return crc;
+    }
+
+  private:
+    const crypto::AesGcm &gcm_;
+    const bitstream::SealedBitstream &sealed_;
+};
+
+} // namespace
+
+LoadStatus
+FpgaDevice::configureFrames(const bitstream::PartitionGeometry &part)
+{
     // Record per-frame ECC signatures, as the configuration engine
     // does while writing frames.
-    std::vector<FrameEcc> ecc(part->frameCount);
-    for (uint32_t f = 0; f < part->frameCount; ++f) {
+    size_t base = size_t(part.frameStart) * part.frameSize;
+    size_t len = part.bodyBytes();
+    std::vector<FrameEcc> ecc(part.frameCount);
+    for (uint32_t f = 0; f < part.frameCount; ++f) {
         ecc[f] = frameEcc(configMem_.data() + base +
-                              size_t(f) * part->frameSize,
-                          part->frameSize);
+                              size_t(f) * part.frameSize,
+                          part.frameSize);
     }
-    ecc_[bs.partitionId] = std::move(ecc);
+    ecc_[part.partitionId] = std::move(ecc);
 
-    designs_.erase(bs.partitionId);
+    designs_.erase(part.partitionId);
     try {
         netlist::Netlist design = bitstream::extractDesign(
             ByteView(configMem_.data() + base, len));
         FabricServices services{dna_, &dram_};
-        designs_[bs.partitionId] =
+        designs_[part.partitionId] =
             std::make_unique<LoadedDesign>(std::move(design), services);
     } catch (const SalusError &e) {
-        logf(LogLevel::Warn, "fpga", "partition ", bs.partitionId,
+        logf(LogLevel::Warn, "fpga", "partition ", part.partitionId,
              " configured but design is unusable: ", e.what());
         return LoadStatus::DesignUnusable;
     }
     return LoadStatus::Ok;
+}
+
+const bitstream::PartitionGeometry *
+FpgaDevice::matchPartition(uint32_t partitionId, uint32_t frameStart,
+                           uint32_t frameCount, uint32_t frameSize) const
+{
+    const auto *part = model_.findPartition(partitionId);
+    if (!part || frameStart != part->frameStart ||
+        frameCount != part->frameCount || frameSize != part->frameSize)
+        return nullptr;
+    return part;
 }
 
 LoadStatus
@@ -209,44 +267,82 @@ FpgaDevice::loadEncryptedPartial(ByteView blob)
     if (header.deviceModel != model_.name)
         return LoadStatus::WrongDeviceModel;
 
-    // A scheduled load fault models a bit flipped in flight: the GCM
-    // tag check fails mid-stream, which (as below) leaves the
-    // partition disturbed and therefore cleared.
-    if (fault_ && fault_->onBitstreamLoad(deviceIndex_)) {
-        if (model_.findPartition(header.partitionId))
-            clearPartition(header.partitionId);
-        return LoadStatus::DecryptFailed;
-    }
-
     // Decryption happens inside the fabric; plaintext never leaves
     // this function except into configuration memory. As on real
     // devices, frames stream into the partition while the GCM tag is
     // still pending — an authentication failure aborts the load with
     // the partition already disturbed, so the model clears it
     // (fail-safe: a tampered load can never leave the PREVIOUS design
-    // running, let alone a spliced one).
-    auto plain = bitstream::decryptBitstream(blob, ByteView(efuse_, 32));
-    if (!plain) {
+    // running, let alone a spliced one). The same goes for a plaintext
+    // that authenticates but does not parse.
+    auto failClosed = [&](LoadStatus status) {
         if (model_.findPartition(header.partitionId))
             clearPartition(header.partitionId);
-        return LoadStatus::DecryptFailed;
+        return status;
+    };
+
+    // A scheduled load fault models a bit flipped in flight: the GCM
+    // tag check fails mid-stream, which leaves the partition disturbed
+    // and therefore cleared.
+    if (fault_ && fault_->onBitstreamLoad(deviceIndex_))
+        return failClosed(LoadStatus::DecryptFailed);
+
+    // The model checks the tag over the blob where it lies before any
+    // frame is written, then decrypts the body straight into the
+    // partition's frames: one pass, no whole-file plaintext anywhere.
+    std::optional<bitstream::SealedBitstream> sealed =
+        bitstream::parseSealedBitstream(blob);
+    crypto::AesGcm gcm(ByteView(efuse_, 32));
+    if (!sealed || !gcm.verify(sealed->iv, sealed->aad,
+                               sealed->ciphertext, sealed->tag))
+        return failClosed(LoadStatus::DecryptFailed);
+
+    const PlainFile plain(gcm, *sealed);
+    bitstream::FileHeader file;
+    try {
+        file = bitstream::parseFileHeader(
+            plain.size(), [&plain](size_t off, uint8_t *out, size_t len) {
+                plain.read(off, out, len);
+            });
+    } catch (const BitstreamError &) {
+        return failClosed(LoadStatus::MalformedBitstream);
+    }
+    const size_t crcOffset = plain.size() - 4;
+
+    // The clear header's routing claim is GCM-authenticated; the
+    // decrypted bitstream must target the same partition, with the
+    // partition's exact geometry.
+    const bitstream::PartitionGeometry *part =
+        file.partitionId == header.partitionId
+            ? matchPartition(file.partitionId, file.frameStart,
+                             file.frameCount, file.frameSize)
+            : nullptr;
+    if (file.deviceModel != model_.name || !part) {
+        // A well-formed file for somewhere else is refused with the
+        // partition untouched, but only once its CRC holds: a bad CRC
+        // is malformed, whatever the header says. No frame is written.
+        if (plain.crc(crcOffset) != plain.readLe32(crcOffset))
+            return failClosed(LoadStatus::MalformedBitstream);
+        return file.deviceModel != model_.name
+                   ? LoadStatus::WrongDeviceModel
+                   : LoadStatus::GeometryMismatch;
     }
 
-    bitstream::Bitstream bs;
-    try {
-        bs = bitstream::Bitstream::fromFile(*plain);
-    } catch (const BitstreamError &) {
-        if (model_.findPartition(header.partitionId))
-            clearPartition(header.partitionId);
-        return LoadStatus::MalformedBitstream;
+    // The body is exactly the partition, so writing it overwrites
+    // every frame (Observation 2). Each chunk is CRC-checked while it
+    // is still in cache.
+    uint8_t *frames =
+        configMem_.data() + size_t(part->frameStart) * part->frameSize;
+    const size_t len = part->bodyBytes();
+    uint32_t crc = plain.crc(file.bodyOffset);
+    for (size_t done = 0; done < len; done += kPlainChunk) {
+        size_t n = std::min(kPlainChunk, len - done);
+        plain.read(file.bodyOffset + done, frames + done, n);
+        crc = bitstream::crc32(ByteView(frames + done, n), crc);
     }
-    if (bs.deviceModel != model_.name)
-        return LoadStatus::WrongDeviceModel;
-    // The clear header's routing claim is GCM-authenticated; the
-    // decrypted bitstream must target the same partition.
-    if (bs.partitionId != header.partitionId)
-        return LoadStatus::GeometryMismatch;
-    return configureFrames(bs);
+    if (crc != plain.readLe32(crcOffset))
+        return failClosed(LoadStatus::MalformedBitstream);
+    return configureFrames(*part);
 }
 
 LoadStatus
@@ -260,7 +356,14 @@ FpgaDevice::loadCleartextPartial(ByteView file)
     }
     if (bs.deviceModel != model_.name)
         return LoadStatus::WrongDeviceModel;
-    return configureFrames(bs);
+    const auto *part = matchPartition(bs.partitionId, bs.frameStart,
+                                      bs.frameCount, bs.frameSize);
+    if (!part)
+        return LoadStatus::GeometryMismatch;
+    std::memcpy(configMem_.data() +
+                    size_t(part->frameStart) * part->frameSize,
+                bs.body.data(), part->bodyBytes());
+    return configureFrames(*part);
 }
 
 Bytes
@@ -273,9 +376,9 @@ FpgaDevice::readback(uint32_t partitionId) const
     const auto *part = model_.findPartition(partitionId);
     if (!part)
         throw DeviceError("no such partition");
-    size_t base = size_t(part->frameStart) * part->frameSize;
-    return Bytes(configMem_.begin() + base,
-                 configMem_.begin() + base + part->bodyBytes());
+    const uint8_t *frames =
+        configMem_.data() + size_t(part->frameStart) * part->frameSize;
+    return Bytes(frames, frames + part->bodyBytes());
 }
 
 LoadedDesign *
@@ -375,7 +478,7 @@ FpgaDevice::injectSeu(uint32_t partitionId, uint64_t bitIndex)
     if (bitIndex >= uint64_t(part->bodyBytes()) * 8)
         throw DeviceError("SEU bit index outside partition");
     size_t base = size_t(part->frameStart) * part->frameSize;
-    configMem_[base + bitIndex / 8] ^= uint8_t(1 << (bitIndex % 8));
+    configMem_.data()[base + bitIndex / 8] ^= uint8_t(1 << (bitIndex % 8));
 }
 
 FpgaDevice::ScrubReport

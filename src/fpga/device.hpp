@@ -125,9 +125,11 @@ class FpgaDevice
 
     // ---- Configuration port (used by the shell) ---------------------
     /**
-     * Loads an encrypted partial bitstream: decrypts inside the
-     * fabric, validates, zeroizes the whole partition, configures it,
-     * and instantiates the design.
+     * Loads an encrypted partial bitstream: checks the GCM tag over
+     * the blob, decrypts the body straight into the partition's frames
+     * (it covers every frame), validates the CRC, and instantiates the
+     * design. A failed tag, or a plaintext that does not parse or
+     * fails its CRC, leaves the partition cleared.
      */
     LoadStatus loadEncryptedPartial(ByteView blob);
 
@@ -201,12 +203,18 @@ class FpgaDevice
     };
 
     FrameEcc frameEcc(const uint8_t *frame, size_t frameSize) const;
-    LoadStatus configureFrames(const bitstream::Bitstream &bs);
+    /** The partition with exactly this id and geometry, or null. */
+    const bitstream::PartitionGeometry *
+    matchPartition(uint32_t partitionId, uint32_t frameStart,
+                   uint32_t frameCount, uint32_t frameSize) const;
+    /** Records frame ECC and instantiates the design of a partition
+     *  whose frames were just written. */
+    LoadStatus configureFrames(const bitstream::PartitionGeometry &part);
 
     DeviceModelInfo model_;
     DeviceDna dna_;
     DeviceDram dram_;
-    Bytes configMem_;
+    ZeroedBytes configMem_; ///< every frame; untouched pages unmapped
     uint8_t efuse_[32] = {};
     bool keyFused_ = false;
     bool readbackEnabled_ = false;

@@ -20,7 +20,7 @@ DeviceDram::read(uint64_t addr, size_t len) const
 {
     if (addr > mem_.size() || len > mem_.size() - addr)
         throw DeviceError("DRAM read out of range");
-    return Bytes(mem_.begin() + addr, mem_.begin() + addr + len);
+    return Bytes(mem_.data() + addr, mem_.data() + addr + len);
 }
 
 } // namespace salus::fpga

@@ -15,11 +15,13 @@
 
 namespace salus::fpga {
 
-/** Byte-addressable device memory. */
+/** Byte-addressable device memory, zero until written. Pages that
+ *  nothing writes stay unmapped, so a large DRAM model costs only what
+ *  a run touches. */
 class DeviceDram
 {
   public:
-    explicit DeviceDram(size_t size) : mem_(size, 0) {}
+    explicit DeviceDram(size_t size) : mem_(size) {}
 
     size_t size() const { return mem_.size(); }
 
@@ -30,11 +32,11 @@ class DeviceDram
     Bytes read(uint64_t addr, size_t len) const;
 
     /** Raw view for attack code that scans memory (malicious shell). */
-    const Bytes &raw() const { return mem_; }
-    Bytes &raw() { return mem_; }
+    ByteView raw() const { return mem_.view(); }
+    std::span<uint8_t> raw() { return mem_.span(); }
 
   private:
-    Bytes mem_;
+    ZeroedBytes mem_;
 };
 
 } // namespace salus::fpga

@@ -488,12 +488,24 @@ bool
 SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
 {
     obs::Span span(obs::Category::Bitstream, "deploy_cl");
-    Bytes file = deps_.fetchBitstream ? deps_.fetchBitstream() : Bytes();
-    if (file.empty()) {
+    ByteView stored =
+        deps_.fetchBitstream ? deps_.fetchBitstream() : ByteView();
+    if (stored.empty()) {
         failure = "bitstream not available";
         retryable = true;
         return false;
     }
+
+    // The one bitstream buffer of this deployment: the untrusted
+    // stored file is copied once, straight into the blob's layout.
+    // Everything below reads and writes only this copy, so the bytes
+    // digested against H are the bytes patched and sealed; storage
+    // changing underneath cannot slip anything past the check.
+    bitstream::EncryptedHeader header;
+    header.deviceModel = activeShell().device().model().name;
+    header.partitionId = activeShell().partitionId();
+    bitstream::BitstreamEnvelope envelope(header, stored);
+    std::span<uint8_t> file = envelope.file();
 
     // --- Verify against H (step: bitstream verification) -------------
     {
@@ -552,11 +564,14 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
         bitstream::Manipulator::patchCell(
             file, ll, metadata_.ctrSessionPath, secrets_.ctrBytes());
     } catch (const BitstreamError &e) {
+        // A cell may already hold a secret; wipe before the buffer goes.
+        secureZero(file.data(), file.size());
         failure = std::string("manipulation failed: ") + e.what();
         return false;
     }
 
-    // --- Encrypt under Key_device -------------------------------------
+    // --- Encrypt under Key_device, in place ---------------------------
+    // Plaintext with secrets never leaves: sealing overwrites it.
     Bytes blob;
     {
         obs::Span sub(obs::Category::Bitstream, "encrypt");
@@ -566,12 +581,7 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
                             deps_.sim.cost->bitstreamVerifyEncrypt(
                                 file.size()) / 2);
         }
-        bitstream::EncryptedHeader header;
-        header.deviceModel = activeShell().device().model().name;
-        header.partitionId = activeShell().partitionId();
-        blob = bitstream::encryptBitstream(
-            file, deviceKeys_.at(activeDna()), header, rng());
-        secureZero(file); // plaintext with secrets never leaves
+        blob = std::move(envelope).seal(deviceKeys_.at(activeDna()), rng());
     }
 
     // --- Hand to the (untrusted) shell for loading --------------------

@@ -87,8 +87,10 @@ struct SmEnclaveDeps
     std::string manufacturerEndpoint; ///< key-distribution endpoint
     /** The device pool; device 0 starts active. */
     std::vector<SmDeviceBinding> devices;
-    /** Pulls the CL bitstream file from (untrusted) cloud storage. */
-    std::function<Bytes()> fetchBitstream;
+    /** Views the CL bitstream file in (untrusted) cloud storage. The
+     *  view must stay valid until the deployment that asked returns;
+     *  the SM enclave copies it once before reading any byte. */
+    std::function<ByteView()> fetchBitstream;
     /** Retry schedule for transport faults (manufacturer round trip,
      *  secure-boot attempts, register-channel ops). The default
      *  disables retries; security rejections are never retried. */

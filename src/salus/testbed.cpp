@@ -200,7 +200,9 @@ Testbed::makeSmDeps()
     for (const DeviceSlot &slot : slots_)
         smDeps.devices.push_back(
             {slot.shell.get(), slot.device->dna().value});
-    smDeps.fetchBitstream = [this] { return storedBitstream_; };
+    smDeps.fetchBitstream = [this]() -> ByteView {
+        return storedBitstream_;
+    };
     smDeps.retry = config_.retry;
     smDeps.sim = simHooks();
     smDeps.fault = injector_.get();

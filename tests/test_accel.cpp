@@ -242,7 +242,7 @@ TEST(AccelPipeline, DramHoldsOnlyCiphertext)
     // Scan device DRAM for any 64-byte window of the plaintext input
     // or reference output: there must be none (§6.4 memory encryption;
     // threat-model attack 2 sees ciphertext only).
-    const Bytes &dram = tb.device().dram().raw();
+    ByteView dram = tb.device().dram().raw();
     std::string hay(dram.begin(), dram.end());
     std::string inputChunk(runner.input().begin() + 64,
                            runner.input().begin() + 128);

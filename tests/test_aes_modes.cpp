@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/errors.hpp"
 #include "common/hex.hpp"
 #include "crypto/aes_cmac.hpp"
@@ -187,6 +189,54 @@ TEST(AesGcmMode, NonTwelveByteIvSupported)
     auto opened = gcm.open(iv, ByteView(), sealed.ciphertext, sealed.tag);
     ASSERT_TRUE(opened.has_value());
     EXPECT_EQ(*opened, msg);
+}
+
+TEST(AesGcmMode, InPlaceFormsMatchCopyingForms)
+{
+    // sealInPlace/openInto/verify/cryptAt are the forms the bitstream
+    // path uses; seal/open wrap them. Each must agree byte for byte,
+    // for both IV paths and texts that end mid-block.
+    CtrDrbg rng(15);
+    AesGcm gcm(rng.bytes(32));
+    Bytes aad = rng.bytes(21);
+    for (size_t ivSize : {size_t(12), size_t(16)}) {
+        Bytes iv = rng.bytes(ivSize);
+        for (size_t len : {0, 1, 15, 16, 17, 100, 1000}) {
+            SCOPED_TRACE(std::to_string(ivSize) + "/" + std::to_string(len));
+            Bytes msg = rng.bytes(len);
+            GcmSealed sealed = gcm.seal(iv, aad, msg);
+
+            Bytes text = msg;
+            uint8_t tag[kGcmTagSize];
+            gcm.sealInPlace(iv, aad, text, tag);
+            EXPECT_EQ(text, sealed.ciphertext);
+            EXPECT_EQ(Bytes(tag, tag + kGcmTagSize), sealed.tag);
+            EXPECT_TRUE(gcm.verify(iv, aad, text, sealed.tag));
+
+            // Any byte range decrypts on its own, at any alignment.
+            for (size_t off = 0; off <= len; off += 7) {
+                size_t n = std::min<size_t>(len - off, 37);
+                Bytes piece(n);
+                gcm.cryptAt(iv, off, text.data() + off, piece.data(), n);
+                EXPECT_TRUE(std::equal(piece.begin(), piece.end(),
+                                       msg.begin() + off))
+                    << "offset " << off;
+            }
+
+            ASSERT_TRUE(gcm.openInto(iv, aad, text, sealed.tag, text.data()));
+            EXPECT_EQ(text, msg);
+
+            if (len > 0) {
+                Bytes bad = sealed.ciphertext;
+                bad[len / 2] ^= 1;
+                Bytes out(len, 0xee);
+                EXPECT_FALSE(gcm.verify(iv, aad, bad, sealed.tag));
+                EXPECT_FALSE(gcm.openInto(iv, aad, bad, sealed.tag,
+                                          out.data()));
+                EXPECT_EQ(out, Bytes(len, 0xee)) << "out must stay untouched";
+            }
+        }
+    }
 }
 
 // --------------------------------------------------------------- CMAC

@@ -10,6 +10,7 @@
 #include "bitstream/compiler.hpp"
 #include "common/errors.hpp"
 #include "fpga/ip.hpp"
+#include "golden.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/testbed.hpp"
 
@@ -174,4 +175,21 @@ TEST(BootFlow, RequiresInstalledCl)
 {
     Testbed tb;
     EXPECT_THROW(tb.runDeployment(), SalusError);
+}
+
+TEST(BootFlow, SmBlobBytesArePinned)
+{
+    // The encrypted blob the SM enclave hands to the shell: the copy,
+    // digest, patch and seal it runs over the stored bitstream must
+    // keep every byte. A pass-through MaliciousShell captures it.
+    TestbedConfig cfg;
+    cfg.rngSeed = 7;
+    cfg.maliciousShell = true;
+    Testbed tb(cfg);
+    tb.installCl(loopbackAccel());
+    ASSERT_TRUE(tb.runDeployment().ok);
+    ASSERT_NE(tb.maliciousShell(), nullptr);
+    test::expectGoldenDigest(
+        "deploy." + tb.device().model().name + ".sm_blob",
+        stringFromBytes(tb.maliciousShell()->capturedBitstream()));
 }

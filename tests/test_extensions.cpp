@@ -605,7 +605,7 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
         deps.selfEndpoint = t.hostEp;
         deps.manufacturerEndpoint = "mft";
         deps.devices = {{t.shell.get(), device->dna().value}};
-        deps.fetchBitstream = [storedBitstream] {
+        deps.fetchBitstream = [storedBitstream]() -> ByteView {
             return storedBitstream;
         };
         t.smApp = std::make_unique<SmEnclaveApp>(platform, deps);

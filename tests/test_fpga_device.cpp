@@ -7,14 +7,20 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+
 #include "bitstream/compiler.hpp"
 #include "bitstream/encryptor.hpp"
 #include "common/errors.hpp"
+#include "common/hex.hpp"
 #include "crypto/random.hpp"
+#include "crypto/sha256.hpp"
 #include "fpga/device.hpp"
 #include "pcie/transactions.hpp"
 #include "shell/shell.hpp"
 #include "sim/cost_model.hpp"
+#include "sim/fault.hpp"
 
 using namespace salus;
 using namespace salus::fpga;
@@ -287,4 +293,247 @@ TEST(FpgaDevice, AbortedEncryptedLoadFailsSafe)
     Bytes frames = rig.device.readback(0);
     for (uint8_t b : frames)
         ASSERT_EQ(b, 0);
+}
+
+namespace {
+
+/** What a partition holds after an encrypted load attempt. */
+struct LoadOutcome
+{
+    LoadStatus status;
+    bool hasDesign;
+    /** "zero", "previous" (the design loaded before the attempt,
+     *  byte for byte) or the SHA-256 of the partition's frames. */
+    std::string frames;
+};
+
+/** One encrypted-load case: builds the blob (and may arm a fault). */
+struct LoadCase
+{
+    const char *name;
+    std::function<Bytes(Rig &, sim::FaultInjector &)> blob;
+    LoadOutcome expect;
+};
+
+/** A bitstream file for `nl` as `deviceModel`'s compiler emits it. */
+Bytes
+compiledFile(const std::string &deviceModel,
+             const bitstream::PartitionGeometry &geometry,
+             const netlist::Netlist &nl)
+{
+    return bitstream::Compiler(deviceModel).compile(nl, geometry).file;
+}
+
+Bytes
+sealFile(Rig &rig, ByteView file, uint32_t headerPartition = 0)
+{
+    return bitstream::encryptBitstream(
+        file, rig.deviceKey,
+        bitstream::EncryptedHeader{rig.model.name, headerPartition},
+        rig.rng);
+}
+
+std::string
+framesLabel(FpgaDevice &device, ByteView previous)
+{
+    device.setReadbackEnabled(true);
+    Bytes frames = device.readback(0);
+    device.setReadbackEnabled(false);
+    if (std::all_of(frames.begin(), frames.end(),
+                    [](uint8_t b) { return b == 0; }))
+        return "zero";
+    if (ByteView(frames).size() == previous.size() &&
+        std::equal(frames.begin(), frames.end(), previous.begin()))
+        return "previous";
+    return hexEncode(crypto::Sha256::digest(frames));
+}
+
+} // namespace
+
+TEST(FpgaDevice, EncryptedLoadOutcomeTable)
+{
+    // Every way an encrypted load can end, pinned by status, surviving
+    // design and the partition's frames afterwards. Each case starts
+    // from a partition that already runs a design ("previous"): an
+    // envelope or tag failure, or a malformed plaintext, clears it; a
+    // well-formed plaintext aimed elsewhere leaves it intact.
+    using bitstream::PartitionGeometry;
+    auto geometry = [](Rig &rig) { return rig.model.partitions[0]; };
+    const std::vector<LoadCase> cases = {
+        {"ok",
+         [](Rig &rig, sim::FaultInjector &) {
+             return rig.encryptedBlob(rig.loopbackDesign("BBBBBBBBBBBBBBBB"));
+         },
+         {LoadStatus::Ok, true,
+          "1e9d5b8df9df10205f76c4f9877f9e06fbeaf9701b0ad54fd93011f2c67b4ca7"}},
+        {"tag_byte_flipped",
+         [](Rig &rig, sim::FaultInjector &) {
+             Bytes blob = rig.encryptedBlob(rig.loopbackDesign());
+             blob[blob.size() - 1] ^= 0x80;
+             return blob;
+         },
+         {LoadStatus::DecryptFailed, false, "zero"}},
+        {"aad_partition_byte_flipped",
+         [](Rig &rig, sim::FaultInjector &) {
+             Bytes blob = rig.encryptedBlob(rig.loopbackDesign());
+             // "SENC" | u32 len | model | u32 partitionId ...
+             blob[4 + 4 + rig.model.name.size()] ^= 0x01;
+             return blob;
+         },
+         {LoadStatus::DecryptFailed, true, "previous"}},
+        {"aad_model_byte_flipped",
+         [](Rig &rig, sim::FaultInjector &) {
+             Bytes blob = rig.encryptedBlob(rig.loopbackDesign());
+             blob[4 + 4] ^= 0x01;
+             return blob;
+         },
+         {LoadStatus::WrongDeviceModel, true, "previous"}},
+        {"blob_truncated",
+         [](Rig &rig, sim::FaultInjector &) {
+             Bytes blob = rig.encryptedBlob(rig.loopbackDesign());
+             blob.pop_back();
+             return blob;
+         },
+         {LoadStatus::DecryptFailed, false, "zero"}},
+        {"blob_trailing_bytes",
+         [](Rig &rig, sim::FaultInjector &) {
+             Bytes blob = rig.encryptedBlob(rig.loopbackDesign());
+             blob.push_back(0);
+             return blob;
+         },
+         {LoadStatus::DecryptFailed, false, "zero"}},
+        {"injected_load_fault",
+         [](Rig &rig, sim::FaultInjector &fault) {
+             rig.device.setFaultInjector(&fault);
+             return rig.encryptedBlob(rig.loopbackDesign());
+         },
+         {LoadStatus::DecryptFailed, false, "zero"}},
+        {"plaintext_crc_wrong",
+         [geometry](Rig &rig, sim::FaultInjector &) {
+             Bytes file = compiledFile(rig.model.name, geometry(rig),
+                                       rig.loopbackDesign());
+             file.back() ^= 0x01;
+             return sealFile(rig, file);
+         },
+         {LoadStatus::MalformedBitstream, false, "zero"}},
+        {"plaintext_magic_wrong",
+         [geometry](Rig &rig, sim::FaultInjector &) {
+             Bytes file = compiledFile(rig.model.name, geometry(rig),
+                                       rig.loopbackDesign());
+             file[0] ^= 0x01;
+             bitstream::refreshFileCrc(file);
+             return sealFile(rig, file);
+         },
+         {LoadStatus::MalformedBitstream, false, "zero"}},
+        {"plaintext_trailing_garbage",
+         [geometry](Rig &rig, sim::FaultInjector &) {
+             Bytes file = compiledFile(rig.model.name, geometry(rig),
+                                       rig.loopbackDesign());
+             file.insert(file.end() - 4, 0x00);
+             bitstream::refreshFileCrc(file);
+             return sealFile(rig, file);
+         },
+         {LoadStatus::MalformedBitstream, false, "zero"}},
+        {"plaintext_too_short",
+         [](Rig &rig, sim::FaultInjector &) {
+             return sealFile(rig, Bytes{1, 2, 3, 4, 5});
+         },
+         {LoadStatus::MalformedBitstream, false, "zero"}},
+        {"plaintext_model_differs",
+         [geometry](Rig &rig, sim::FaultInjector &) {
+             return sealFile(rig, compiledFile("xcother-sim", geometry(rig),
+                                               rig.loopbackDesign()));
+         },
+         {LoadStatus::WrongDeviceModel, true, "previous"}},
+        {"plaintext_partition_differs",
+         [geometry](Rig &rig, sim::FaultInjector &) {
+             PartitionGeometry g = geometry(rig);
+             g.partitionId = 1;
+             return sealFile(rig, compiledFile(rig.model.name, g,
+                                               rig.loopbackDesign()));
+         },
+         {LoadStatus::GeometryMismatch, true, "previous"}},
+        {"geometry_frame_start_differs",
+         [geometry](Rig &rig, sim::FaultInjector &) {
+             PartitionGeometry g = geometry(rig);
+             g.frameStart += 1;
+             return sealFile(rig, compiledFile(rig.model.name, g,
+                                               rig.loopbackDesign()));
+         },
+         {LoadStatus::GeometryMismatch, true, "previous"}},
+        {"geometry_frame_count_differs",
+         [geometry](Rig &rig, sim::FaultInjector &) {
+             PartitionGeometry g = geometry(rig);
+             g.frameCount /= 2;
+             return sealFile(rig, compiledFile(rig.model.name, g,
+                                               rig.loopbackDesign()));
+         },
+         {LoadStatus::GeometryMismatch, true, "previous"}},
+        {"unusable_design",
+         [](Rig &rig, sim::FaultInjector &) {
+             netlist::Netlist nl("cl");
+             netlist::Cell logic;
+             logic.path = "cl/mystery";
+             logic.kind = netlist::CellKind::Logic;
+             logic.behaviorId = 0xdead;
+             logic.resources = {1, 1, 0, 0};
+             nl.addCell(logic);
+             return rig.encryptedBlob(nl);
+         },
+         {LoadStatus::DesignUnusable, false,
+          "6726065fe67da15244d0ba593acbcd7e6fc08a38290fb5e5cba37f89cf3d5389"}},
+    };
+
+    for (const LoadCase &c : cases) {
+        SCOPED_TRACE(c.name);
+        Rig rig;
+        ASSERT_EQ(rig.device.loadEncryptedPartial(rig.encryptedBlob(
+                      rig.loopbackDesign("AAAAAAAAAAAAAAAA"))),
+                  LoadStatus::Ok);
+        rig.device.setReadbackEnabled(true);
+        Bytes previous = rig.device.readback(0);
+        rig.device.setReadbackEnabled(false);
+
+        sim::VirtualClock clock;
+        sim::FaultInjector fault(
+            sim::FaultPlan{}.add(sim::FaultRule::bitstreamLoadFail()),
+            clock);
+        Bytes blob = c.blob(rig, fault);
+        LoadStatus status = rig.device.loadEncryptedPartial(blob);
+        bool hasDesign = rig.device.design(0) != nullptr;
+        std::string frames = framesLabel(rig.device, previous);
+        EXPECT_EQ(loadStatusName(status), loadStatusName(c.expect.status));
+        EXPECT_EQ(hasDesign, c.expect.hasDesign);
+        EXPECT_EQ(frames, c.expect.frames);
+    }
+}
+
+TEST(FpgaDevice, EncryptedLoadDecryptsEveryChunkIntoTheFrames)
+{
+    // A partition of several decrypt chunks, the last one partial, at
+    // a body offset that is not block-aligned: the frames must hold
+    // the file's body byte for byte.
+    DeviceModelInfo model = testModel();
+    model.name = "xcchunks-sim";
+    model.partitions[0].frameCount = 5000; // 320000 bytes
+    model.totalFrames = model.partitions[0].frameStart + 5000;
+    FpgaDevice device(model, DeviceDna{7});
+    crypto::CtrDrbg rng(uint64_t(77));
+    Bytes key = rng.bytes(32);
+    device.fuseKey(key);
+
+    Rig rig;
+    auto compiled = bitstream::Compiler(model.name)
+                        .compile(rig.loopbackDesign(), model.partitions[0]);
+    Bytes blob = bitstream::encryptBitstream(
+        compiled.file, key, bitstream::EncryptedHeader{model.name, 0}, rng);
+    ASSERT_EQ(device.loadEncryptedPartial(blob), LoadStatus::Ok);
+    ASSERT_NE(device.design(0), nullptr);
+
+    size_t bodyOffset = bitstream::bitstreamBodyOffset(model.name);
+    ASSERT_NE(bodyOffset % 16, 0u);
+    device.setReadbackEnabled(true);
+    EXPECT_EQ(device.readback(0),
+              Bytes(compiled.file.begin() + bodyOffset,
+                    compiled.file.end() - 4));
 }

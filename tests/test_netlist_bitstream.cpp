@@ -14,6 +14,8 @@
 #include "common/hex.hpp"
 #include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
+#include "fpga/device.hpp"
+#include "golden.hpp"
 
 using namespace salus;
 using namespace salus::netlist;
@@ -289,6 +291,60 @@ TEST(Manipulator, PatchCellInjectsAndRepairsCrc)
     EXPECT_EQ(recovered.findCell("top/secret")->init, newSecret);
 }
 
+TEST(Manipulator, IncrementalCrcMatchesFullRecompute)
+{
+    // patchCell folds each patch into the CRC word; the word must equal
+    // a full recompute after every patch: at offset 0, ending at the
+    // last byte before the CRC, unaligned, of length 1 and 4096, and
+    // at random places.
+    crypto::CtrDrbg rng(uint64_t(0xc7c));
+    Bytes file = rng.bytes(5 * 4096 + 37 + 4);
+    refreshFileCrc(file);
+    const uint64_t end = file.size() - 4;
+    std::vector<std::pair<uint64_t, uint32_t>> spans = {
+        {0, 1},           {0, 4096},       {end - 1, 1},
+        {end - 4096, 4096}, {13, 1},       {4099, 4096},
+        {777, 333},       {end - 5, 5},
+    };
+    for (int i = 0; i < 32; ++i) {
+        uint32_t len = 1 + uint32_t(rng.nextU64() % 4096);
+        spans.push_back({rng.nextU64() % (end - len + 1), len});
+    }
+    LogicLocationFile ll;
+    for (size_t i = 0; i < spans.size(); ++i)
+        ll.add({"cell" + std::to_string(i), spans[i].first,
+                spans[i].second});
+    for (size_t i = 0; i < spans.size(); ++i) {
+        SCOPED_TRACE(std::to_string(spans[i].first) + "+" +
+                     std::to_string(spans[i].second));
+        Manipulator::patchCell(file, ll, "cell" + std::to_string(i),
+                               rng.bytes(spans[i].second));
+        Bytes recomputed = file;
+        refreshFileCrc(recomputed);
+        EXPECT_EQ(loadLe32(file.data() + end),
+                  loadLe32(recomputed.data() + end));
+    }
+    EXPECT_TRUE(fileCrcValid(file));
+}
+
+TEST(Crc32, ContinuesAndFoldsDeltas)
+{
+    crypto::CtrDrbg rng(uint64_t(0xc7d));
+    Bytes a = rng.bytes(1000);
+    Bytes b = rng.bytes(333);
+    EXPECT_EQ(crc32(b, crc32(a)), crc32(concatBytes({a, b})));
+    EXPECT_EQ(crc32(Bytes(), crc32(a)), crc32(a));
+
+    // A delta far from the end: the tail shift runs over 1 MiB.
+    Bytes m = rng.bytes((1 << 20) + 64);
+    Bytes delta = rng.bytes(48);
+    Bytes patched = m;
+    for (size_t i = 0; i < delta.size(); ++i)
+        patched[5 + i] ^= delta[i];
+    uint64_t tail = m.size() - 5 - delta.size();
+    EXPECT_EQ(crc32(patched), crc32(m) ^ crc32Delta(delta, tail));
+}
+
 TEST(Manipulator, ErrorsOnBadInput)
 {
     Compiler compiler("dev-x");
@@ -474,4 +530,35 @@ TEST(Compiler, DeterministicOutput)
     EXPECT_EQ(a.file, b.file);
     EXPECT_EQ(a.logicLocations.serialize(),
               b.logicLocations.serialize());
+}
+
+// ------------------------------------------------------- pinned bytes
+
+TEST(Compiler, FileBytesArePinned)
+{
+    // The compiled file for both device scales, byte for byte: the
+    // compiler writes it in place and must keep every byte.
+    for (const fpga::DeviceModelInfo &model :
+         {fpga::testModel(), fpga::u200ScaledModel()}) {
+        SCOPED_TRACE(model.name);
+        Bytes file = Compiler(model.name)
+                         .compile(sampleDesign(), model.partitions[0])
+                         .file;
+        test::expectGoldenDigest("compile." + model.name + ".file",
+                                 stringFromBytes(file));
+    }
+}
+
+TEST(Encryptor, BlobBytesArePinned)
+{
+    fpga::DeviceModelInfo model = fpga::testModel();
+    Bytes file = Compiler(model.name)
+                     .compile(sampleDesign(), model.partitions[0])
+                     .file;
+    crypto::CtrDrbg rng(uint64_t(0xb10b));
+    Bytes key = rng.bytes(32);
+    Bytes blob = encryptBitstream(file, key,
+                                  EncryptedHeader{model.name, 0}, rng);
+    test::expectGoldenDigest("encrypt." + model.name + ".blob",
+                             stringFromBytes(blob));
 }
