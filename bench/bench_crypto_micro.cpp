@@ -3,15 +3,17 @@
  * Crypto hot-path microbench: measures real wall-clock MB/s for the
  * primitives on Salus's data planes — AES-CTR (DMA channel; also at
  * its 64 KiB write descriptor size), AES-GCM seal (bitstream + bulk
- * data), SHA-256 (digests) — through the dispatch-selected backend
- * AND the forced-scalar reference, and reports the speedup ratio per
- * primitive/size.
+ * data), SHA-256 (digests), and the two cold-boot bulk passes, the
+ * bitstream CRC-32 and the CtrDrbg filler — through the
+ * dispatch-selected backend AND the forced-scalar reference, and
+ * reports the speedup ratio per primitive/size.
  *
  * Doubles as a correctness-of-dispatch gate: with AES-NI detected the
  * hardware path must beat scalar by >=5x (AES-CTR) and >=4x (AES-GCM)
- * at 4 KiB, with PCLMULQDQ too AES-GCM must also beat scalar by >=4x
- * at 1 MiB, and with SHA-NI SHA-256 must beat scalar by >=2x at 1 MiB.
- * Any violation exits non-zero.
+ * at 4 KiB and the DRBG fill by >=2x at 1 MiB, with PCLMULQDQ AES-GCM
+ * must also beat scalar by >=4x and CRC-32 by >=2x at 1 MiB, and with
+ * SHA-NI SHA-256 must beat scalar by >=2x at 1 MiB. Any violation
+ * exits non-zero.
  *
  * Fast and scalar rounds are interleaved and each side keeps its best
  * of five, so host noise cannot land on one side only.
@@ -30,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "bitstream/crc32.hpp"
 #include "crypto/aes_ctr.hpp"
 #include "crypto/aes_gcm.hpp"
 #include "crypto/backend.hpp"
@@ -156,6 +159,21 @@ main(int argc, char **argv)
                                      Bytes d = Sha256::digest(data);
                                  }));
     }
+    // The cold boot's bulk passes over the 32 MiB partial bitstream,
+    // at 1 MiB: its CRC-32 word and the DRBG filler of its body.
+    Bytes bulk = rng.bytes(size_t(1) << 20);
+    points.push_back(measure("crc32", "crc32_1m_speedup_x", bulk.size(),
+                             [&] {
+                                 volatile uint32_t c =
+                                     bitstream::crc32(bulk);
+                                 (void)c;
+                             }));
+    CtrDrbg filler(uint64_t(0xf111));
+    points.push_back(measure("drbg_fill", "drbg_1m_speedup_x",
+                             bulk.size(), [&] {
+                                 filler.fill(bulk.data(), bulk.size());
+                             }));
+
     // The DMA channel's write descriptor size: a point, not a gate
     // (its ratio tracks the 1 MiB one).
     Bytes dmaPayload = rng.bytes(size_t(64) << 10);
@@ -185,8 +203,16 @@ main(int argc, char **argv)
             check(find("aes_gcm", size_t(1) << 20).speedup >= 4.0,
                   "AES-GCM 1 MiB below the 4x hardware-vs-scalar floor");
         }
+        check(find("drbg_fill", size_t(1) << 20).speedup >= 2.0,
+              "DRBG fill 1 MiB below the 2x hardware-vs-scalar floor");
     } else {
         std::printf("no AES-NI: skipping AES speedup floors\n");
+    }
+    if (info.pclmul) {
+        check(find("crc32", size_t(1) << 20).speedup >= 2.0,
+              "CRC-32 1 MiB below the 2x hardware-vs-scalar floor");
+    } else {
+        std::printf("no PCLMULQDQ: skipping CRC-32 speedup floor\n");
     }
     if (info.shani) {
         check(find("sha256", size_t(1) << 20).speedup >= 2.0,

@@ -1,5 +1,12 @@
 #include "bitstream/crc32.hpp"
 
+#include "crypto/backend.hpp"
+
+#if defined(__x86_64__) || defined(_M_X64)
+#define SALUS_CRC32_CLMUL 1
+#include <immintrin.h>
+#endif
+
 namespace salus::bitstream {
 
 namespace {
@@ -32,10 +39,101 @@ const Crc32Table kTable;
 
 constexpr uint32_t kPoly = 0xedb88320u; ///< reflected IEEE polynomial
 
-/** Runs the CRC register `c` over the data (no init, no final XOR). */
+#ifdef SALUS_CRC32_CLMUL
+
+/**
+ * Folding constants in the reflected domain: k(n) is x^n mod P,
+ * bit-reversed over 32 bits and shifted left by one, so a carry-less
+ * product with a 64-bit lane moves that lane n bits further along the
+ * message (Intel, "Fast CRC Computation for Generic Polynomials Using
+ * PCLMULQDQ"). kFold4 skips 4 x 128 bits, kFold1 skips 128 bits,
+ * kFold64 folds 96 bits down to 64, and the Barrett reduction to 32
+ * bits takes P (33 bits) and floor(x^64 / P), both reflected.
+ */
+constexpr uint64_t kFold4Lo = 0x154442bd4;  ///< k(4 * 128 + 32)
+constexpr uint64_t kFold4Hi = 0x1c6e41596;  ///< k(4 * 128 - 32)
+constexpr uint64_t kFold1Lo = 0x1751997d0;  ///< k(128 + 32)
+constexpr uint64_t kFold1Hi = 0x0ccaa009e;  ///< k(128 - 32)
+constexpr uint64_t kFold64 = 0x163cd6124;   ///< k(64)
+constexpr uint64_t kPolyRefl = 0x1db710641; ///< P, reflected
+constexpr uint64_t kMuRefl = 0x1f7011641;   ///< floor(x^64 / P), reflected
+
+__attribute__((target("pclmul,sse2"))) inline __m128i
+load128(const uint8_t *p)
+{
+    return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
+}
+
+/** acc moved forward by the distance k encodes, XORed onto next. */
+__attribute__((target("pclmul,sse2"))) inline __m128i
+fold(__m128i acc, __m128i k, __m128i next)
+{
+    return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k, 0x00),
+                                       _mm_clmulepi64_si128(acc, k, 0x11)),
+                         next);
+}
+
+/**
+ * The CRC register run over n bytes, n >= 64 and a multiple of 16:
+ * four 128-bit lanes fold 64 bytes per step, then fold into one lane,
+ * take the remaining 16-byte blocks, and reduce 128 -> 64 -> 32 bits
+ * (the last step a Barrett reduction).
+ */
+__attribute__((target("pclmul,sse2"))) uint32_t
+updateClmul(uint32_t c, const uint8_t *p, size_t n)
+{
+    const __m128i k4 = _mm_set_epi64x(kFold4Hi, kFold4Lo);
+    const __m128i k1 = _mm_set_epi64x(kFold1Hi, kFold1Lo);
+    __m128i x0 = _mm_xor_si128(load128(p), _mm_cvtsi32_si128(int(c)));
+    __m128i x1 = load128(p + 16);
+    __m128i x2 = load128(p + 32);
+    __m128i x3 = load128(p + 48);
+    for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+        x0 = fold(x0, k4, load128(p));
+        x1 = fold(x1, k4, load128(p + 16));
+        x2 = fold(x2, k4, load128(p + 32));
+        x3 = fold(x3, k4, load128(p + 48));
+    }
+    __m128i x = fold(fold(fold(x0, k1, x1), k1, x2), k1, x3);
+    for (; n >= 16; p += 16, n -= 16)
+        x = fold(x, k1, load128(p));
+
+    const __m128i low32 = _mm_set_epi32(0, ~0, 0, ~0);
+    // 128 -> 96 bits: the low lane times k(96) onto the high lane.
+    x = _mm_xor_si128(_mm_srli_si128(x, 8),
+                      _mm_clmulepi64_si128(x, k1, 0x10));
+    // 96 -> 64 bits: the low 32 bits times k(64) onto the rest.
+    x = _mm_xor_si128(
+        _mm_srli_si128(x, 4),
+        _mm_clmulepi64_si128(_mm_and_si128(x, low32),
+                             _mm_cvtsi64_si128(int64_t(kFold64)), 0x00));
+    // Barrett: q = (low 32 bits * mu) mod x^32, remainder = x ^ q * P.
+    const __m128i barrett = _mm_set_epi64x(kMuRefl, kPolyRefl);
+    __m128i q = _mm_clmulepi64_si128(_mm_and_si128(x, low32), barrett,
+                                     0x10);
+    q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+    x = _mm_xor_si128(x, q);
+    return uint32_t(_mm_cvtsi128_si32(_mm_srli_si128(x, 4)));
+}
+
+#endif // SALUS_CRC32_CLMUL
+
+/**
+ * Runs the CRC register `c` over the data (no init, no final XOR).
+ * With PCLMULQDQ the 16-byte blocks of a buffer of at least 64 bytes
+ * are folded; slice-by-8 takes shorter buffers and the tail.
+ */
 uint32_t
 update(uint32_t c, const uint8_t *p, size_t n)
 {
+#ifdef SALUS_CRC32_CLMUL
+    if (n >= 64 && crypto::crc32BackendActive()) {
+        const size_t blocks = n & ~size_t(15);
+        c = updateClmul(c, p, blocks);
+        p += blocks;
+        n -= blocks;
+    }
+#endif
     const auto &t = kTable.tbl;
     for (; n >= 8; n -= 8, p += 8) {
         const uint32_t lo = c ^ loadLe32(p);

@@ -118,6 +118,12 @@ sha256BackendActive()
     return backendInfo().shani && !forceScalar();
 }
 
+bool
+crc32BackendActive()
+{
+    return backendInfo().pclmul && !forceScalar();
+}
+
 std::string
 backendSummary()
 {

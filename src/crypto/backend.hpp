@@ -10,6 +10,7 @@
  *   AES (ECB block / CTR keystream / GCM CTR)  -> AES-NI, VAES+AVX2
  *   GHASH (GCM authentication)                 -> PCLMULQDQ
  *   SHA-256 compression                        -> SHA-NI (+SSSE3/SSE4.1)
+ *   CRC-32 (bitstream integrity word)          -> PCLMULQDQ
  *
  * Selection happens once per process from CPUID, and can be
  * overridden down to the scalar path with the SALUS_FORCE_SCALAR
@@ -54,6 +55,8 @@ void setForceScalar(bool on);
 bool aesBackendActive();
 bool ghashBackendActive();
 bool sha256BackendActive();
+/** bitstream::crc32 folds with PCLMULQDQ (kernel in bitstream/). */
+bool crc32BackendActive();
 
 /**
  * One-line human-readable summary for test/bench preambles, e.g.

@@ -1,5 +1,6 @@
 #include "crypto/random.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 
@@ -35,14 +36,19 @@ RandomSource::below(uint64_t bound)
 
 namespace {
 
+/** v += n, v read as one 128-bit big-endian integer. */
 void
-incrementBe128(uint8_t v[16])
+addBe128(uint8_t v[16], uint64_t n)
 {
-    for (int i = 15; i >= 0; --i) {
-        if (++v[i] != 0)
-            break;
-    }
+    const uint64_t low = loadBe64(v + 8);
+    storeBe64(v + 8, low + n);
+    if (low + n < low)
+        storeBe64(v, loadBe64(v) + 1);
 }
+
+/** Zero plaintext: counter mode over it is the bare keystream. */
+constexpr size_t kZeroBlocks = 256;
+const uint8_t kZeros[kZeroBlocks * 16] = {};
 
 } // namespace
 
@@ -69,18 +75,18 @@ CtrDrbg::~CtrDrbg()
 }
 
 void
-CtrDrbg::update(ByteView providedData)
+CtrDrbg::update(const Aes &aes, ByteView providedData)
 {
-    // Generate 48 bytes of keystream, XOR in provided data, and use
-    // the result as the new (key, V) pair -- the SP 800-90A update.
-    uint8_t temp[48];
-    Aes aes(ByteView(key_, 32));
-    for (int i = 0; i < 3; ++i) {
-        incrementBe128(v_);
-        aes.encryptBlock(v_, temp + 16 * i);
-    }
-    for (size_t i = 0; i < providedData.size() && i < 48; ++i)
-        temp[i] ^= providedData[i];
+    // Generate 48 bytes of keystream from counters V+1..V+3, XOR in
+    // the provided data, and use the result as the new (key, V) pair
+    // -- the SP 800-90A update. Counter mode over the provided data
+    // (zero-padded to 48 bytes) does both steps at once.
+    uint8_t temp[48] = {};
+    if (!providedData.empty())
+        std::memcpy(temp, providedData.data(),
+                    std::min(providedData.size(), sizeof(temp)));
+    addBe128(v_, 1);
+    aes.ctrXor(v_, temp, temp, 3);
     std::memcpy(key_, temp, 32);
     std::memcpy(v_, temp + 32, 16);
     secureZero(temp, sizeof(temp));
@@ -92,25 +98,34 @@ CtrDrbg::reseed(ByteView seed)
     // Condition arbitrary-length seed material through SHA-512 and use
     // the first 48 bytes as the derived seed.
     Bytes digest = Sha512::digest(seed);
-    update(ByteView(digest.data(), 48));
+    update(Aes(ByteView(key_, 32)), ByteView(digest.data(), 48));
     secureZero(digest);
 }
 
 void
 CtrDrbg::fill(uint8_t *out, size_t len)
 {
+    // Block i of the output is E_K(V + 1 + i): whole blocks take the
+    // pipelined counter-mode kernel over zeros, a partial last block
+    // one more counter, and V ends on the last counter used.
     Aes aes(ByteView(key_, 32));
-    size_t off = 0;
-    uint8_t block[16];
-    while (off < len) {
-        incrementBe128(v_);
-        aes.encryptBlock(v_, block);
-        size_t n = std::min(size_t(16), len - off);
-        std::memcpy(out + off, block, n);
-        off += n;
+    const size_t whole = len / 16;
+    uint8_t ctr[16];
+    std::memcpy(ctr, v_, 16);
+    addBe128(ctr, 1);
+    for (size_t done = 0; done < whole; done += kZeroBlocks) {
+        size_t n = std::min(kZeroBlocks, whole - done);
+        aes.ctrXor(ctr, kZeros, out + 16 * done, n);
     }
-    secureZero(block, sizeof(block));
-    update(ByteView());
+    if (size_t tail = len % 16) {
+        uint8_t block[16];
+        aes.encryptBlock(ctr, block);
+        std::memcpy(out + 16 * whole, block, tail);
+        secureZero(block, sizeof(block));
+    }
+    secureZero(ctr, sizeof(ctr));
+    addBe128(v_, (len + 15) / 16);
+    update(aes, ByteView());
 }
 
 void

@@ -15,6 +15,8 @@
 
 namespace salus::crypto {
 
+class Aes;
+
 /** Abstract byte generator. */
 class RandomSource
 {
@@ -56,7 +58,8 @@ class CtrDrbg : public RandomSource
     void reseed(ByteView seed);
 
   private:
-    void update(ByteView providedData);
+    /** The SP 800-90A update under `aes`, the cipher keyed by key_. */
+    void update(const Aes &aes, ByteView providedData);
 
     uint8_t key_[32];
     uint8_t v_[16];

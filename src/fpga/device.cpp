@@ -1,6 +1,7 @@
 #include "fpga/device.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "bitstream/compiler.hpp"
@@ -220,9 +221,9 @@ FpgaDevice::configureFrames(const bitstream::PartitionGeometry &part)
     size_t len = part.bodyBytes();
     std::vector<FrameEcc> ecc(part.frameCount);
     for (uint32_t f = 0; f < part.frameCount; ++f) {
-        ecc[f] = frameEcc(configMem_.data() + base +
-                              size_t(f) * part.frameSize,
-                          part.frameSize);
+        ecc[f] = frameEcc(ByteView(configMem_.data() + base +
+                                       size_t(f) * part.frameSize,
+                                   part.frameSize));
     }
     ecc_[part.partitionId] = std::move(ecc);
 
@@ -426,38 +427,68 @@ parity(uint64_t v)
 
 } // namespace
 
-FpgaDevice::FrameEcc
-FpgaDevice::frameEcc(const uint8_t *frame, size_t frameSize) const
+FrameEcc
+frameEcc(ByteView frameBytes)
 {
-    // Bit b of byte j has position 8j + b; in the little-endian word q
-    // that is bit i = position - 64q. For i < 63, position + 1 is
-    // 64q | (i + 1), so a word's set low bits XOR to (64q if their
-    // count is odd) ^ XOR(i + 1). With s = w << 1 each such bit sits
-    // at i + 1 (bit 63 drops out), so bit k of XOR(i + 1) is the
-    // parity of s's bits whose index has bit k set. Bit 63 adds
-    // 64q + 64, which carries, so it is taken on its own.
-    FrameEcc ecc;
-    size_t byte = 0;
-    for (; byte + 8 <= frameSize; byte += 8) {
-        const uint64_t w = loadLe64(frame + byte);
-        if (w == 0)
-            continue; // padding: most of a partition is zero words
-        const uint64_t s = w << 1;
-        const uint32_t base = uint32_t(byte * 8);
-        uint32_t index = parity(s & 0xaaaaaaaaaaaaaaaaULL) |
-                         parity(s & 0xccccccccccccccccULL) << 1 |
-                         parity(s & 0xf0f0f0f0f0f0f0f0ULL) << 2 |
-                         parity(s & 0xff00ff00ff00ff00ULL) << 3 |
-                         parity(s & 0xffff0000ffff0000ULL) << 4 |
-                         parity(s & 0xffffffff00000000ULL) << 5;
-        if (parity(s))
-            index ^= base;
-        if (w >> 63)
-            index ^= base + 64;
-        ecc.xorIndex ^= index;
-        ecc.parity ^= uint8_t(parity(w));
+    // A set bit at position p = 8j + b adds p + 1 to xorIndex. Shift
+    // the frame's bit string up by one (word q becomes
+    // s_q = w_q << 1 | w_{q-1} >> 63, plus a word q = words holding the
+    // last carry): then each set bit i of s_q stands for exactly
+    // p + 1 = 64q + i. Bit k < 6 of xorIndex is the parity of the set
+    // bits whose i has bit k set, over all words; bit 6 + k is the
+    // parity of the set bits of the words whose q has bit k set.
+    // Parity is linear, so each is the parity of one XOR fold of words.
+    const uint8_t *frame = frameBytes.data();
+    const size_t frameSize = frameBytes.size();
+    const size_t words = frameSize / 8;
+    uint64_t all = 0, bits = 0, carry = 0;
+    uint64_t byIndexBit[32] = {}; // frame sizes are 32-bit: q < 2^32
+    // Eight words at a time: the low three bits of q are fixed by a
+    // word's place in the block, the rest are those of q / 8.
+    size_t q = 0;
+    for (; q + 8 <= words; q += 8) {
+        uint64_t s[8];
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i) {
+            const uint64_t w = loadLe64(frame + 8 * (q + i));
+            s[i] = w << 1 | carry;
+            carry = w >> 63;
+            bits ^= w;
+        }
+        const uint64_t odd = s[1] ^ s[3] ^ s[5] ^ s[7];
+        const uint64_t block = s[0] ^ s[2] ^ s[4] ^ s[6] ^ odd;
+        byIndexBit[0] ^= odd;
+        byIndexBit[1] ^= s[2] ^ s[3] ^ s[6] ^ s[7];
+        byIndexBit[2] ^= s[4] ^ s[5] ^ s[6] ^ s[7];
+        all ^= block;
+        for (size_t m = q >> 3; m != 0; m &= m - 1)
+            byIndexBit[3 + std::countr_zero(m)] ^= block;
     }
-    for (; byte < frameSize; ++byte) {
+    auto add = [&](size_t index, uint64_t s) {
+        all ^= s;
+        for (size_t m = index; m != 0; m &= m - 1)
+            byIndexBit[std::countr_zero(m)] ^= s;
+    };
+    for (; q < words; ++q) {
+        const uint64_t w = loadLe64(frame + 8 * q);
+        add(q, w << 1 | carry);
+        carry = w >> 63;
+        bits ^= w;
+    }
+    add(words, carry);
+
+    uint64_t index = parity(all & 0xaaaaaaaaaaaaaaaaULL) |
+                     parity(all & 0xccccccccccccccccULL) << 1 |
+                     parity(all & 0xf0f0f0f0f0f0f0f0ULL) << 2 |
+                     parity(all & 0xff00ff00ff00ff00ULL) << 3 |
+                     parity(all & 0xffff0000ffff0000ULL) << 4 |
+                     parity(all & 0xffffffff00000000ULL) << 5;
+    for (int k = 0; k < int(std::bit_width(words)); ++k)
+        index ^= uint64_t(parity(byIndexBit[k])) << (6 + k);
+    FrameEcc ecc;
+    ecc.xorIndex = uint32_t(index); // positions are taken mod 2^32
+    ecc.parity = uint8_t(parity(bits));
+    for (size_t byte = 8 * words; byte < frameSize; ++byte) {
         uint8_t v = frame[byte];
         while (v) {
             int bit = __builtin_ctz(v);
@@ -496,7 +527,7 @@ FpgaDevice::scrub(uint32_t partitionId)
     for (uint32_t f = 0; f < part->frameCount; ++f) {
         uint8_t *frame = configMem_.data() + base +
                          size_t(f) * part->frameSize;
-        FrameEcc current = frameEcc(frame, part->frameSize);
+        FrameEcc current = frameEcc(ByteView(frame, part->frameSize));
         const FrameEcc &stored = eccIt->second[f];
         ++report.framesScanned;
 
@@ -510,9 +541,8 @@ FpgaDevice::scrub(uint32_t partitionId)
             uint32_t pos = diff - 1;
             if (pos < part->frameSize * 8) {
                 frame[pos / 8] ^= uint8_t(1 << (pos % 8));
-                FrameEcc repaired = frameEcc(frame, part->frameSize);
-                if (repaired.xorIndex == stored.xorIndex &&
-                    repaired.parity == stored.parity) {
+                if (frameEcc(ByteView(frame, part->frameSize)) ==
+                    stored) {
                     ++report.corrected;
                     continue;
                 }

@@ -76,6 +76,23 @@ enum class LoadStatus {
 /** Human-readable name for a LoadStatus. */
 const char *loadStatusName(LoadStatus s);
 
+/** Per-frame SECDED signature, recorded as a frame is configured. */
+struct FrameEcc
+{
+    uint32_t xorIndex = 0; ///< XOR of (bit position + 1) of set bits
+    uint8_t parity = 0;    ///< total set-bit parity
+
+    bool operator==(const FrameEcc &) const = default;
+};
+
+/**
+ * The signature of one frame (bit b of byte j is position 8j + b;
+ * frames are under 4 GiB, like every frame size in a geometry). A
+ * single flipped bit changes parity and XORs its position + 1 into
+ * xorIndex, which is how scrub() locates and corrects it.
+ */
+FrameEcc frameEcc(ByteView frame);
+
 /**
  * A design reconstructed from configuration memory: instantiated
  * behaviours plus the netlist view they were built from.
@@ -195,14 +212,6 @@ class FpgaDevice
     /** Drains scheduled SEUs from the fault plan into config memory. */
     void applyPendingSeus();
 
-    /** Per-frame SECDED signature. */
-    struct FrameEcc
-    {
-        uint32_t xorIndex = 0; ///< XOR of (bit position + 1) of set bits
-        uint8_t parity = 0;    ///< total set-bit parity
-    };
-
-    FrameEcc frameEcc(const uint8_t *frame, size_t frameSize) const;
     /** The partition with exactly this id and geometry, or null. */
     const bitstream::PartitionGeometry *
     matchPartition(uint32_t partitionId, uint32_t frameStart,

@@ -23,7 +23,9 @@
 #ifndef SALUS_SALUS_SCENARIO_HPP
 #define SALUS_SALUS_SCENARIO_HPP
 
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "salus/broker.hpp"
@@ -166,6 +168,28 @@ struct ScenarioOutcome
     std::string metricsText;
     /** Violated expectations (empty = all invariants held). */
     std::vector<std::string> violations;
+
+    ScenarioOutcome() = default;
+    ScenarioOutcome(const ScenarioOutcome &) = default;
+    ScenarioOutcome(ScenarioOutcome &&) noexcept = default;
+    ScenarioOutcome &operator=(const ScenarioOutcome &) = default;
+
+    /**
+     * Moves every field and frees this outcome's old buffers. The
+     * member-wise default would not: a std::string move-assigned from
+     * a short (in-place) string keeps its own heap buffer, so
+     * `o = ScenarioOutcome{}` would leave a campaign's whole trace
+     * resident. Destroy-then-construct releases it.
+     */
+    ScenarioOutcome &
+    operator=(ScenarioOutcome &&other) noexcept
+    {
+        if (this != &other) {
+            std::destroy_at(this);
+            std::construct_at(this, std::move(other));
+        }
+        return *this;
+    }
 
     bool passed() const { return deployOk && violations.empty(); }
 };

@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <vector>
 
 #include "bitstream/compiler.hpp"
 #include "bitstream/encryptor.hpp"
@@ -536,4 +537,74 @@ TEST(FpgaDevice, EncryptedLoadDecryptsEveryChunkIntoTheFrames)
     EXPECT_EQ(device.readback(0),
               Bytes(compiled.file.begin() + bodyOffset,
                     compiled.file.end() - 4));
+}
+
+// ---------------------------------------------------------- frame ECC
+
+namespace {
+
+/** Bit by bit: the definition the folded frameEcc must match. */
+FrameEcc
+referenceEcc(ByteView frame)
+{
+    FrameEcc ecc;
+    for (size_t j = 0; j < frame.size(); ++j) {
+        for (int b = 0; b < 8; ++b) {
+            if (frame[j] >> b & 1) {
+                ecc.xorIndex ^= uint32_t(8 * j + b + 1);
+                ecc.parity ^= 1;
+            }
+        }
+    }
+    return ecc;
+}
+
+} // namespace
+
+TEST(FrameEccTest, FoldsMatchThePerBitDefinition)
+{
+    // Whole 64-bit words, a byte tail, all-ones words and words with
+    // bit 63 set (whose carry lands in the next word's index).
+    crypto::CtrDrbg rng(uint64_t(0xecc));
+    std::vector<size_t> sizes = {8,   9,   15,  16,  17,   63,   64,
+                                 65,  71,  72,  127, 128,  255,  256,
+                                 257, 1000, 1023, 1024};
+    for (int i = 0; i < 48; ++i)
+        sizes.push_back(8 + size_t(rng.below(1024 - 8 + 1)));
+    for (size_t size : sizes) {
+        Bytes top = rng.bytes(size);
+        for (size_t j = 7; j < size; j += 8)
+            top[j] |= 0x80;
+        Bytes single(size);
+        single[rng.below(size)] = uint8_t(1 << rng.below(8));
+        for (const Bytes &frame :
+             {rng.bytes(size), Bytes(size, 0xff), top, single, Bytes(size)}) {
+            FrameEcc want = referenceEcc(frame);
+            FrameEcc got = frameEcc(frame);
+            ASSERT_EQ(got.xorIndex, want.xorIndex) << "size " << size;
+            ASSERT_EQ(got.parity, want.parity) << "size " << size;
+        }
+    }
+}
+
+TEST(FpgaDevice, ScrubCorrectsEverySingleBitUpsetInAFrame)
+{
+    Rig rig;
+    ASSERT_EQ(rig.device.loadEncryptedPartial(
+                  rig.encryptedBlob(rig.loopbackDesign())),
+              LoadStatus::Ok);
+    rig.device.setReadbackEnabled(true);
+    const Bytes clean = rig.device.readback(0);
+    const uint64_t frameBits =
+        uint64_t(rig.model.partitions[0].frameSize) * 8;
+    ASSERT_EQ(frameBits, 512u);
+    const uint64_t first = 3 * frameBits; // frame 3
+    for (uint64_t bit = first; bit < first + frameBits; ++bit) {
+        rig.device.injectSeu(0, bit);
+        FpgaDevice::ScrubReport report = rig.device.scrub(0);
+        ASSERT_EQ(report.corrected, 1u) << "bit " << bit;
+        ASSERT_EQ(report.uncorrectable, 0u) << "bit " << bit;
+        ASSERT_EQ(rig.device.readback(0), clean) << "bit " << bit;
+    }
+    EXPECT_NE(rig.device.design(0), nullptr);
 }

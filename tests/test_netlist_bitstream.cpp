@@ -6,12 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "bitstream/compiler.hpp"
 #include "bitstream/crc32.hpp"
 #include "bitstream/encryptor.hpp"
 #include "bitstream/manipulator.hpp"
 #include "common/errors.hpp"
 #include "common/hex.hpp"
+#include "crypto/backend.hpp"
 #include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
 #include "fpga/device.hpp"
@@ -115,7 +118,8 @@ TEST(Netlist, SpanTrackingMatchesSerialization)
 
 namespace {
 
-/** Bit-at-a-time CRC-32, the definition the table kernel must match. */
+/** Bit-at-a-time CRC-32, the definition the table and folded
+ *  kernels must match. */
 uint32_t
 referenceCrc32(ByteView data)
 {
@@ -128,6 +132,15 @@ referenceCrc32(ByteView data)
     return c ^ 0xffffffffu;
 }
 
+/** Pins every primitive to the scalar path (or not) for one scope,
+ *  restoring the prior override on exit. */
+struct ScopedForceScalar
+{
+    bool prev = crypto::forceScalar();
+    explicit ScopedForceScalar(bool on) { crypto::setForceScalar(on); }
+    ~ScopedForceScalar() { crypto::setForceScalar(prev); }
+};
+
 } // namespace
 
 TEST(Crc32, KnownValueAndSensitivity)
@@ -137,19 +150,32 @@ TEST(Crc32, KnownValueAndSensitivity)
     EXPECT_EQ(crc32(ByteView()), 0u);
     EXPECT_NE(crc32(bytesFromString("a")), crc32(bytesFromString("b")));
 
-    // Eight bytes per step, then a bytewise tail: every alignment and
-    // tail length must agree with the bitwise definition.
+    // With PCLMULQDQ, 16-byte blocks are folded from 64 bytes on;
+    // slice-by-8 takes shorter buffers, the tail and the scalar
+    // backend, eight bytes per step and then bytewise. Every
+    // alignment and length up to 600 must agree with the bitwise
+    // definition on both backends.
     crypto::CtrDrbg rng(uint64_t(0xc3c));
-    Bytes buf = rng.bytes(64 + 8);
-    for (size_t start = 0; start < 8; ++start) {
-        for (size_t len = 0; len <= 64; ++len) {
-            ByteView v(buf.data() + start, len);
-            ASSERT_EQ(crc32(v), referenceCrc32(v))
-                << "start=" << start << " len=" << len;
-        }
-    }
+    Bytes buf = rng.bytes(600 + 16);
+    std::vector<uint32_t> want;
+    for (size_t start = 0; start < 16; ++start)
+        for (size_t len = 0; len <= 600; ++len)
+            want.push_back(
+                referenceCrc32(ByteView(buf.data() + start, len)));
     Bytes big = rng.bytes(size_t(1) << 20);
-    EXPECT_EQ(crc32(big), referenceCrc32(big));
+    const uint32_t bigWant = referenceCrc32(big);
+    for (bool scalar : {false, true}) {
+        ScopedForceScalar pin(scalar);
+        size_t i = 0;
+        for (size_t start = 0; start < 16; ++start) {
+            for (size_t len = 0; len <= 600; ++len, ++i) {
+                ASSERT_EQ(crc32(ByteView(buf.data() + start, len)), want[i])
+                    << "scalar=" << scalar << " start=" << start
+                    << " len=" << len;
+            }
+        }
+        EXPECT_EQ(crc32(big), bigWant) << "scalar=" << scalar;
+    }
 }
 
 // ----------------------------------------------------------- compiler
@@ -334,6 +360,22 @@ TEST(Crc32, ContinuesAndFoldsDeltas)
     Bytes b = rng.bytes(333);
     EXPECT_EQ(crc32(b, crc32(a)), crc32(concatBytes({a, b})));
     EXPECT_EQ(crc32(Bytes(), crc32(a)), crc32(a));
+
+    // Every split of a message up to 200 bytes, so each side falls on
+    // either side of the folded kernel's 64-byte threshold.
+    Bytes m200 = rng.bytes(200);
+    for (bool scalar : {false, true}) {
+        ScopedForceScalar pin(scalar);
+        for (size_t la = 0; la <= 200; ++la) {
+            for (size_t lb = 0; la + lb <= 200; ++lb) {
+                ByteView whole(m200.data(), la + lb);
+                ASSERT_EQ(crc32(ByteView(m200.data() + la, lb),
+                                crc32(ByteView(m200.data(), la))),
+                          referenceCrc32(whole))
+                    << "scalar=" << scalar << " a=" << la << " b=" << lb;
+            }
+        }
+    }
 
     // A delta far from the end: the tail shift runs over 1 MiB.
     Bytes m = rng.bytes((1 << 20) + 64);

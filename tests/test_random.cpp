@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hex.hpp"
+#include "crypto/backend.hpp"
 #include "crypto/random.hpp"
+#include "crypto/sha256.hpp"
 
 using namespace salus;
 using namespace salus::crypto;
@@ -70,6 +73,58 @@ TEST(CtrDrbgTest, RoughlyUniformBytes)
         seen[b] = true;
     for (int i = 0; i < 256; ++i)
         EXPECT_TRUE(seen[i]) << "byte value " << i << " never seen";
+}
+
+TEST(CtrDrbgTest, StreamIsPinnedOnBothBackends)
+{
+    // Digests of CtrDrbg(0xd4b6).bytes(n) and the nextU64() after it,
+    // recorded from the block-at-a-time filler: the counter-mode fill
+    // must keep every byte, the partial last block and V's end value.
+    struct Row
+    {
+        size_t n;
+        const char *sha256;
+        uint64_t next;
+    };
+    const Row rows[] = {
+        {0,
+         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+         0x74eba3ee81e4505dULL},
+        {1,
+         "cfae0d4248f7142f7b17f826cd7a519280e312577690e957830d23dcf35a3fff",
+         0xc221e4b02e890864ULL},
+        {15,
+         "776180000a93ab2400136c1563cc41aac4c675d5fbc09c8aecd26d0bfc9ba2de",
+         0xc221e4b02e890864ULL},
+        {16,
+         "4525dc51e7d1047a15acf7df545fce4a9e5381fdb1ab5a6b0a9f092273559369",
+         0xc221e4b02e890864ULL},
+        {17,
+         "bd8555840a3271595483850aab1df33a4038a60ec1a28e3e7cef85fcc8631a14",
+         0x8a31b7e51299500fULL},
+        {33,
+         "6a72c96230456142f449fd264ab9e3faf5957ac368cf48ef1e122563db400f09",
+         0xa731890f8cc4a063ULL},
+        {4101,
+         "3cf07a249a13dd69e97074ad0107d62e4fd1e2d30f39d26dd66640ead4cb40b8",
+         0x64681dd30202d895ULL},
+        {(size_t(1) << 20) + 3,
+         "66ea405f7f7698a9b29836b4a22d578b158c6a163f78ed295b36992eccdeb6f8",
+         0xf2dbf993d7d4254dULL},
+    };
+    const bool prev = forceScalar();
+    for (bool scalar : {false, true}) {
+        setForceScalar(scalar);
+        for (const Row &row : rows) {
+            CtrDrbg rng(uint64_t(0xd4b6));
+            Bytes out = rng.bytes(row.n);
+            EXPECT_EQ(hexEncode(Sha256::digest(out)), row.sha256)
+                << "n=" << row.n << " scalar=" << scalar;
+            EXPECT_EQ(rng.nextU64(), row.next)
+                << "n=" << row.n << " scalar=" << scalar;
+        }
+    }
+    setForceScalar(prev);
 }
 
 TEST(SystemRandomTest, ProducesDifferingBuffers)

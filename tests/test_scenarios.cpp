@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <filesystem>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "golden.hpp"
@@ -298,4 +300,54 @@ TEST(ScenarioParser, GalleryFilesParseCleanlyFromDisk)
         EXPECT_FALSE(fromDisk.tenants.empty()) << name;
     }
     EXPECT_THROW(parseScenarioFile(galleryPath("missing")), ScenarioError);
+}
+
+TEST(ScenarioOutcomeTest, MoveAssignmentFreesTheOldBuffers)
+{
+    ScenarioOutcome filled;
+    filled.deployOk = true;
+    filled.completed = 1;
+    filled.admitted = 2;
+    filled.quotaRejected = 3;
+    filled.rateRejected = 4;
+    filled.shedRejected = 5;
+    filled.failovers = 6;
+    filled.seusInjected = 7;
+    filled.maxSweepsWaited = 8;
+    filled.dmaJobs = 9;
+    filled.dmaBytes = 10;
+    filled.shedLevelEnd = 11;
+    filled.clockEnd = 12;
+    filled.tenants.push_back({"t0", TenantStats{13, 14, 15, 16, 17, 18}});
+    filled.traceJson.assign(size_t(1) << 20, 't');
+    filled.metricsText.assign(4096, 'm');
+    filled.violations.push_back("v");
+
+    auto scalars = [](const ScenarioOutcome &o) {
+        return std::tuple(o.deployOk, o.completed, o.admitted,
+                          o.quotaRejected, o.rateRejected, o.shedRejected,
+                          o.failovers, o.seusInjected, o.maxSweepsWaited,
+                          o.dmaJobs, o.dmaBytes, o.shedLevelEnd, o.clockEnd);
+    };
+    const ScenarioOutcome copy = filled;
+    ScenarioOutcome o;
+    o = std::move(filled);
+    EXPECT_EQ(scalars(o), scalars(copy));
+    ASSERT_EQ(o.tenants.size(), 1u);
+    EXPECT_EQ(o.tenants[0].first, "t0");
+    EXPECT_EQ(o.tenants[0].second.sessionsOpened, 18u);
+    EXPECT_EQ(o.traceJson, copy.traceJson);
+    EXPECT_EQ(o.metricsText, copy.metricsText);
+    EXPECT_EQ(o.violations, copy.violations);
+
+    // Resetting to an empty outcome releases the trace's buffer too:
+    // a plain member-wise move would keep its megabyte of capacity.
+    o = ScenarioOutcome{};
+    const ScenarioOutcome empty;
+    EXPECT_EQ(scalars(o), scalars(empty));
+    EXPECT_TRUE(o.tenants.empty());
+    EXPECT_TRUE(o.violations.empty());
+    EXPECT_TRUE(o.traceJson.empty());
+    EXPECT_EQ(o.traceJson.capacity(), std::string().capacity());
+    EXPECT_EQ(o.metricsText.capacity(), std::string().capacity());
 }
