@@ -44,10 +44,9 @@ wallSeconds(F &&fn)
 
 /**
  * RAII trace + metrics capture over one virtual clock, for benches
- * that publish observability artifacts next to their JSON results.
- * Construction installs the recorder globally (see obs::ObsScope);
- * stop() (or destruction) uninstalls it so the artifacts can be
- * exported and later points run untraced.
+ * that publish observability artifacts. Construction installs the
+ * recorder globally (see obs::ObsScope); writeArtifacts() (or
+ * destruction) uninstalls it.
  */
 class ObsCapture
 {
@@ -58,16 +57,13 @@ class ObsCapture
     }
 
     obs::TraceRecorder &trace() { return recorder_; }
-    obs::MetricsRegistry &metrics() { return metrics_; }
 
-    /** Uninstalls the capture (idempotent). */
-    void stop() { scope_.reset(); }
-
-    /** Writes TRACE_<name>.json and METRICS_<name>.txt into the
-     *  current directory. @return false if either write failed. */
+    /** Uninstalls the capture, then writes TRACE_<name>.json and
+     *  METRICS_<name>.txt into the current directory.
+     *  @return false if either write failed. */
     bool writeArtifacts(const std::string &name)
     {
-        stop();
+        scope_.reset();
         std::string tracePath = "TRACE_" + name + ".json";
         std::string metricsPath = "METRICS_" + name + ".txt";
         bool ok = recorder_.writeChromeTrace(tracePath);

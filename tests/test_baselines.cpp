@@ -7,13 +7,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <iterator>
+#include <string>
 
 #include "baseline/sgx_fpga.hpp"
 #include "baseline/shef.hpp"
 #include "crypto/sha256.hpp"
 #include "fpga/ip.hpp"
+#include "golden.hpp"
 #include "obs/trace.hpp"
 #include "salus/boot_report.hpp"
 #include "salus/sim_hooks.hpp"
@@ -242,8 +243,9 @@ TEST(PaperFigures, Figure9ShefBootAndTable1AreExact)
 {
     // bench_fig9_boot_breakdown's configuration: a 32 MiB partial
     // bitstream with a Conv-like footprint. Every value is pinned to
-    // the nanosecond, so any cost-model or attribution change that
-    // moves a reported figure fails here, not only in a bench printout.
+    // the nanosecond in tests/golden/virtual_values.txt, so any
+    // cost-model or attribution change that moves a reported figure
+    // fails here, not only in a bench printout.
     fpga::ensureBuiltinIps();
     core::SmLogic::registerIp();
     core::TestbedConfig cfg;
@@ -258,31 +260,25 @@ TEST(PaperFigures, Figure9ShefBootAndTable1AreExact)
     ASSERT_TRUE(tb.runDeployment().ok);
 
     core::BootReport report = core::buildBootReport(tb.clock());
-    const sim::Nanos kFigure9[] = {
-        1710138408, // Device Key Dist.
-        724718704, // Bitstream Verif. & Enc.
-        13791399917, // Bitstream Manipulation
-        53133018, // CL Deployment
-        820000, // Local Attestation
-        986000, // CL Authentication
-        2561882400, // User RA
+    const char *const kRows[] = {
+        "device_key_dist", "bitstream_verif_enc", "bitstream_manipulation",
+        "cl_deployment", "local_attestation", "cl_authentication",
+        "user_ra",
     };
-    ASSERT_EQ(report.rows.size(), std::size(kFigure9));
+    ASSERT_EQ(report.rows.size(), std::size(kRows));
     for (size_t i = 0; i < report.rows.size(); ++i)
-        EXPECT_EQ(report.rows[i].modelTime, kFigure9[i])
-            << report.rows[i].phase;
-    EXPECT_EQ(report.modelTotal, sim::Nanos(18843078447)); // 18843.08 ms
+        test::expectGoldenValue(std::string("fig9.") + kRows[i] + "_ns",
+                                report.rows[i].modelTime);
+    test::expectGoldenValue("fig9.total_ns", report.modelTotal);
 
-    // §6.3: ShEF boots the same artifact in 4.89 s; Salus/ShEF 3.86x.
+    // §6.3: ShEF boots the same artifact; Salus/ShEF is the ratio.
     sim::Nanos shef = shefBoot("shef-dev", tb.storedBitstream(), 2);
-    EXPECT_EQ(shef, sim::Nanos(4886132220));
-    char ratio[16];
-    std::snprintf(ratio, sizeof(ratio), "%.4f",
-                  double(report.modelTotal) / double(shef));
-    EXPECT_STREQ(ratio, "3.8564");
+    test::expectGoldenValue("fig9.shef_boot_ns", shef);
+    test::expectGoldenRatio("fig9.salus_over_shef_x",
+                            double(report.modelTotal), double(shef));
 
-    // Table 1: ShEF CL attestation of a 1 MiB bitstream (~823 ms).
+    // Table 1: ShEF CL attestation of a 1 MiB bitstream.
     crypto::CtrDrbg rng(uint64_t(1));
-    EXPECT_EQ(shefBoot("shef-1", rng.bytes(1 << 20), 1),
-              sim::Nanos(822894720));
+    test::expectGoldenValue("table1.shef_attest_1mib_ns",
+                            shefBoot("shef-1", rng.bytes(1 << 20), 1));
 }

@@ -10,10 +10,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
 #include "fpga/ip.hpp"
+#include "golden.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -608,4 +610,100 @@ TEST(Broker, SchedulerStampsSliceLatencyFromVirtualClock)
     // and was attributed to this session's slice.
     EXPECT_GT(rig.tb.scheduler().sessionStats(s).sliceNanosLast, 0u);
     EXPECT_EQ(rig.tb.scheduler().sessionStats(s).dispatchedBatches, 1u);
+}
+
+// ------------------------------------------ noisy-neighbour isolation
+
+namespace {
+
+constexpr int kQosSweeps = 40;
+constexpr int kLightOpsPerSweep = 8;
+
+struct QosRun
+{
+    std::vector<sim::Nanos> lightSlice; ///< light slice time per sweep
+    uint64_t heavyQuotaRejected = 0;
+    sim::Nanos clockEnd = 0;
+};
+
+/** A light tenant submits 8 ops a sweep for 40 sweeps, alone or, with
+ *  `contended`, beside an equal-weight tenant that floods 96 ops a
+ *  sweep into its 64-op quota. The light tenant must be served in
+ *  every sweep it submits in, and complete every op. */
+QosRun
+runQos(bool contended)
+{
+    QosRun run;
+    BrokerRig rig(Broker::Config(), 7700);
+    TenantPolicy lightPolicy;
+    lightPolicy.maxQueuedOps = 128;
+    uint32_t light = rig.broker.registerTenant("light", lightPolicy);
+    uint32_t lightSession = rig.broker.openSession(light);
+    TenantPolicy heavyPolicy;
+    heavyPolicy.maxQueuedOps = 64;
+    uint32_t heavy =
+        contended ? rig.broker.registerTenant("heavy", heavyPolicy) : 0;
+    uint32_t heavySession = contended ? rig.broker.openSession(heavy) : 0;
+
+    for (int sweep = 0; sweep < kQosSweeps; ++sweep) {
+        for (int i = 0; contended && i < 96; ++i) {
+            try {
+                rig.broker.submit(heavy, heavySession,
+                                  {true, 0x00, uint64_t(i)});
+            } catch (const PolicyError &) {
+                break; // the flooder hit its own quota
+            }
+        }
+        for (int i = 0; i < kLightOpsPerSweep; ++i)
+            rig.broker.submit(light, lightSession,
+                              {true, 0x08, uint64_t(sweep) << 8 | i});
+        rig.broker.pump();
+        const BatchScheduler::SessionStats &st =
+            rig.tb.scheduler().sessionStats(lightSession);
+        EXPECT_EQ(st.dispatchedOps,
+                  uint64_t(kLightOpsPerSweep) * uint64_t(sweep + 1))
+            << "light tenant not served in sweep " << sweep;
+        run.lightSlice.push_back(st.sliceNanosLast);
+    }
+    rig.broker.drainAll();
+    EXPECT_EQ(rig.broker.tenantStats(light).completed,
+              uint64_t(kLightOpsPerSweep) * kQosSweeps);
+    EXPECT_LE(rig.tb.scheduler().sessionStats(lightSession).maxSweepsWaited,
+              1u);
+    if (contended)
+        run.heavyQuotaRejected = rig.broker.tenantStats(heavy).quotaRejected;
+    run.clockEnd = rig.tb.clock().now();
+    return run;
+}
+
+sim::Nanos
+p99(std::vector<sim::Nanos> samples)
+{
+    std::sort(samples.begin(), samples.end());
+    return samples[(samples.size() * 99 + 99) / 100 - 1];
+}
+
+} // namespace
+
+TEST(Broker, NoisyNeighbourLeavesLightTenantP99WithinOneAndAHalf)
+{
+    // Weights 1:1, so this is isolation, not priority: under the
+    // flood the light tenant's p99 slice time stays within 1.5x of
+    // its solo p99. Same-seed runs repeat every slice time exactly.
+    QosRun solo = runQos(false);
+    QosRun cont = runQos(true);
+    QosRun soloAgain = runQos(false);
+    QosRun contAgain = runQos(true);
+    EXPECT_EQ(solo.lightSlice, soloAgain.lightSlice);
+    EXPECT_EQ(solo.clockEnd, soloAgain.clockEnd);
+    EXPECT_EQ(cont.lightSlice, contAgain.lightSlice);
+    EXPECT_EQ(cont.clockEnd, contAgain.clockEnd);
+    EXPECT_GT(cont.heavyQuotaRejected, 0u) << "the flood never saturated";
+
+    sim::Nanos soloP99 = p99(solo.lightSlice);
+    sim::Nanos contP99 = p99(cont.lightSlice);
+    EXPECT_LE(2 * contP99, 3 * soloP99);
+    test::expectGoldenValue("qos.light_slice_p99_contended_ns", contP99);
+    test::expectGoldenRatio("qos.p99_ratio_x", double(contP99),
+                            double(soloP99));
 }

@@ -19,6 +19,7 @@
 #include "common/serde.hpp"
 #include "crash_sweep.hpp"
 #include "fpga/health.hpp"
+#include "golden.hpp"
 #include "obs/trace.hpp"
 #include "salus/placement.hpp"
 #include "salus/sm_logic.hpp"
@@ -379,6 +380,47 @@ TEST(LiveMigration, ActiveSessionMovesWithParkedQueueAndFreshKeys)
     // Plain channel traffic continues on the new device too.
     EXPECT_TRUE(tb.userApp().secureWrite(0x00, 77));
     EXPECT_EQ(tb.userApp().secureRead(0x00), 77u);
+}
+
+TEST(LiveMigration, MoveToFirstWriteAndPostMoveBurstAreExact)
+{
+    fpga::ensureBuiltinIps();
+    SmLogic::registerIp();
+    TestbedConfig cfg;
+    cfg.rngSeed = 25;
+    cfg.deviceCount = 3;
+    cfg.health = fastHealth();
+    Testbed tb(cfg);
+    tb.installCl(loopbackAccel());
+    ASSERT_TRUE(tb.runDeployment().ok);
+    ASSERT_TRUE(tb.userApp().secureWrite(0x00, 1));
+
+    // Eight writes ride the move parked; the time from quiescing the
+    // source to their completion on the target is pinned, and so is a
+    // 64-op burst right after it, to the nanosecond.
+    BatchScheduler &sched = tb.scheduler();
+    size_t completed = 0;
+    auto count = [&](uint8_t st, uint64_t) { completed += st == 0; };
+    for (uint64_t i = 0; i < 8; ++i)
+        ASSERT_EQ(sched.submit(0, {true, 0x08, i}, count),
+                  BatchScheduler::Submit::Accepted);
+    sim::Nanos start = tb.clock().now();
+    MigrationRecord rec = tb.supervisor().migrateActiveTo(2, "planned");
+    ASSERT_EQ(rec.attested, 1);
+    ASSERT_EQ(rec.parkedOps, 8u);
+    ASSERT_EQ(sched.drain(), 8u);
+    ASSERT_EQ(completed, 8u);
+    test::expectGoldenValue("migration.move_to_first_write_ns",
+                            tb.clock().now() - start);
+
+    for (uint64_t i = 0; i < 64; ++i)
+        ASSERT_EQ(sched.submit(0, {true, 0x10, i}, count),
+                  BatchScheduler::Submit::Accepted);
+    sim::Nanos burst = tb.clock().now();
+    ASSERT_EQ(sched.drain(), 64u);
+    EXPECT_EQ(completed, 72u);
+    test::expectGoldenValue("migration.post_move_64_ops_ns",
+                            tb.clock().now() - burst);
 }
 
 TEST(LiveMigration, SupervisorRefusesUnusableTargets)

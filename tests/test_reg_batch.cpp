@@ -3,12 +3,15 @@
  * Batched secure register channel + multi-session scheduler tests:
  * wire-format round trips and rejection properties of the RegBatch
  * crypto, counter-stride replay resistance at the fabric, tenant key
- * isolation, and the BatchScheduler's fairness / backpressure /
- * typed-failover semantics.
+ * isolation, the BatchScheduler's fairness / backpressure /
+ * typed-failover semantics, and the channel's exact throughput on the
+ * virtual clock across session counts and batch sizes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 
@@ -17,8 +20,11 @@
 #include "crypto/backend.hpp"
 #include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
+#include "golden.hpp"
+#include "obs/trace.hpp"
 #include "salus/reg_channel.hpp"
 #include "salus/scheduler.hpp"
+#include "salus/sim_hooks.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/testbed.hpp"
 
@@ -776,4 +782,166 @@ TEST(BatchScheduler, QuiesceParksPumpAndReleaseResumes)
     EXPECT_EQ(sched.drain(), 6u);
     EXPECT_EQ(dispatched, 6u);
     EXPECT_EQ(sched.totalQueued(), 0u);
+}
+
+// ---- throughput on the virtual clock --------------------------------
+
+namespace {
+
+constexpr size_t kSweepOpsPerSession = 256;
+
+/** One throughput point, in virtual nanoseconds. A traced run also
+ *  exports its trace and metrics and the whole-run channel totals. */
+struct ThroughputPoint
+{
+    sim::Nanos elapsed = 0;
+    sim::Nanos p50 = 0;
+    sim::Nanos p99 = 0;
+    sim::Nanos crypto = 0; ///< Channel Crypto spent by the ops
+    sim::Nanos transport = 0; ///< Channel Transport spent by the ops
+    std::string traceJson;
+    std::string metricsText;
+    sim::Nanos cryptoSpans = 0; ///< whole-run trace span sums ...
+    sim::Nanos cryptoClock = 0; ///< ... and the clock's own totals
+    sim::Nanos transportSpans = 0;
+    sim::Nanos transportClock = 0;
+};
+
+/** Each of `sessions` sessions pushes kSweepOpsPerSession alternating
+ *  writes and reads of its own register through bursts of `batch`
+ *  ops. Every op must complete with status 0 and every read return
+ *  the value written just before it. */
+ThroughputPoint
+runThroughputPoint(uint32_t sessions, size_t batch, bool traced = false)
+{
+    ThroughputPoint p;
+    TestbedConfig cfg;
+    cfg.rngSeed = 7000 + sessions * 100 + batch;
+    cfg.schedulerMaxBatchOps = batch;
+    cfg.schedulerQueueCapacity = kSweepOpsPerSession;
+    Testbed tb(cfg);
+    sim::VirtualClock &clock = tb.clock();
+    obs::TraceRecorder recorder(clock);
+    obs::MetricsRegistry metrics;
+    {
+        obs::ObsScope scope(traced ? &recorder : nullptr,
+                            traced ? &metrics : nullptr);
+        tb.installCl(loopbackAccel());
+        if (!tb.runDeployment().ok) {
+            ADD_FAILURE() << "deployment failed";
+            return p;
+        }
+        for (uint32_t s = 1; s < sessions; ++s)
+            if (!tb.userApp(tb.addUserSession()).attachToPlatform()) {
+                ADD_FAILURE() << "session " << s << " did not attach";
+                return p;
+            }
+
+        BatchScheduler &sched = tb.scheduler();
+        std::vector<sim::Nanos> latencies;
+        sim::Nanos start = clock.now();
+        sim::Nanos cryptoBase = clock.totalFor(phases::kChanCrypto);
+        sim::Nanos transportBase = clock.totalFor(phases::kChanTransport);
+        for (uint32_t s = 0; s < sessions; ++s) {
+            for (size_t i = 0; i < kSweepOpsPerSession; ++i) {
+                uint64_t value = (uint64_t(s) << 32) | uint64_t(i / 2);
+                bool isRead = i % 2 == 1;
+                regchan::RegOp op{!isRead, 8 * s, isRead ? 0 : value};
+                sim::Nanos submittedAt = clock.now();
+                auto done = [&, submittedAt, isRead,
+                             value](uint8_t st, uint64_t data) {
+                    EXPECT_EQ(st, 0);
+                    if (isRead) {
+                        EXPECT_EQ(data, value);
+                    }
+                    latencies.push_back(clock.now() - submittedAt);
+                };
+                if (sched.submit(s, op, done) !=
+                    BatchScheduler::Submit::Accepted) {
+                    ADD_FAILURE() << "submit refused";
+                    return p;
+                }
+            }
+        }
+        EXPECT_EQ(sched.drain(), sessions * kSweepOpsPerSession);
+        EXPECT_EQ(latencies.size(), sessions * kSweepOpsPerSession);
+        if (latencies.empty())
+            return p;
+        std::sort(latencies.begin(), latencies.end());
+        p.elapsed = clock.now() - start;
+        p.p50 = latencies[latencies.size() / 2];
+        p.p99 = latencies[latencies.size() * 99 / 100];
+        p.crypto = clock.totalFor(phases::kChanCrypto) - cryptoBase;
+        p.transport =
+            clock.totalFor(phases::kChanTransport) - transportBase;
+    }
+    if (traced) {
+        p.traceJson = recorder.chromeTraceJson();
+        p.metricsText = metrics.renderText();
+        p.cryptoSpans = recorder.phaseTotal(phases::kChanCrypto);
+        p.cryptoClock = clock.totalFor(phases::kChanCrypto);
+        p.transportSpans = recorder.phaseTotal(phases::kChanTransport);
+        p.transportClock = clock.totalFor(phases::kChanTransport);
+    }
+    return p;
+}
+
+} // namespace
+
+TEST(BatchScheduler, ThroughputSweepIsExactAndBatchingPaysFiveFold)
+{
+    fpga::ensureBuiltinIps();
+    SmLogic::registerIp();
+    // Sessions x batch size. The whole table is pinned as one digest,
+    // so any point moving fails; SCOPED_TRACE prints it on failure.
+    std::string table;
+    std::map<std::pair<uint32_t, size_t>, sim::Nanos> elapsed;
+    for (uint32_t sessions : {1u, 2u, 4u}) {
+        for (size_t batch : {1, 2, 4, 8, 16, 32, 64}) {
+            ThroughputPoint p = runThroughputPoint(sessions, batch);
+            char line[160];
+            std::snprintf(line, sizeof(line),
+                          "sessions %u batch %zu elapsed %llu p50 %llu "
+                          "p99 %llu crypto %llu transport %llu\n",
+                          sessions, batch, (unsigned long long)p.elapsed,
+                          (unsigned long long)p.p50,
+                          (unsigned long long)p.p99,
+                          (unsigned long long)p.crypto,
+                          (unsigned long long)p.transport);
+            table += line;
+            elapsed[{sessions, batch}] = p.elapsed;
+        }
+    }
+    SCOPED_TRACE(table);
+    test::expectGoldenDigest("channel_throughput.sweep.txt", table);
+    sim::Nanos s1b1 = elapsed[{1, 1}];
+    sim::Nanos s1b32 = elapsed[{1, 32}];
+    test::expectGoldenValue("channel.s1_b1_ns", s1b1);
+    test::expectGoldenValue("channel.s1_b32_ns", s1b32);
+    test::expectGoldenValue("channel.s4_b32_ns", elapsed[{4, 32}]);
+
+    // A 32-op burst pays one PCIe round trip for 32 ops: at least 5x
+    // the ops per virtual second of single ops.
+    EXPECT_GE(s1b1, 5 * s1b32);
+    test::expectGoldenRatio("channel.batch32_speedup_x", double(s1b1),
+                            double(s1b32));
+}
+
+TEST(BatchScheduler, TracedThroughputPointIsDeterministicAndExact)
+{
+    fpga::ensureBuiltinIps();
+    SmLogic::registerIp();
+    // Traced from before deployment, the run's span sums equal the
+    // clock's phase totals to the nanosecond, and a second run at the
+    // same seed exports byte-identical artifacts.
+    ThroughputPoint a = runThroughputPoint(2, 8, true);
+    ThroughputPoint b = runThroughputPoint(2, 8, true);
+    EXPECT_GT(a.cryptoClock, 0u);
+    EXPECT_EQ(a.cryptoSpans, a.cryptoClock);
+    EXPECT_EQ(a.transportSpans, a.transportClock);
+    EXPECT_EQ(a.traceJson, b.traceJson);
+    EXPECT_EQ(a.metricsText, b.metricsText);
+    test::expectGoldenDigest("channel_throughput.trace.json", a.traceJson);
+    test::expectGoldenDigest("channel_throughput.metrics.txt",
+                             a.metricsText);
 }

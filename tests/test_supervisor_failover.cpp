@@ -16,6 +16,7 @@
 #include "common/serde.hpp"
 #include "crash_sweep.hpp"
 #include "fpga/health.hpp"
+#include "golden.hpp"
 #include "obs/trace.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/supervisor.hpp"
@@ -515,6 +516,8 @@ struct FailoverRun
 {
     bool deployOk = false;
     uint64_t clockEnd = 0;
+    sim::Nanos killAt = 0; ///< device 0 dies
+    sim::Nanos firstWriteAt = 0; ///< first write + read on the spare
     Bytes oldFp;
     Bytes newFp;
     bool oldRetired = false;
@@ -529,8 +532,12 @@ struct FailoverRun
     std::string metricsText; ///< deterministic metrics dump
 };
 
+/** Deploys on device 0 of three, kills it mid-session and lets the
+ *  watchdog fail the session over. The watchdog runs for 300 ms at
+ *  its probe period or, with `backToBack`, polls with no idle period
+ *  until the breaker trips, so detection costs only the probes. */
 FailoverRun
-runFailoverScenario(uint64_t seed)
+runFailoverScenario(uint64_t seed, bool backToBack = false)
 {
     FailoverRun run;
     TestbedConfig cfg;
@@ -556,8 +563,16 @@ runFailoverScenario(uint64_t seed)
         EXPECT_TRUE(tb.supervisor().failovers().empty());
 
         // Kill device 0 mid-session.
+        run.killAt = tb.clock().now();
         tb.faultInjector().arm(sim::FaultRule::deviceDead(0));
-        tb.supervisor().runFor(300 * sim::kMs);
+        if (backToBack) {
+            for (int polls = 0;
+                 tb.supervisor().failovers().empty() && polls < 200;
+                 ++polls)
+                tb.supervisor().pollOnce();
+        } else {
+            tb.supervisor().runFor(300 * sim::kMs);
+        }
 
         run.failovers = tb.supervisor().failovers().size();
         if (run.failovers > 0)
@@ -571,6 +586,7 @@ runFailoverScenario(uint64_t seed)
         run.postWriteOk = tb.userApp().secureWrite(0x00, 77);
         auto value = tb.userApp().secureRead(0x00);
         run.postRead = value.value_or(0);
+        run.firstWriteAt = tb.clock().now();
         run.newDeviceRegOps = tb.shell(run.activeAfter)
                                   .registerRead(pcie::Window::SmSecure,
                                                 kSmRegStatRegOpOk);
@@ -638,6 +654,20 @@ TEST(Failover, SameSeedRunsAreBitForBitIdentical)
     FailoverRun c = runFailoverScenario(8);
     ASSERT_TRUE(c.deployOk);
     EXPECT_NE(c.newFp, a.newFp);
+}
+
+TEST(Failover, DetectionAndKillToFirstWriteAreExact)
+{
+    // From the kill to the breaker's quarantine, and from the kill
+    // to the first write read back on the spare: heartbeat detection
+    // plus the whole re-run cascaded attestation, to the nanosecond.
+    FailoverRun run = runFailoverScenario(7, /*backToBack=*/true);
+    ASSERT_EQ(run.failovers, 1u);
+    ASSERT_EQ(run.postRead, 77u);
+    test::expectGoldenValue("failover.detection_ns",
+                            run.rec.atNanos - run.killAt);
+    test::expectGoldenValue("failover.kill_to_first_write_ns",
+                            run.firstWriteAt - run.killAt);
 }
 
 TEST(Failover, GuardedOpSurfacesTypedFailoverError)

@@ -1,17 +1,17 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for the BENCH_*.json artifacts.
+"""Perf-regression gate for the host-clock BENCH_*.json artifacts.
 
 Compares a freshly produced bench JSON against the committed baseline
-in bench/baselines/. Every gate in the baseline's "gates" section is
-checked with a relative threshold (default +-15%):
+in bench/baselines/ (today BENCH_crypto_micro.json, whose gates are
+hardware-vs-scalar speedup ratios). Virtual-clock numbers are not
+gated here: tests/golden/ pins them exactly. Every gate in the
+baseline's "gates" section is checked with a relative threshold
+(default +-15%):
 
   direction "higher": fail when current < baseline * (1 - threshold)
   direction "lower":  fail when current > baseline * (1 + threshold)
 
-Gates may be written either as {"value": x, "direction": "higher"} or
-as a bare number (then --key must supply the direction). Additional
-dotted-path keys outside the gates section can be checked with
---key path.to.value:direction.
+Every gate is written as {"value": x, "direction": "higher"|"lower"}.
 
 Exit status: 0 all gates pass, 1 regression or malformed input.
 
@@ -38,22 +38,9 @@ import json
 import sys
 
 
-def dig(doc, dotted):
-    node = doc
-    for part in dotted.split("."):
-        if not isinstance(node, dict) or part not in node:
-            raise KeyError(dotted)
-        node = node[part]
-    return node
-
-
-def as_gate(raw, fallback_direction=None):
-    """Normalizes a gate entry to (value, direction)."""
-    if isinstance(raw, dict):
-        return float(raw["value"]), raw.get(
-            "direction", fallback_direction or "higher"
-        )
-    return float(raw), (fallback_direction or "higher")
+def as_gate(raw):
+    """Reads a {"value", "direction"} gate as (value, direction)."""
+    return float(raw["value"]), raw["direction"]
 
 
 def check_gate(name, base_value, cur_value, direction, threshold):
@@ -77,41 +64,25 @@ def check_gate(name, base_value, cur_value, direction, threshold):
     return None
 
 
-def collect_gates(baseline, current, keys):
+def collect_gates(baseline, current):
     """Yields (name, base_value, cur_value, direction) for every gate.
 
     A gate the current JSON no longer carries yields cur_value None so
     the caller reports EVERY missing metric as a named failure instead
     of aborting on the first one."""
-    gates = baseline.get("gates", {})
-    for name, raw in gates.items():
+    current_gates = current.get("gates", {})
+    for name, raw in baseline.get("gates", {}).items():
         base_value, direction = as_gate(raw)
-        try:
-            cur_raw = dig(current, f"gates.{name}")
-        except KeyError:
+        if name not in current_gates:
             yield name, base_value, None, direction
             continue
-        cur_value, _ = as_gate(cur_raw, direction)
-        yield name, base_value, cur_value, direction
-    for spec in keys:
-        if ":" not in spec:
-            raise ValueError(f"--key {spec!r}: expected path:direction")
-        path, direction = spec.rsplit(":", 1)
-        base_value, _ = as_gate(dig(baseline, path), direction)
-        try:
-            cur_value, _ = as_gate(dig(current, path), direction)
-        except KeyError:
-            yield path, base_value, None, direction
-            continue
-        yield path, base_value, cur_value, direction
+        yield name, base_value, as_gate(current_gates[name])[0], direction
 
 
-def run_checks(baseline, current, keys, threshold):
+def run_checks(baseline, current, threshold):
     failures = []
     checked = 0
-    for name, base, cur, direction in collect_gates(
-        baseline, current, keys
-    ):
+    for name, base, cur, direction in collect_gates(baseline, current):
         checked += 1
         if cur is None:
             err = (
@@ -133,15 +104,13 @@ def run_checks(baseline, current, keys, threshold):
     return checked, failures
 
 
-def self_test(baseline, keys, threshold):
+def self_test(baseline, threshold):
     """Degrades every gate past the threshold and asserts detection,
     then deletes every gate and asserts each deletion is flagged."""
     degrade = threshold + 0.05  # 20% at the default 15% threshold
     missed = []
     checked = 0
-    for name, base, _cur, direction in collect_gates(
-        baseline, baseline, keys
-    ):
+    for name, base, _cur, direction in collect_gates(baseline, baseline):
         checked += 1
         bad = (
             base * (1.0 - degrade)
@@ -162,9 +131,7 @@ def self_test(baseline, keys, threshold):
         k: ({} if k == "gates" else v) for k, v in baseline.items()
     }
     deleted = 0
-    for name, _base, cur, _direction in collect_gates(
-        baseline, gutted, []
-    ):
+    for name, _base, cur, _direction in collect_gates(baseline, gutted):
         if cur is not None:
             missed.append(f"{name}: deletion NOT detected")
         else:
@@ -187,15 +154,8 @@ def update_baseline(baseline, current, path):
     only the measured values move. Returns the number of gates
     refreshed."""
     updated = 0
-    gates = baseline.get("gates", {})
-    for name, raw in gates.items():
-        cur_value, _ = as_gate(
-            dig(current, f"gates.{name}"), as_gate(raw)[1]
-        )
-        if isinstance(raw, dict):
-            raw["value"] = cur_value
-        else:
-            gates[name] = cur_value
+    for name, raw in baseline.get("gates", {}).items():
+        raw["value"] = as_gate(current["gates"][name])[0]
         updated += 1
     if not updated:
         print("no gates found to update", file=sys.stderr)
@@ -214,13 +174,6 @@ def main():
     ap.add_argument("--baseline", required=True)
     ap.add_argument("--current")
     ap.add_argument("--threshold", type=float, default=0.15)
-    ap.add_argument(
-        "--key",
-        action="append",
-        default=[],
-        metavar="PATH:DIRECTION",
-        help="extra dotted-path gate, e.g. detection_ms.mean:lower",
-    )
     ap.add_argument("--self-test", action="store_true")
     ap.add_argument(
         "--update",
@@ -234,7 +187,7 @@ def main():
         baseline = json.load(f)
 
     if args.self_test:
-        return self_test(baseline, args.key, args.threshold)
+        return self_test(baseline, args.threshold)
 
     if not args.current:
         ap.error("--current is required unless --self-test")
@@ -256,9 +209,7 @@ def main():
         f"(threshold {args.threshold:.0%})"
     )
     try:
-        checked, failures = run_checks(
-            baseline, current, args.key, args.threshold
-        )
+        checked, failures = run_checks(baseline, current, args.threshold)
     except (KeyError, ValueError, TypeError) as e:
         print(f"malformed gate or missing key: {e}", file=sys.stderr)
         return 1
