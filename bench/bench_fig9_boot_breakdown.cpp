@@ -18,13 +18,15 @@
  * deployment, which leaves no room for one more whole-bitstream copy.
  */
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 
 #include "baseline/shef.hpp"
-#include "bench_util.hpp"
+#include "obs/trace.hpp"
 #include "salus/boot_report.hpp"
 #include "bitstream/encryptor.hpp"
 #include "bitstream/manipulator.hpp"
@@ -58,13 +60,36 @@ peakRssMib()
     return -1;
 }
 
-} // namespace
+void
+banner(const char *title)
+{
+    std::printf("\n=== %s ===\n", title);
+}
 
+/** Milliseconds from virtual nanos. */
+double
+ms(sim::Nanos n)
+{
+    return double(n) / 1e6;
+}
+
+/** A callable's host wall-clock time in seconds. */
+template <typename F>
+double
+wallSeconds(F &&fn)
+{
+    auto start = std::chrono::steady_clock::now();
+    fn();
+    auto end = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(end - start).count();
+}
+
+} // namespace
 
 int
 main()
 {
-    bench::banner("Figure 9: CL secure-boot time breakdown");
+    banner("Figure 9: CL secure-boot time breakdown");
 
     fpga::ensureBuiltinIps();
     SmLogic::registerIp();
@@ -73,7 +98,10 @@ main()
     TestbedConfig cfg;
     cfg.deviceModel = fpga::u200ScaledModel(); // 32 MiB RP bitstream
     Testbed tb(cfg);
-    bench::ObsCapture capture(tb.clock());
+    obs::TraceRecorder recorder(tb.clock());
+    obs::MetricsRegistry metrics;
+    std::optional<obs::ObsScope> capture(std::in_place, &recorder,
+                                         &metrics);
     const double hwmBuilt = peakRssMib();
 
     netlist::Cell accel;
@@ -87,7 +115,7 @@ main()
     std::printf("partial bitstream size: %.1f MiB\n",
                 double(tb.storedBitstream().size()) / (1 << 20));
 
-    double bootWall = bench::wallSeconds([&] {
+    double bootWall = wallSeconds([&] {
         auto outcome = tb.runDeployment();
         if (!outcome.ok) {
             std::printf("BOOT FAILED: %s\n", outcome.failure.c_str());
@@ -119,9 +147,17 @@ main()
     // Every clock slice was mirrored into the trace as a Clock-leaf
     // span, so per-phase span sums must equal the cost-model totals
     // the report is built from, to the nanosecond.
-    capture.writeArtifacts("fig9_boot_breakdown");
+    capture.reset(); // uninstall before exporting
+    if (recorder.writeChromeTrace("TRACE_fig9_boot_breakdown.json") &&
+        metrics.writeText("METRICS_fig9_boot_breakdown.txt"))
+        std::printf("wrote TRACE_fig9_boot_breakdown.json (%zu events) "
+                    "and METRICS_fig9_boot_breakdown.txt\n",
+                    recorder.events().size());
+    else
+        std::printf("cannot write TRACE_fig9_boot_breakdown.json / "
+                    "METRICS_fig9_boot_breakdown.txt\n");
     for (const BootPhaseRow &row : report.rows) {
-        sim::Nanos spans = capture.trace().phaseTotal(row.phase);
+        sim::Nanos spans = recorder.phaseTotal(row.phase);
         if (spans != row.modelTime) {
             std::printf("TRACE MISMATCH: phase '%s' spans %llu ns vs "
                         "clock %llu ns\n",
@@ -136,7 +172,7 @@ main()
                 report.rows.size());
 
     // ---- Host memory gate ---------------------------------------------
-    bench::banner("Peak RSS growth (VmHWM) of one 32 MiB boot");
+    banner("Peak RSS growth (VmHWM) of one 32 MiB boot");
     if (hwmStart < 0) {
         std::printf("VmHWM unavailable (no /proc/self/status); "
                     "memory gate skipped\n");
@@ -158,7 +194,7 @@ main()
     }
 
     // ---- §6.3 ShEF comparison ---------------------------------------
-    bench::banner("ShEF baseline boot (paper: ~5.1 s)");
+    banner("ShEF baseline boot (paper: ~5.1 s)");
     {
         crypto::CtrDrbg rng(uint64_t(2));
         baseline::ShefDevice device(
@@ -175,29 +211,29 @@ main()
             crypto::Sha256::digest(bitstream));
         bool ok = verifier.verify(att, nonce, &clock, cost);
         std::printf("ShEF modelled boot: %.2f ms (verify=%s)\n",
-                    bench::ms(clock.now()), ok ? "ok" : "FAILED");
+                    ms(clock.now()), ok ? "ok" : "FAILED");
         std::printf("Salus modelled boot: %.2f ms  ->  Salus/ShEF = "
                     "%.2fx (paper: 18.8/5.1 = 3.7x)\n",
-                    modelTotal, modelTotal / bench::ms(clock.now()));
+                    modelTotal, modelTotal / ms(clock.now()));
     }
 
     // ---- NATIVE: this repo's own bitstream tooling --------------------
-    bench::banner("Native bitstream-operation times (same 32 MiB file)");
+    banner("Native bitstream-operation times (same 32 MiB file)");
     {
         Bytes file = tb.storedBitstream();
         auto ll = bitstream::LogicLocationFile::deserialize(
             tb.metadata().logicLocations);
 
-        double tDigest = bench::wallSeconds(
+        double tDigest = wallSeconds(
             [&] { (void)crypto::Sha256::digest(file); });
-        double tManip = bench::wallSeconds([&] {
+        double tManip = wallSeconds([&] {
             bitstream::Manipulator::patchCell(
                 file, ll, tb.layout().keyAttestPath,
                 Bytes(core::kKeyAttestSize, 0x42));
         });
         crypto::CtrDrbg rng(uint64_t(3));
         Bytes key = rng.bytes(32);
-        double tEncrypt = bench::wallSeconds([&] {
+        double tEncrypt = wallSeconds([&] {
             (void)bitstream::encryptBitstream(
                 file, key,
                 bitstream::EncryptedHeader{

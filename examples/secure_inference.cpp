@@ -59,7 +59,7 @@ main()
                                    : "OUTPUT MISMATCH");
 
     // Compare with running the same job inside the CPU enclave.
-    RunResult cpu = runner.runCpuTee();
+    RunResult cpu = runner.runCpuTee(tb.cost());
     std::printf("CPU TEE reference:  %-10s  (speedup %.2fx)\n",
                 sim::formatNanos(cpu.totalTime).c_str(),
                 double(cpu.totalTime) / double(fpga.totalTime));

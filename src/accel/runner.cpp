@@ -1,7 +1,5 @@
 #include "accel/runner.hpp"
 
-#include <chrono>
-
 #include "accel/accel_ip.hpp"
 #include "accel/mem_crypto.hpp"
 #include "common/errors.hpp"
@@ -10,24 +8,8 @@ namespace salus::accel {
 
 namespace {
 
-/** Real wall-clock measurement of a callable, in virtual Nanos. */
-template <typename F>
-sim::Nanos
-measure(F &&fn)
-{
-    auto start = std::chrono::steady_clock::now();
-    fn();
-    auto end = std::chrono::steady_clock::now();
-    return sim::Nanos(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
-            .count());
-}
-
 /** Effective EPC/MEE bandwidth for enclave memory traffic (model). */
 constexpr double kEpcBytesPerSec = 2.0e9;
-
-/** ECALL/OCALL pair at each boundary crossing. */
-constexpr sim::Nanos kEnclaveTransition = 10 * sim::kUs;
 
 /** Per-job accelerator launch overhead (driver + doorbell). */
 constexpr sim::Nanos kAccelLaunch = 10 * sim::kUs;
@@ -53,6 +35,12 @@ WorkloadRunner::fpgaComputeTime() const
     return sim::Nanos(seconds * double(sim::kSec)) + kAccelLaunch;
 }
 
+sim::Nanos
+WorkloadRunner::cpuComputeTime() const
+{
+    return sim::Nanos(double(ops_) * workload(id_).cpuNsPerOp);
+}
+
 RunResult
 WorkloadRunner::runCpuPlain()
 {
@@ -60,8 +48,10 @@ WorkloadRunner::runCpuPlain()
     res.mode = "CPU";
     res.inputBytes = input_.size();
 
-    Bytes out;
-    res.computeTime = measure([&] { out = runKernel(id_, input_); });
+    // Execute the kernel for real (output correctness); the time is
+    // its counted ops at the calibrated host rate.
+    Bytes out = runKernel(id_, input_);
+    res.computeTime = cpuComputeTime();
     res.totalTime = res.computeTime;
     res.outputBytes = out.size();
     res.outputCorrect = out == reference_;
@@ -69,7 +59,7 @@ WorkloadRunner::runCpuPlain()
 }
 
 RunResult
-WorkloadRunner::runCpuTee()
+WorkloadRunner::runCpuTee(const sim::CostModel &cost)
 {
     RunResult res;
     res.mode = "CPU+TEE";
@@ -77,33 +67,30 @@ WorkloadRunner::runCpuTee()
 
     // Boundary crypto is real work: the enclave decrypts the incoming
     // ciphertext and (depending on the workload) encrypts the result,
-    // like the paper's OpenSSL-based data movement (§6.4).
+    // like the paper's OpenSSL-based data movement (§6.4). It is
+    // charged at the host's bulk AES-CTR rate.
     Bytes dataKey(32, 0x5a);
     Bytes wire = memCrypt(dataKey, 1, Dir::Input, input_);
-
-    Bytes out;
-    sim::Nanos cryptoTime = 0;
-    res.computeTime = measure([&] {
-        cryptoTime += measure([&] {
-            wire = memCrypt(dataKey, 1, Dir::Input, wire); // decrypt
-        });
-        out = runKernel(id_, wire);
-        if (outputEncrypted(id_)) {
-            cryptoTime += measure(
-                [&] { out = memCrypt(dataKey, 1, Dir::Output, out); });
-        }
-    });
+    wire = memCrypt(dataKey, 1, Dir::Input, wire); // decrypt
+    Bytes out = runKernel(id_, wire);
+    size_t cryptBytes = wire.size();
+    if (outputEncrypted(id_)) {
+        // Encrypt, then decrypt the copy that is checked.
+        out = memCrypt(dataKey, 1, Dir::Output, out);
+        cryptBytes += out.size();
+        out = memCrypt(dataKey, 1, Dir::Output, out);
+    }
+    sim::Nanos cryptoTime =
+        sim::transferTime(cost.dmaCryptoBytesPerSec, cryptBytes);
 
     // EPC model: every enclave store/load is transparently encrypted
     // by the MEE; traffic = factor * working set.
     double traffic = enclaveTrafficFactor(id_) * double(input_.size());
     sim::Nanos epc =
         sim::Nanos(traffic / kEpcBytesPerSec * double(sim::kSec));
-    res.overheadTime = cryptoTime + epc + 2 * kEnclaveTransition;
-    res.totalTime = res.computeTime + epc + 2 * kEnclaveTransition;
-
-    if (outputEncrypted(id_))
-        out = memCrypt(dataKey, 1, Dir::Output, out); // verify copy
+    res.computeTime = cpuComputeTime();
+    res.overheadTime = cryptoTime + epc + 2 * cost.enclaveTransition;
+    res.totalTime = res.computeTime + res.overheadTime;
     res.outputBytes = out.size();
     res.outputCorrect = out == reference_;
     return res;

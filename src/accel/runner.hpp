@@ -2,10 +2,12 @@
  * @file
  * Execution-mode runners for the §6.4 evaluation: the same kernel run
  * as (a) plain CPU, (b) CPU inside a TEE, (c) plain FPGA and (d) FPGA
- * TEE (the full Salus pipeline through the simulated device). Results
- * carry both real measured compute time and the modelled end-to-end
- * time; EXPERIMENTS.md explains which column reproduces which paper
- * number.
+ * TEE (the full Salus pipeline through the simulated device). Every
+ * mode runs the kernel for real, so its output is checked, and every
+ * time is modelled on the virtual clock: counted kernel ops at a
+ * calibrated host rate on the CPU side, fabric cycles and virtual bus
+ * time on the FPGA side. EXPERIMENTS.md explains which column
+ * reproduces which paper number.
  */
 
 #ifndef SALUS_ACCEL_RUNNER_HPP
@@ -44,14 +46,15 @@ class WorkloadRunner
      */
     WorkloadRunner(KernelId id, uint64_t seed, double scale);
 
-    /** CPU, no TEE: real measured kernel time. */
+    /** CPU, no TEE: counted kernel ops at the calibrated rate. */
     RunResult runCpuPlain();
 
     /**
-     * CPU inside a TEE: measured kernel time plus (real) AES-CTR
-     * boundary crypto plus the EPC memory-encryption model.
+     * CPU inside a TEE: the plain CPU time plus AES-CTR boundary
+     * crypto at the host's bulk rate, the EPC memory-encryption model
+     * and one enclave transition each way.
      */
-    RunResult runCpuTee();
+    RunResult runCpuTee(const sim::CostModel &cost);
 
     /** FPGA, no TEE: cycle model + plaintext PCIe transfers. */
     RunResult runFpgaPlain(const sim::CostModel &cost);
@@ -77,6 +80,7 @@ class WorkloadRunner
     KernelId id() const { return id_; }
 
   private:
+    sim::Nanos cpuComputeTime() const;
     sim::Nanos fpgaComputeTime() const;
 
     KernelId id_;

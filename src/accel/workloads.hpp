@@ -23,7 +23,9 @@ struct WorkloadSpec
     netlist::ResourceVector resources; ///< paper Table 5 row
     /** Sustained MAC-equivalents per fabric cycle (pipeline width). */
     uint32_t opsPerCycle;
-    /** Default input scale for benches (1.0 = paper-like size). */
+    /** Host CPU nanoseconds per MAC-equivalent (see allWorkloads()). */
+    double cpuNsPerOp;
+    /** Input scale of the paper tables (1.0 = paper-like size). */
     double benchScale;
 };
 

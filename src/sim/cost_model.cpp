@@ -17,10 +17,6 @@ CostModel::rpc(LinkKind link, size_t requestBytes,
     Nanos rtt;
     double bw;
     switch (link) {
-      case LinkKind::Loopback:
-        rtt = loopbackRtt;
-        bw = loopbackBandwidth;
-        break;
       case LinkKind::IntraCloud:
         rtt = cloudRtt;
         bw = cloudBandwidth;

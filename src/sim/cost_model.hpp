@@ -26,7 +26,6 @@ namespace salus::sim {
 
 /** Link classes used by the RPC layer. */
 enum class LinkKind {
-    Loopback,   ///< same host, enclave <-> enclave or app <-> driver
     IntraCloud, ///< manufacturer server <-> cloud instance
     Wan,        ///< user client <-> cloud instance / DCAP service
     Pcie,       ///< host <-> FPGA shell
@@ -51,7 +50,6 @@ struct CostModel
     /** Payload bandwidth per link, bytes per second. */
     double wanBandwidth = 12.5e6;    ///< ~100 Mbit/s
     double cloudBandwidth = 1.25e9;  ///< ~10 Gbit/s
-    double loopbackBandwidth = 8e9;  ///< shared-memory copy
     double pcieBandwidth = 3.0e9;    ///< effective PCIe Gen3 x8 DMA
 
     // ---- TEE ----------------------------------------------------------

@@ -10,6 +10,10 @@
  *    rendered as text.
  * A mismatch prints the line to paste when the change is intended, so
  * a recalibration shows up as a diff of those files.
+ *
+ * EXPERIMENTS.md quotes each paper table in a fenced block whose info
+ * string is the table's name; expectQuotedInExperiments checks the
+ * quote is the rendered text, verbatim.
  */
 
 #ifndef SALUS_TESTS_GOLDEN_HPP
@@ -78,6 +82,37 @@ expectGoldenRatio(const std::string &name, double num, double den)
     char text[32];
     std::snprintf(text, sizeof(text), "%.4f", num / den);
     expectGolden("virtual_values.txt", name, text);
+}
+
+/** The lines of the fenced block tagged `name` in EXPERIMENTS.md
+ *  ("```name" up to the next "```"), or "" when it has none. */
+inline std::string
+experimentsBlock(const std::string &name)
+{
+    std::ifstream in(SALUS_EXPERIMENTS_MD);
+    std::string line, block;
+    bool inside = false;
+    while (std::getline(in, line)) {
+        if (inside && line == "```")
+            return block;
+        if (inside)
+            block += line + "\n";
+        inside = inside || line == "```" + name;
+    }
+    return "";
+}
+
+/** Expects EXPERIMENTS.md to quote `text`, less its leading blank
+ *  lines, as the block tagged `name`. */
+inline void
+expectQuotedInExperiments(const std::string &name,
+                          const std::string &text)
+{
+    std::string quoted = text.substr(text.find_first_not_of('\n'));
+    EXPECT_EQ(experimentsBlock(name), quoted)
+        << "EXPERIMENTS.md does not quote table " << name
+        << " verbatim; put this in its ```" << name << " block:\n"
+        << quoted;
 }
 
 } // namespace salus::test

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "accel/accel_ip.hpp"
 #include "accel/mem_crypto.hpp"
 #include "accel/runner.hpp"
@@ -192,16 +194,14 @@ TEST_P(WorkloadMatrix, AllModesProduceReferenceOutput)
     RunResult cpu = runner.runCpuPlain();
     EXPECT_TRUE(cpu.outputCorrect) << spec.name;
 
-    RunResult cpuTee = runner.runCpuTee();
+    sim::CostModel cost;
+    RunResult cpuTee = runner.runCpuTee(cost);
     EXPECT_TRUE(cpuTee.outputCorrect) << spec.name;
     // TEE mode is never free: boundary crypto + EPC traffic +
-    // enclave transitions add modelled overhead on top of its own
-    // measured compute. (Comparing against cpu.totalTime would race
-    // two separate wall-clock measurements and flake under load.)
-    EXPECT_GT(cpuTee.overheadTime, 0) << spec.name;
-    EXPECT_GE(cpuTee.totalTime, cpuTee.computeTime) << spec.name;
+    // enclave transitions add modelled overhead to the same compute.
+    EXPECT_EQ(cpuTee.computeTime, cpu.computeTime) << spec.name;
+    EXPECT_GT(cpuTee.totalTime, cpu.totalTime) << spec.name;
 
-    sim::CostModel cost;
     RunResult fpga = runner.runFpgaPlain(cost);
     EXPECT_TRUE(fpga.outputCorrect) << spec.name;
 
@@ -217,6 +217,26 @@ TEST_P(WorkloadMatrix, AllModesProduceReferenceOutput)
     EXPECT_LT(double(fpgaTee.totalTime),
               1.6 * double(fpga.totalTime) + 5.0 * double(sim::kMs))
         << spec.name;
+}
+
+TEST_P(WorkloadMatrix, SameSeedGivesIdenticalTimesInEveryMode)
+{
+    const WorkloadSpec &spec = workload(GetParam());
+    sim::CostModel cost;
+    auto times = [&] {
+        WorkloadRunner runner(spec.id, 42, kTestScale);
+        auto tbp = makeDeployedTestbed(spec);
+        EXPECT_TRUE(tbp->runDeployment().ok) << spec.name;
+        std::vector<sim::Nanos> t;
+        for (const RunResult &r :
+             {runner.runCpuPlain(), runner.runCpuTee(cost),
+              runner.runFpgaPlain(cost), runner.runFpgaTee(*tbp)}) {
+            t.insert(t.end(),
+                     {r.totalTime, r.computeTime, r.overheadTime});
+        }
+        return t;
+    };
+    EXPECT_EQ(times(), times()) << spec.name;
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -218,8 +218,9 @@ TEST(SgxFpga, SalusCascadedAttestationClosesTheGap)
 
 namespace {
 
-/** ShEF's modelled attest + verify of `bitstream`, as the benches
- *  run it (device and root seed as in bench_fig9 / bench_table1). */
+/** ShEF's modelled attest + verify of `bitstream`, as Fig. 9 and
+ *  Table 1 run it (device and root seed as in bench_fig9 and
+ *  paper::table1). */
 sim::Nanos
 shefBoot(const char *deviceId, ByteView bitstream, uint64_t seed)
 {

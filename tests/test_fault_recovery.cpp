@@ -11,6 +11,8 @@
 
 #include "common/errors.hpp"
 #include "fpga/ip.hpp"
+#include "golden.hpp"
+#include "paper/paper.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/testbed.hpp"
 
@@ -84,6 +86,16 @@ TEST(FaultRecovery, DeploymentHealsThroughAcceptancePlan)
     // The healed platform is fully functional.
     EXPECT_TRUE(tb->userApp().secureWrite(0x00, 42));
     EXPECT_EQ(tb->userApp().secureRead(0x00), 42u);
+}
+
+TEST(FaultRecovery, LossyLinkSweepIsPinnedAndCombinedPlanRecovers)
+{
+    // 25 seeds per loss rate, with and without retries, then lossy
+    // links plus a failed load plus one SEU, which must recover.
+    paper::Rendered r = paper::faultRecovery();
+    EXPECT_TRUE(r.ok) << r.text;
+    test::expectGoldenDigest("paper.fault_recovery.txt", r.text);
+    test::expectQuotedInExperiments("fault_recovery", r.text);
 }
 
 TEST(FaultRecovery, SamePlanFailsClosedWithoutRetries)

@@ -107,7 +107,6 @@ TEST(CostModelTest, TransferAndRpcScale)
     Nanos big = cost.rpc(LinkKind::Wan, 10 << 20, 10);
     EXPECT_GE(tiny, cost.wanRtt);
     EXPECT_GT(big, tiny);
-    EXPECT_LT(cost.rpc(LinkKind::Loopback, 10, 10), tiny);
     EXPECT_LT(cost.rpc(LinkKind::Pcie, 10, 10), tiny);
 }
 

@@ -9,6 +9,7 @@
  *   salus_cli workload <Conv|Affine|Rendering|FaceDetect|NNSearch>
  *                     [--scale PCT]
  *   salus_cli inspect
+ *   salus_cli paper [table1|...|fault_recovery]
  *   salus_cli help
  *
  * Any command accepts `--trace-out FILE` (Chrome trace_event JSON for
@@ -28,6 +29,7 @@
 #include "accel/accel_ip.hpp"
 #include "accel/runner.hpp"
 #include "obs/trace.hpp"
+#include "paper/paper.hpp"
 #include "salus/boot_report.hpp"
 #include "salus/salus.hpp"
 #include "salus/scenario.hpp"
@@ -238,8 +240,8 @@ cmdWorkload(const std::vector<std::string> &args)
                 runner.input().size());
 
     accel::RunResult cpu = runner.runCpuPlain();
-    accel::RunResult cpuTee = runner.runCpuTee();
     sim::CostModel cost;
+    accel::RunResult cpuTee = runner.runCpuTee(cost);
     accel::RunResult fpga = runner.runFpgaPlain(cost);
 
     Testbed tb;
@@ -402,6 +404,27 @@ cmdInspect()
     return 0;
 }
 
+/** Prints the named paper table, or all of them; exits 1 when a
+ *  table's self-check fails and 2 on an unknown name. */
+int
+cmdPaper(const std::vector<std::string> &args)
+{
+    bool found = false, ok = true;
+    for (const paper::Artifact &a : paper::artifacts()) {
+        if (!args.empty() && args[0] != a.name)
+            continue;
+        found = true;
+        paper::Rendered r = a.render();
+        std::fputs(r.text.c_str(), stdout);
+        ok = ok && r.ok;
+    }
+    if (!found) {
+        std::printf("unknown table '%s'\n", args[0].c_str());
+        return 2;
+    }
+    return ok ? 0 : 1;
+}
+
 void
 usage()
 {
@@ -420,7 +443,10 @@ usage()
         "        (docs/SCENARIOS.md; default runs twice and checks "
         "byte-identical traces)\n"
         "  inspect                           device + workload "
-        "inventory\n\n"
+        "inventory\n"
+        "  paper [name]                      print the paper's tables "
+        "and figures:\n"
+        "        table1..table6 fig8 fig10 ablations fault_recovery\n\n"
         "global options:\n"
         "  --trace-out FILE    write a Chrome trace_event JSON trace\n"
         "  --metrics-out FILE  write a text metrics dump\n");
@@ -463,6 +489,8 @@ main(int argc, char **argv)
         return cmdRunScenario(args);
     if (cmd == "inspect")
         return cmdInspect();
+    if (cmd == "paper")
+        return cmdPaper(args);
     usage();
     return cmd == "help" ? 0 : 2;
 }
