@@ -204,12 +204,12 @@ main()
 
         const Bytes &bitstream = tb.storedBitstream();
         Bytes nonce = rng.bytes(16);
-        auto att = device.loadAndAttest(bitstream, nonce, &clock, cost);
+        auto att = device.loadAndAttest(bitstream, nonce, clock, cost);
         baseline::ShefVerifier verifier(
             baseline::shefManufacturerRoot(bytesFromString("shef-root"))
                 .publicKey,
             crypto::Sha256::digest(bitstream));
-        bool ok = verifier.verify(att, nonce, &clock, cost);
+        bool ok = verifier.verify(att, nonce, clock, cost);
         std::printf("ShEF modelled boot: %.2f ms (verify=%s)\n",
                     ms(clock.now()), ok ? "ok" : "FAILED");
         std::printf("Salus modelled boot: %.2f ms  ->  Salus/ShEF = "

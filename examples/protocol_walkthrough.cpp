@@ -92,6 +92,7 @@ main()
     smDeps.manufacturerEndpoint = endpoints::kManufacturer;
     smDeps.devices = {{&shell, device->dna().value}};
     smDeps.fetchBitstream = [&]() -> ByteView { return storedBitstream; };
+    smDeps.sim = {&clock, &cost};
     SmEnclaveApp smApp(platform, smDeps);
 
     SmTransport transport;
@@ -101,7 +102,8 @@ main()
         return smApp.channelRequest(0, m);
     };
     UserEnclaveApp userApp(platform, UserEnclaveApp::defaultImage(),
-                           SmEnclaveApp::defaultMeasurement(), transport);
+                           SmEnclaveApp::defaultMeasurement(), transport,
+                           smDeps.sim);
 
     network.on(endpoints::kManufacturer, "keyRequest", [&](ByteView req) {
         return mft
@@ -130,7 +132,8 @@ main()
     cfg.metadata = ClMetadata::deserialize(artifact.metadata);
     cfg.selfEndpoint = endpoints::kUserClient;
     cfg.cloudEndpoint = endpoints::kCloudHost;
-    UserClient client(cfg, mft.verificationService(), network, rng);
+    UserClient client(cfg, mft.verificationService(), network, rng,
+                      smDeps.sim);
     UserClient::Outcome outcome = client.deployAndAttest();
     if (!outcome.ok) {
         std::printf("deployment failed: %s\n", outcome.failure.c_str());

@@ -47,10 +47,14 @@ runSgxFpgaFlow(CrpDatabase &db, const PufDevice &device,
 {
     SgxFpgaTimeline t;
 
-    // Stage 1: user enclave remote attestation; the client receives
-    // this report and, per the protocol, starts trusting the platform.
+    // Stage 1: user enclave remote attestation -- the challenge round
+    // trip, the quote and its verification over the WAN. The client
+    // receives this report and, per the protocol, starts trusting the
+    // platform.
     clock.spend("SGX-FPGA: user enclave RA",
-                cost.remoteAttestation(sim::LinkKind::Wan));
+                cost.rpc(sim::LinkKind::Wan, 64, 4096) +
+                    cost.quoteCreation() +
+                    cost.quoteVerificationOver(sim::LinkKind::Wan));
     t.reportIssuedAt = clock.now();
 
     // Stage 2: host enclave attests the SM-equivalent enclave.

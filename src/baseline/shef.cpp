@@ -49,17 +49,15 @@ ShefDevice::ShefDevice(std::string deviceId, ByteView manufacturerRootSeed,
 
 ShefAttestation
 ShefDevice::loadAndAttest(ByteView bitstream, ByteView nonce,
-                          sim::VirtualClock *clock,
+                          sim::VirtualClock &clock,
                           const sim::CostModel &cost)
 {
-    if (clock) {
-        // Hash of the full bitstream on the embedded security kernel,
-        // then one signature operation -- the dominant boot costs.
-        clock->spend("ShEF: CL measurement",
-                     sim::transferTime(cost.shefMeasureBytesPerSec,
-                                       bitstream.size()));
-        clock->spend("ShEF: signature", cost.shefSignatureOp);
-    }
+    // Hash of the full bitstream on the embedded security kernel,
+    // then one signature operation -- the dominant boot costs.
+    clock.spend(kShefMeasurePhase,
+                sim::transferTime(cost.shefMeasureBytesPerSec,
+                                  bitstream.size()));
+    clock.spend(kShefSignPhase, cost.shefSignatureOp);
 
     ShefAttestation att;
     att.measurement = crypto::Sha256::digest(bitstream);
@@ -79,18 +77,15 @@ ShefVerifier::ShefVerifier(Bytes manufacturerRootPub,
 
 bool
 ShefVerifier::verify(const ShefAttestation &att, ByteView nonce,
-                     sim::VirtualClock *clock,
+                     sim::VirtualClock &clock,
                      const sim::CostModel &cost) const
 {
-    if (clock) {
-        // CA chain fetches + the verification round trip, over WAN.
-        clock->spend("ShEF: CA round trips",
-                     sim::Nanos(cost.shefCaRoundTrips) *
-                             cost.rpc(sim::LinkKind::Wan, 1024, 8192) +
-                         cost.rpc(sim::LinkKind::Wan, 256, 4096));
-        clock->spend("ShEF: signature verification",
-                     cost.shefSignatureOp);
-    }
+    // CA chain fetches + the verification round trip, over WAN.
+    clock.spend(kShefCaPhase,
+                sim::Nanos(cost.shefCaRoundTrips) *
+                        cost.rpc(sim::LinkKind::Wan, 1024, 8192) +
+                    cost.rpc(sim::LinkKind::Wan, 256, 4096));
+    clock.spend(kShefVerifyPhase, cost.shefSignatureOp);
 
     if (!crypto::ed25519Verify(rootPub_, att.cert.signedPortion(),
                                att.cert.signature)) {

@@ -23,6 +23,12 @@
 
 namespace salus::baseline {
 
+/** Virtual-clock phases of one ShEF boot. */
+inline const char *const kShefMeasurePhase = "ShEF: CL measurement";
+inline const char *const kShefSignPhase = "ShEF: signature";
+inline const char *const kShefCaPhase = "ShEF: CA round trips";
+inline const char *const kShefVerifyPhase = "ShEF: signature verification";
+
 /** Certificate binding a device attestation key to the manufacturer. */
 struct ShefDeviceCert
 {
@@ -58,7 +64,7 @@ class ShefDevice
      * embedded core's hash + signature time to the clock.
      */
     ShefAttestation loadAndAttest(ByteView bitstream, ByteView nonce,
-                                  sim::VirtualClock *clock,
+                                  sim::VirtualClock &clock,
                                   const sim::CostModel &cost);
 
   private:
@@ -78,7 +84,7 @@ class ShefVerifier
      * + nonce. Charges WAN CA round trips to the clock.
      */
     bool verify(const ShefAttestation &att, ByteView nonce,
-                sim::VirtualClock *clock,
+                sim::VirtualClock &clock,
                 const sim::CostModel &cost) const;
 
   private:

@@ -259,23 +259,18 @@ DmaWindowEngine::run(const std::vector<DmaDescriptorWork> &work)
     overlapBudget_ = 0;
     overlapCap_ = 0;
 
-    const sim::CostModel *cost = hooks_.sim.cost;
+    const sim::CostModel &cost = *hooks_.sim.cost;
     uint64_t totalBytes = 0;
     for (const DmaDescriptorWork &w : work) {
         totalBytes += w.payloadBytes;
-        if (cost)
-            overlapCap_ = std::max(
-                overlapCap_, 2 * cost->dmaCrypto(w.payloadBytes));
+        overlapCap_ =
+            std::max(overlapCap_, 2 * cost.dmaCrypto(w.payloadBytes));
     }
     obs::Span span(obs::Category::Channel, "dma_transfer", totalBytes);
 
-    auto now = [&]() -> sim::Nanos {
-        return hooks_.sim.clock ? hooks_.sim.clock->now()
-                                : sim::Nanos(0);
-    };
-    auto wireTime = [&](size_t bytes) -> sim::Nanos {
-        return cost ? sim::transferTime(cost->pcieBandwidth, bytes)
-                    : sim::Nanos(0);
+    auto now = [&] { return hooks_.sim.clock->now(); };
+    auto wireTime = [&](size_t bytes) {
+        return sim::transferTime(cost.pcieBandwidth, bytes);
     };
     auto sendTime = [&](const DmaDescriptorWork &w) -> sim::Nanos {
         return wireTime(
@@ -284,15 +279,12 @@ DmaWindowEngine::run(const std::vector<DmaDescriptorWork> &work)
     // The ack for a descriptor is believable one RTT after its last
     // wire byte; gathers additionally wait for the response payload
     // to cross back.
-    auto ackLatency = [&](const DmaDescriptorWork &w) -> sim::Nanos {
-        if (!cost)
-            return 0;
-        return cost->pcieRtt +
+    auto ackLatency = [&](const DmaDescriptorWork &w) {
+        return cost.pcieRtt +
                (w.read ? wireTime(w.payloadBytes) : sim::Nanos(0));
     };
-    auto sealCost = [&](const DmaDescriptorWork &w) -> sim::Nanos {
-        return cost ? cost->dmaCrypto(w.read ? 0 : w.payloadBytes)
-                    : sim::Nanos(0);
+    auto sealCost = [&](const DmaDescriptorWork &w) {
+        return cost.dmaCrypto(w.read ? 0 : w.payloadBytes);
     };
 
     std::deque<InFlight> inflight;
@@ -315,9 +307,7 @@ DmaWindowEngine::run(const std::vector<DmaDescriptorWork> &work)
             const DmaDescriptorWork &w = work[inflight.front().workIndex];
             if (w.read) {
                 // The response blob is decrypted as it lands.
-                spendCrypto(cost ? cost->dmaCrypto(w.payloadBytes)
-                                 : sim::Nanos(0),
-                            report);
+                spendCrypto(cost.dmaCrypto(w.payloadBytes), report);
             }
             if (w.complete && !w.complete()) {
                 report.status = 0xfb; // forged read response

@@ -1,8 +1,10 @@
 /**
  * @file
- * Optional virtual-time hooks for protocol components. Unit tests run
- * with null hooks (pure logic); the boot benches wire in a clock and
- * the calibrated cost model to reproduce Figure 9.
+ * Virtual-time hooks for protocol components: the clock each step
+ * charges and the cost model that prices it. Every component gets
+ * both (the Testbed binds its own; standalone rigs pass a local clock
+ * and a default CostModel), so each protocol step is priced once, by
+ * the flow that runs it.
  */
 
 #ifndef SALUS_SALUS_SIM_HOOKS_HPP
@@ -13,42 +15,18 @@
 
 namespace salus::core {
 
-/** Nullable clock/cost pair. */
+/** The clock a component charges and the cost model pricing it;
+ *  both must be set before the component runs. */
 struct SimHooks
 {
     sim::VirtualClock *clock = nullptr;
     const sim::CostModel *cost = nullptr;
 
-    bool active() const { return clock != nullptr && cost != nullptr; }
-
     void
     spend(std::string_view phase, sim::Nanos duration) const
     {
-        if (clock)
-            clock->spend(phase, duration);
+        clock->spend(phase, duration);
     }
-};
-
-/** RAII phase scope that tolerates null hooks. */
-class PhaseScope
-{
-  public:
-    PhaseScope(const SimHooks &hooks, std::string_view phase)
-        : clock_(hooks.clock)
-    {
-        if (clock_)
-            clock_->pushPhase(phase);
-    }
-    ~PhaseScope()
-    {
-        if (clock_)
-            clock_->popPhase();
-    }
-    PhaseScope(const PhaseScope &) = delete;
-    PhaseScope &operator=(const PhaseScope &) = delete;
-
-  private:
-    sim::VirtualClock *clock_;
 };
 
 /** Canonical phase names (Figure 9 legend). */

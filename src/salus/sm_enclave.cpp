@@ -416,16 +416,13 @@ bool
 SmEnclaveApp::fetchDeviceKey(std::string &failure, bool &retryable)
 {
     obs::Span span(obs::Category::Boot, "device_key_dist");
-    PhaseScope phase(deps_.sim, phases::kDeviceKeyDist);
+    sim::ScopedPhase phase(*deps_.sim.clock, phases::kDeviceKeyDist);
 
     // Ephemeral wrap key; the quote binds its public half so the OS
     // cannot substitute its own.
     crypto::X25519KeyPair eph = crypto::x25519Generate(rng());
 
-    deps_.sim.spend(phases::kDeviceKeyDist,
-                    deps_.sim.active() ? deps_.sim.cost->quoteGeneration +
-                                             2 * deps_.sim.cost->enclaveTransition
-                                       : 0);
+    deps_.sim.spend(phases::kDeviceKeyDist, deps_.sim.cost->quoteCreation());
     tee::Quote quote = createQuote(eph.publicKey);
 
     manufacturer::KeyRequest req;
@@ -511,12 +508,10 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
     {
         obs::Span sub(obs::Category::Bitstream, "verify",
                       uint64_t(file.size()));
-        PhaseScope phase(deps_.sim, phases::kBitstreamVerifEnc);
-        if (deps_.sim.active()) {
-            deps_.sim.spend(phases::kBitstreamVerifEnc,
-                            deps_.sim.cost->bitstreamVerifyEncrypt(
-                                file.size()) / 2);
-        }
+        sim::ScopedPhase phase(*deps_.sim.clock, phases::kBitstreamVerifEnc);
+        deps_.sim.spend(phases::kBitstreamVerifEnc,
+                        deps_.sim.cost->bitstreamVerifyEncrypt(file.size()) /
+                            2);
         Bytes digest = crypto::Sha256::digest(file);
         if (!crypto::ctEqual(digest, metadata_.digestH)) {
             failure = "bitstream digest mismatch (tampered or wrong CL)";
@@ -551,12 +546,9 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
     slots_[0].ctr = secrets_.ctrBase;
     try {
         obs::Span sub(obs::Category::Bitstream, "inject_secrets");
-        PhaseScope phase(deps_.sim, phases::kBitstreamManip);
-        if (deps_.sim.active()) {
-            deps_.sim.spend(
-                phases::kBitstreamManip,
-                deps_.sim.cost->bitstreamManipulation(file.size()));
-        }
+        sim::ScopedPhase phase(*deps_.sim.clock, phases::kBitstreamManip);
+        deps_.sim.spend(phases::kBitstreamManip,
+                        deps_.sim.cost->bitstreamManipulation(file.size()));
         bitstream::Manipulator::patchCell(
             file, ll, metadata_.keyAttestPath, secrets_.keyAttest);
         bitstream::Manipulator::patchCell(
@@ -575,12 +567,10 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
     Bytes blob;
     {
         obs::Span sub(obs::Category::Bitstream, "encrypt");
-        PhaseScope phase(deps_.sim, phases::kBitstreamVerifEnc);
-        if (deps_.sim.active()) {
-            deps_.sim.spend(phases::kBitstreamVerifEnc,
-                            deps_.sim.cost->bitstreamVerifyEncrypt(
-                                file.size()) / 2);
-        }
+        sim::ScopedPhase phase(*deps_.sim.clock, phases::kBitstreamVerifEnc);
+        deps_.sim.spend(phases::kBitstreamVerifEnc,
+                        deps_.sim.cost->bitstreamVerifyEncrypt(file.size()) /
+                            2);
         blob = std::move(envelope).seal(deviceKeys_.at(activeDna()), rng());
     }
 
@@ -588,7 +578,7 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
     {
         obs::Span sub(obs::Category::Bitstream, "load",
                       uint64_t(blob.size()));
-        PhaseScope phase(deps_.sim, phases::kClDeployment);
+        sim::ScopedPhase phase(*deps_.sim.clock, phases::kClDeployment);
         fpga::LoadStatus st = activeShell().deployBitstream(blob);
         if (st != fpga::LoadStatus::Ok) {
             failure = std::string("device rejected bitstream: ") +
@@ -609,13 +599,11 @@ SmEnclaveApp::attestCl(std::string &failure)
 {
     obs::Span span(obs::Category::Attestation, "attest_cl");
     obs::count("attestation.cl_attempts");
-    PhaseScope phase(deps_.sim, phases::kClAuth);
-    if (deps_.sim.active()) {
-        deps_.sim.spend(phases::kClAuth,
-                        2 * deps_.sim.cost->smLogicMac +
-                            2 * deps_.sim.cost->enclaveTransition +
-                            2 * deps_.sim.cost->fpgaDnaReadout);
-    }
+    sim::ScopedPhase phase(*deps_.sim.clock, phases::kClAuth);
+    deps_.sim.spend(phases::kClAuth,
+                    2 * deps_.sim.cost->smLogicMac +
+                        2 * deps_.sim.cost->enclaveTransition +
+                        2 * deps_.sim.cost->fpgaDnaReadout);
 
     uint64_t nonce = rng().nextU64();
     uint64_t dna = activeDna();
@@ -877,7 +865,7 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
     uint64_t mac = regchan::sessionOpenMac(slotKeys(0).mac(), slot, nonce);
 
     shell::Shell &sh = activeShell();
-    PhaseScope transport(deps_.sim, phases::kChanTransport);
+    sim::ScopedPhase transport(*deps_.sim.clock, phases::kChanTransport);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn0, slot);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn1, nonce);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn3, mac);
@@ -978,10 +966,8 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
     {
         obs::Span crypto(obs::Category::Channel, "batch_crypto",
                          uint64_t(ops.size()));
-        if (deps_.sim.active()) {
-            deps_.sim.spend(phases::kChanCrypto,
-                            deps_.sim.cost->batchCrypto(ops.size()));
-        }
+        deps_.sim.spend(phases::kChanCrypto,
+                        deps_.sim.cost->batchCrypto(ops.size()));
         batch = regchan::sealBatch(keys.aes(), keys.mac(), slot, ctrBase,
                                    ops);
     }
@@ -998,7 +984,7 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
     {
         obs::Span transport(obs::Category::Channel, "batch_transport",
                             uint64_t(ops.size()));
-        PhaseScope transport_(deps_.sim, phases::kChanTransport);
+        sim::ScopedPhase transport_(*deps_.sim.clock, phases::kChanTransport);
         sh.registerWrite(pcie::Window::SmSecure, kSmRegBurstReset, 1);
         sh.registerBurstWrite(pcie::Window::SmSecure, kSmRegBurstIn,
                               words.data(), words.size());

@@ -124,13 +124,9 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config))
                      // Server-side quote verification (DCAP collateral
                      // fetched over the intra-cloud link).
                      clock_.spend(phases::kDeviceKeyDist,
-                                  config_.cost.quoteVerification +
-                                      config_.cost.keyEscrowProcessing +
-                                      sim::Nanos(config_.cost
-                                                     .dcapCollateralRoundTrips) *
-                                          config_.cost.rpc(
-                                              sim::LinkKind::IntraCloud,
-                                              2048, 16384));
+                                  config_.cost.quoteVerificationOver(
+                                      sim::LinkKind::IntraCloud) +
+                                      config_.cost.keyEscrowProcessing);
                      manufacturer::KeyRequest parsed;
                      try {
                          parsed = manufacturer::KeyRequest::deserialize(

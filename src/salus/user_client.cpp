@@ -52,7 +52,7 @@ UserClient::attemptOnce()
 {
     obs::Span span(obs::Category::Attestation, "ra_attempt");
     Outcome out;
-    PhaseScope phase(sim_, phases::kUserRa);
+    sim::ScopedPhase phase(*sim_.clock, phases::kUserRa);
 
     // --- ② RA request (single round trip, Fig. 4b) -------------------
     // The nonce is fresh per attempt: a replayed response from an
@@ -107,13 +107,8 @@ UserClient::attemptOnce()
     }
 
     // --- verify the quote via the (WAN) verification service ---------
-    if (sim_.active()) {
-        sim_.spend(phases::kUserRa,
-                   sim_.cost->quoteVerification +
-                       sim::Nanos(sim_.cost->dcapCollateralRoundTrips) *
-                           sim_.cost->rpc(sim::LinkKind::Wan, 2048,
-                                          16384));
-    }
+    sim_.spend(phases::kUserRa,
+               sim_.cost->quoteVerificationOver(sim::LinkKind::Wan));
     tee::QuoteVerdict verdict = qvs_.verify(quote);
     if (!verdict.ok) {
         out.failure = "quote verification failed: " + verdict.reason;

@@ -47,7 +47,7 @@ class UserClient
     UserClient(ClientConfig config,
                const tee::QuoteVerificationService &qvs,
                net::Network &network, crypto::RandomSource &rng,
-               SimHooks sim = {});
+               SimHooks sim);
 
     /** Result of the one-round-trip platform attestation. */
     struct Outcome

@@ -139,11 +139,8 @@ UserEnclaveApp::handleRaRequest(ByteView request)
     // --- ③ Local attestation of the SM enclave ----------------------
     {
         obs::Span sub(obs::Category::Attestation, "local_attest");
-        PhaseScope phase(sim_, phases::kLocalAttest);
-        if (sim_.active()) {
-            sim_.spend(phases::kLocalAttest,
-                       sim_.cost->localAttestation());
-        }
+        sim::ScopedPhase phase(*sim_.clock, phases::kLocalAttest);
+        sim_.spend(phases::kLocalAttest, sim_.cost->localAttestation());
         // Fresh LA session => fresh channel sequence space (the peer
         // may be a restarted SM instance expecting seq 1).
         channelSeq_ = 0;
@@ -199,12 +196,8 @@ UserEnclaveApp::handleRaRequest(ByteView request)
     // --- ⑧ deferred RA report generation (cascaded attestation) ------
     {
         obs::Span sub(obs::Category::Attestation, "cascaded_report");
-        PhaseScope phase(sim_, phases::kUserRa);
-        if (sim_.active()) {
-            sim_.spend(phases::kUserRa,
-                       sim_.cost->quoteGeneration +
-                           2 * sim_.cost->enclaveTransition);
-        }
+        sim::ScopedPhase phase(*sim_.clock, phases::kUserRa);
+        sim_.spend(phases::kUserRa, sim_.cost->quoteCreation());
         crypto::X25519KeyPair wrap = crypto::x25519Generate(rng());
         wrapPriv_ = wrap.privateKey;
         wrapPub_ = wrap.publicKey;
@@ -287,11 +280,8 @@ UserEnclaveApp::attachToPlatform()
     // (pinning the published measurement), then confirm the CL is up.
     {
         obs::Span sub(obs::Category::Attestation, "local_attest");
-        PhaseScope phase(sim_, phases::kLocalAttest);
-        if (sim_.active()) {
-            sim_.spend(phases::kLocalAttest,
-                       sim_.cost->localAttestation());
-        }
+        sim::ScopedPhase phase(*sim_.clock, phases::kLocalAttest);
+        sim_.spend(phases::kLocalAttest, sim_.cost->localAttestation());
         channelSeq_ = 0;
         la_ = std::make_unique<tee::LocalAttestInitiator>(*this,
                                                           expectedSm_);

@@ -77,7 +77,7 @@ class UserEnclaveApp : public tee::Enclave
      */
     UserEnclaveApp(tee::TeePlatform &platform, tee::EnclaveImage image,
                    tee::Measurement expectedSm, SmTransport transport,
-                   SimHooks sim = {});
+                   SimHooks sim);
 
     /** A reasonable default developer image for tests/examples. */
     static tee::EnclaveImage defaultImage();

@@ -14,27 +14,16 @@ Nanos
 CostModel::rpc(LinkKind link, size_t requestBytes,
                size_t responseBytes) const
 {
-    Nanos rtt;
-    double bw;
+    size_t bytes = requestBytes + responseBytes;
     switch (link) {
       case LinkKind::IntraCloud:
-        rtt = cloudRtt;
-        bw = cloudBandwidth;
-        break;
+        return cloudRtt + transferTime(cloudBandwidth, bytes);
       case LinkKind::Wan:
-        rtt = wanRtt;
-        bw = wanBandwidth;
-        break;
+        return wanRtt + transferTime(wanBandwidth, bytes);
       case LinkKind::Pcie:
-        rtt = pcieRtt;
-        bw = pcieBandwidth;
-        break;
-      default:
-        rtt = 0;
-        bw = 0;
         break;
     }
-    return rtt + transferTime(bw, requestBytes + responseBytes);
+    return pcieRtt + transferTime(pcieBandwidth, bytes);
 }
 
 Nanos
@@ -57,18 +46,6 @@ CostModel::bitstreamDeployment(size_t bytes) const
 }
 
 Nanos
-CostModel::remoteAttestation(LinkKind link) const
-{
-    // Challenge RTT + quote generation in the enclave + verification
-    // at the service, which itself fetches DCAP collateral over the
-    // same link class.
-    Nanos collateral = Nanos(dcapCollateralRoundTrips) *
-                       rpc(link, 2048, 16384);
-    return rpc(link, 64, 4096) + quoteGeneration +
-           2 * enclaveTransition + quoteVerification + collateral;
-}
-
-Nanos
 CostModel::localAttestation() const
 {
     // Two enclaves exchange EREPORTs over loopback IPC and run ECDH.
@@ -76,22 +53,16 @@ CostModel::localAttestation() const
 }
 
 Nanos
-CostModel::clAttestation() const
+CostModel::quoteCreation() const
 {
-    // Request regs + response regs over PCIe, SipHash on both ends.
-    return 4 * pcieRtt + 2 * smLogicMac + 2 * enclaveTransition +
-           2 * fpgaDnaReadout;
+    return quoteGeneration + 2 * enclaveTransition;
 }
 
 Nanos
-CostModel::shefClAttestation(size_t bitstreamBytes) const
+CostModel::quoteVerificationOver(LinkKind link) const
 {
-    // The ShEF security kernel hashes the CL bitstream, signs the
-    // measurement, and the verifier walks a CA chain over the WAN.
-    return transferTime(shefMeasureBytesPerSec, bitstreamBytes) +
-           2 * shefSignatureOp +
-           Nanos(shefCaRoundTrips) * rpc(LinkKind::Wan, 1024, 8192) +
-           rpc(LinkKind::Wan, 256, 4096);
+    return quoteVerification + Nanos(dcapCollateralRoundTrips) *
+                                   rpc(link, 2048, 16384);
 }
 
 Nanos

@@ -33,7 +33,8 @@ enum class LinkKind {
 
 /**
  * Named cost constants plus size-dependent helpers. Defaults are the
- * paper calibration; tests may zero fields for pure-logic runs.
+ * paper calibration. Each protocol step has one price, charged to the
+ * virtual clock by the flow that runs the step.
  */
 struct CostModel
 {
@@ -123,17 +124,14 @@ struct CostModel
     /** DMA of a bitstream to the card plus ICAP configuration. */
     Nanos bitstreamDeployment(size_t bytes) const;
 
-    /** Full remote attestation as seen by the verifier on `link`. */
-    Nanos remoteAttestation(LinkKind link) const;
-
     /** Local attestation between two enclaves on one host. */
     Nanos localAttestation() const;
 
-    /** Salus CL attestation over PCIe (one challenge/response). */
-    Nanos clAttestation() const;
+    /** DCAP quote generation in an enclave, with its ECALL/OCALL. */
+    Nanos quoteCreation() const;
 
-    /** ShEF-style PKE remote attestation of a CL (baseline). */
-    Nanos shefClAttestation(size_t bitstreamBytes) const;
+    /** Quote verification plus DCAP collateral fetches over `link`. */
+    Nanos quoteVerificationOver(LinkKind link) const;
 
     /** Host-side crypto for one sealed burst of `ops` register ops:
      *  one CTR block per op each way plus a single MAC pass over

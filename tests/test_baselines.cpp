@@ -47,11 +47,11 @@ TEST(Shef, AttestAndVerifyHappyPath)
     sim::CostModel cost;
 
     ShefAttestation att =
-        device.loadAndAttest(bitstream, nonce, &clock, cost);
+        device.loadAndAttest(bitstream, nonce, clock, cost);
 
     ShefVerifier verifier(shefManufacturerRoot(rootSeed()).publicKey,
                           crypto::Sha256::digest(bitstream));
-    EXPECT_TRUE(verifier.verify(att, nonce, &clock, cost));
+    EXPECT_TRUE(verifier.verify(att, nonce, clock, cost));
     EXPECT_GT(clock.now(), 0u);
 }
 
@@ -59,37 +59,38 @@ TEST(Shef, RejectsWrongMeasurementForgeryAndStaleNonce)
 {
     crypto::CtrDrbg rng(uint64_t(2));
     ShefDevice device("shef-dev-1", rootSeed(), rng);
+    sim::VirtualClock clock;
     sim::CostModel cost;
 
     Bytes bitstream = rng.bytes(4096);
     Bytes nonce = rng.bytes(16);
     ShefAttestation att =
-        device.loadAndAttest(bitstream, nonce, nullptr, cost);
+        device.loadAndAttest(bitstream, nonce, clock, cost);
 
     Bytes rootPub = shefManufacturerRoot(rootSeed()).publicKey;
 
     // Wrong expected measurement (trojan CL).
     ShefVerifier wrongMeas(rootPub, crypto::Sha256::digest(
                                         bytesFromString("other")));
-    EXPECT_FALSE(wrongMeas.verify(att, nonce, nullptr, cost));
+    EXPECT_FALSE(wrongMeas.verify(att, nonce, clock, cost));
 
     ShefVerifier verifier(rootPub, crypto::Sha256::digest(bitstream));
 
     // Replayed attestation under a fresh nonce.
     Bytes otherNonce = rng.bytes(16);
-    EXPECT_FALSE(verifier.verify(att, otherNonce, nullptr, cost));
+    EXPECT_FALSE(verifier.verify(att, otherNonce, clock, cost));
 
     // Forged signature.
     ShefAttestation forged = att;
     forged.signature[0] ^= 1;
-    EXPECT_FALSE(verifier.verify(forged, nonce, nullptr, cost));
+    EXPECT_FALSE(verifier.verify(forged, nonce, clock, cost));
 
     // Device cert not from the manufacturer.
     crypto::CtrDrbg evilRng(uint64_t(3));
     ShefDevice evil("shef-dev-1", bytesFromString("evil-root"), evilRng);
     ShefAttestation evilAtt =
-        evil.loadAndAttest(bitstream, nonce, nullptr, cost);
-    EXPECT_FALSE(verifier.verify(evilAtt, nonce, nullptr, cost));
+        evil.loadAndAttest(bitstream, nonce, clock, cost);
+    EXPECT_FALSE(verifier.verify(evilAtt, nonce, clock, cost));
 }
 
 TEST(Shef, BootCheaperThanSalusButNeedsExtraHardware)
@@ -105,10 +106,10 @@ TEST(Shef, BootCheaperThanSalusButNeedsExtraHardware)
     Bytes nonce = rng.bytes(16);
     sim::VirtualClock clock;
     ShefAttestation att =
-        device.loadAndAttest(bitstream, nonce, &clock, cost);
+        device.loadAndAttest(bitstream, nonce, clock, cost);
     ShefVerifier verifier(shefManufacturerRoot(rootSeed()).publicKey,
                           crypto::Sha256::digest(bitstream));
-    ASSERT_TRUE(verifier.verify(att, nonce, &clock, cost));
+    ASSERT_TRUE(verifier.verify(att, nonce, clock, cost));
 
     sim::Nanos shefBoot = clock.now();
     // ShEF's modelled boot sits in the right ballpark (~5 s square).
@@ -229,12 +230,12 @@ shefBoot(const char *deviceId, ByteView bitstream, uint64_t seed)
     Bytes nonce = rng.bytes(16);
     sim::VirtualClock clock;
     sim::CostModel cost;
-    ShefAttestation att = device.loadAndAttest(bitstream, nonce, &clock,
+    ShefAttestation att = device.loadAndAttest(bitstream, nonce, clock,
                                                cost);
     ShefVerifier verifier(
         shefManufacturerRoot(bytesFromString("shef-root")).publicKey,
         crypto::Sha256::digest(bitstream));
-    EXPECT_TRUE(verifier.verify(att, nonce, &clock, cost));
+    EXPECT_TRUE(verifier.verify(att, nonce, clock, cost));
     return clock.now();
 }
 

@@ -622,6 +622,10 @@ constexpr int kLightOpsPerSweep = 8;
 struct QosRun
 {
     std::vector<sim::Nanos> lightSlice; ///< light slice time per sweep
+    /** Submit-to-completion time of every light op. */
+    std::vector<sim::Nanos> lightLatency;
+    /** Longest heavy slice: one quantum of its channel time. */
+    sim::Nanos heavyQuantum = 0;
     uint64_t heavyQuotaRejected = 0;
     sim::Nanos clockEnd = 0;
 };
@@ -654,9 +658,14 @@ runQos(bool contended)
                 break; // the flooder hit its own quota
             }
         }
+        sim::Nanos submittedAt = rig.tb.clock().now();
         for (int i = 0; i < kLightOpsPerSweep; ++i)
-            rig.broker.submit(light, lightSession,
-                              {true, 0x08, uint64_t(sweep) << 8 | i});
+            rig.broker.submit(
+                light, lightSession, {true, 0x08, uint64_t(sweep) << 8 | i},
+                [&run, &rig, submittedAt](uint8_t, uint64_t) {
+                    run.lightLatency.push_back(rig.tb.clock().now() -
+                                               submittedAt);
+                });
         rig.broker.pump();
         const BatchScheduler::SessionStats &st =
             rig.tb.scheduler().sessionStats(lightSession);
@@ -664,6 +673,10 @@ runQos(bool contended)
                   uint64_t(kLightOpsPerSweep) * uint64_t(sweep + 1))
             << "light tenant not served in sweep " << sweep;
         run.lightSlice.push_back(st.sliceNanosLast);
+        if (contended)
+            run.heavyQuantum = std::max(
+                run.heavyQuantum,
+                rig.tb.scheduler().sessionStats(heavySession).sliceNanosLast);
     }
     rig.broker.drainAll();
     EXPECT_EQ(rig.broker.tenantStats(light).completed,
@@ -688,8 +701,8 @@ p99(std::vector<sim::Nanos> samples)
 TEST(Broker, NoisyNeighbourLeavesLightTenantP99WithinOneAndAHalf)
 {
     // Weights 1:1, so this is isolation, not priority: under the
-    // flood the light tenant's p99 slice time stays within 1.5x of
-    // its solo p99. Same-seed runs repeat every slice time exactly.
+    // flood the light tenant's p99 stays within 1.5x of its solo p99.
+    // Same-seed runs repeat every time exactly.
     QosRun solo = runQos(false);
     QosRun cont = runQos(true);
     QosRun soloAgain = runQos(false);
@@ -706,4 +719,24 @@ TEST(Broker, NoisyNeighbourLeavesLightTenantP99WithinOneAndAHalf)
     test::expectGoldenValue("qos.light_slice_p99_contended_ns", contP99);
     test::expectGoldenRatio("qos.p99_ratio_x", double(contP99),
                             double(soloP99));
+
+    // The slice time above is the light tenant's own burst, which the
+    // flooder cannot change. What the neighbour costs shows in each
+    // light op's submit-to-completion time: deficit round robin lets
+    // at most one heavy quantum of channel time run ahead of it.
+    EXPECT_EQ(solo.lightLatency, soloAgain.lightLatency);
+    EXPECT_EQ(cont.lightLatency, contAgain.lightLatency);
+    ASSERT_EQ(cont.lightLatency.size(),
+              size_t(kLightOpsPerSweep) * kQosSweeps);
+    sim::Nanos soloLatency = p99(solo.lightLatency);
+    sim::Nanos contLatency = p99(cont.lightLatency);
+    EXPECT_GT(contLatency, soloLatency) << "the flooder never ran first";
+    EXPECT_LE(contLatency, soloLatency + cont.heavyQuantum);
+    EXPECT_LE(2 * contLatency, 3 * soloLatency);
+    test::expectGoldenValue("qos.light_latency_p99_solo_ns", soloLatency);
+    test::expectGoldenValue("qos.light_latency_p99_contended_ns",
+                            contLatency);
+    test::expectGoldenValue("qos.heavy_quantum_ns", cont.heavyQuantum);
+    test::expectGoldenRatio("qos.latency_p99_ratio_x", double(contLatency),
+                            double(soloLatency));
 }

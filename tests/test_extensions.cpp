@@ -608,6 +608,7 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
         deps.fetchBitstream = [storedBitstream]() -> ByteView {
             return storedBitstream;
         };
+        deps.sim = {&clock, &cost};
         t.smApp = std::make_unique<SmEnclaveApp>(platform, deps);
 
         SmTransport transport;
@@ -622,7 +623,7 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
             {image.code, bytesFromString(std::to_string(rp))});
         t.userApp = std::make_unique<UserEnclaveApp>(
             platform, image, SmEnclaveApp::defaultMeasurement(),
-            transport);
+            transport, deps.sim);
 
         UserEnclaveApp *user = t.userApp.get();
         network.on(t.hostEp, "raRequest", [user](ByteView req) {
@@ -644,7 +645,8 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
         cfg.metadata = t.metadata;
         cfg.selfEndpoint = t.clientEp;
         cfg.cloudEndpoint = t.hostEp;
-        UserClient client(cfg, mft.verificationService(), network, rng);
+        UserClient client(cfg, mft.verificationService(), network, rng,
+                          {&clock, &cost});
         UserClient::Outcome outcome = client.deployAndAttest();
         ASSERT_TRUE(outcome.ok) << "tenant " << rp << ": "
                                 << outcome.failure;

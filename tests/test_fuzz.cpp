@@ -810,7 +810,10 @@ salus_fuzz_dma_window(const uint8_t *data, size_t size)
     };
     uint64_t applied = 0;
     std::set<uint64_t> buffered;
+    sim::VirtualClock clock;
+    sim::CostModel cost;
     core::dmachan::DmaWindowHooks hooks;
+    hooks.sim = {&clock, &cost};
     hooks.deliver = [&](uint64_t seq, const Bytes &) {
         uint8_t b = nextByte();
         if (b % 4 == 0 || seq < applied)
