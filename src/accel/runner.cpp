@@ -6,20 +6,6 @@
 
 namespace salus::accel {
 
-namespace {
-
-/** Effective EPC/MEE bandwidth for enclave memory traffic (model). */
-constexpr double kEpcBytesPerSec = 2.0e9;
-
-/** Per-job accelerator launch overhead (driver + doorbell). */
-constexpr sim::Nanos kAccelLaunch = 10 * sim::kUs;
-
-/** Inline AES-CTR engine line rate at the memory interface (§6.4:
- *  "high-throughput memory traffic encryption"). */
-constexpr double kInlineAesBytesPerSec = 16e9;
-
-} // namespace
-
 WorkloadRunner::WorkloadRunner(KernelId id, uint64_t seed, double scale)
     : id_(id), input_(generateInput(id, seed, scale)),
       reference_(runKernel(id, input_)), ops_(kernelOps(id, input_))
@@ -27,12 +13,12 @@ WorkloadRunner::WorkloadRunner(KernelId id, uint64_t seed, double scale)
 }
 
 sim::Nanos
-WorkloadRunner::fpgaComputeTime() const
+WorkloadRunner::fpgaComputeTime(const sim::CostModel &cost) const
 {
     const WorkloadSpec &spec = workload(id_);
     double seconds =
         double(ops_) / (double(spec.opsPerCycle) * kFpgaClockHz);
-    return sim::Nanos(seconds * double(sim::kSec)) + kAccelLaunch;
+    return sim::Nanos(seconds * double(sim::kSec)) + cost.accelLaunch;
 }
 
 sim::Nanos
@@ -87,7 +73,7 @@ WorkloadRunner::runCpuTee(const sim::CostModel &cost)
     // by the MEE; traffic = factor * working set.
     double traffic = enclaveTrafficFactor(id_) * double(input_.size());
     sim::Nanos epc =
-        sim::Nanos(traffic / kEpcBytesPerSec * double(sim::kSec));
+        sim::Nanos(traffic / cost.epcBytesPerSec * double(sim::kSec));
     res.computeTime = cpuComputeTime();
     res.overheadTime = cryptoTime + epc + 2 * cost.enclaveTransition;
     res.totalTime = res.computeTime + res.overheadTime;
@@ -109,7 +95,7 @@ WorkloadRunner::runFpgaPlain(const sim::CostModel &cost)
     res.outputBytes = out.size();
     res.outputCorrect = out == reference_;
 
-    res.computeTime = fpgaComputeTime();
+    res.computeTime = fpgaComputeTime(cost);
     // Mirror the TEE path's bus activity minus the security: two DMA
     // ioctls plus the job-control MMIO writes.
     res.totalTime = res.computeTime +
@@ -180,8 +166,8 @@ WorkloadRunner::runFpgaTee(core::Testbed &tb)
     // control-path work (paper Table 6: <= 1.05x).
     sim::Nanos busTime = tb.clock().now() - busStart;
     sim::Nanos inlineAes = sim::transferTime(
-        kInlineAesBytesPerSec, wire.size() + out.size());
-    res.computeTime = fpgaComputeTime();
+        tb.cost().inlineAesBytesPerSec, wire.size() + out.size());
+    res.computeTime = fpgaComputeTime(tb.cost());
     res.overheadTime = busTime + inlineAes;
     res.totalTime = res.computeTime + busTime + inlineAes;
     return res;
@@ -230,7 +216,7 @@ WorkloadRunner::runFpgaTeeAuthenticated(core::Testbed &tb)
 
     res.outputBytes = out->size();
     res.outputCorrect = *out == reference_;
-    res.computeTime = fpgaComputeTime();
+    res.computeTime = fpgaComputeTime(tb.cost());
     res.totalTime = res.computeTime;
     return res;
 }

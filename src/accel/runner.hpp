@@ -81,7 +81,7 @@ class WorkloadRunner
 
   private:
     sim::Nanos cpuComputeTime() const;
-    sim::Nanos fpgaComputeTime() const;
+    sim::Nanos fpgaComputeTime(const sim::CostModel &cost) const;
 
     KernelId id_;
     Bytes input_;

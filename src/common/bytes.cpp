@@ -1,16 +1,76 @@
 #include "common/bytes.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 namespace salus {
 
-ZeroedBytes::ZeroedBytes(size_t size)
-    : mem_(static_cast<uint8_t *>(std::calloc(size ? size : 1, 1))),
-      size_(size)
+namespace {
+
+/** `size` rounded up to whole pages; at least one page, so every
+ *  buffer, even an empty one, owns a mapping that grow() can remap. */
+size_t
+mappedLength(size_t size)
 {
-    if (!mem_)
+    static const size_t kPage = size_t(sysconf(_SC_PAGESIZE));
+    return size == 0 ? kPage : (size + kPage - 1) / kPage * kPage;
+}
+
+} // namespace
+
+ZeroedBytes::ZeroedBytes(size_t size)
+    : size_(size)
+{
+    void *p = mmap(nullptr, mappedLength(size), PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (p == MAP_FAILED)
         throw std::bad_alloc();
+    mem_ = static_cast<uint8_t *>(p);
+}
+
+ZeroedBytes::~ZeroedBytes()
+{
+    if (mem_)
+        munmap(mem_, mappedLength(size_));
+}
+
+ZeroedBytes::ZeroedBytes(ZeroedBytes &&other) noexcept
+    : mem_(std::exchange(other.mem_, nullptr)),
+      size_(std::exchange(other.size_, 0))
+{
+}
+
+ZeroedBytes &
+ZeroedBytes::operator=(ZeroedBytes &&other) noexcept
+{
+    if (this != &other) {
+        if (mem_)
+            munmap(mem_, mappedLength(size_));
+        mem_ = std::exchange(other.mem_, nullptr);
+        size_ = std::exchange(other.size_, 0);
+    }
+    return *this;
+}
+
+void
+ZeroedBytes::grow(size_t size)
+{
+    if (size <= size_)
+        return;
+    size_t from = mappedLength(size_), to = mappedLength(size);
+    if (to != from) {
+        // An anonymous mapping grows by fresh zero pages; the old ones
+        // move by page-table update, not by copy.
+        void *p = mremap(mem_, from, to, MREMAP_MAYMOVE);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        mem_ = static_cast<uint8_t *>(p);
+    }
+    size_ = size;
 }
 
 Bytes

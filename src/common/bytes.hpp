@@ -7,9 +7,7 @@
 #define SALUS_COMMON_BYTES_HPP
 
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,30 +21,45 @@ using Bytes = std::vector<uint8_t>;
 using ByteView = std::span<const uint8_t>;
 
 /**
- * Fixed-size zero-filled storage whose pages are not touched when it
- * is made: a large calloc maps fresh zero pages, so a region that is
- * never written costs no resident memory. Device memories use it,
- * where a model reserves far more than one run touches.
+ * Zero-filled storage on pages of its own. It maps anonymous memory
+ * rather than asking the heap: the kernel hands out fresh zero pages,
+ * so a page that is never written never becomes resident, whatever
+ * the process freed before (a heap calloc zeroes recycled memory by
+ * writing it, which makes every page resident at birth). Device
+ * memories use it, where a model reserves far more than one run
+ * touches, and so does the trace recorder's event log, which grows.
+ *
+ * The size is rounded up to whole pages when mapped; the bytes past
+ * size() stay zero as long as nothing writes out of bounds. Because
+ * the pages come from mmap, AddressSanitizer does not redzone them:
+ * users check their bounds in code.
  */
 class ZeroedBytes
 {
   public:
     /** @throws std::bad_alloc when the memory is not available. */
     explicit ZeroedBytes(size_t size);
+    ~ZeroedBytes();
+    ZeroedBytes(ZeroedBytes &&other) noexcept;
+    ZeroedBytes &operator=(ZeroedBytes &&other) noexcept;
+    ZeroedBytes(const ZeroedBytes &) = delete;
+    ZeroedBytes &operator=(const ZeroedBytes &) = delete;
+
+    /** Grows to `size` bytes (no-op when not larger). The contents
+     *  stay and the new tail reads zero; the pages are remapped, not
+     *  copied, so data() may move.
+     *  @throws std::bad_alloc when the memory is not available. */
+    void grow(size_t size);
 
     size_t size() const { return size_; }
-    uint8_t *data() { return mem_.get(); }
-    const uint8_t *data() const { return mem_.get(); }
-    std::span<uint8_t> span() { return {mem_.get(), size_}; }
-    ByteView view() const { return {mem_.get(), size_}; }
+    uint8_t *data() { return mem_; }
+    const uint8_t *data() const { return mem_; }
+    std::span<uint8_t> span() { return {mem_, size_}; }
+    ByteView view() const { return {mem_, size_}; }
 
   private:
-    struct Free
-    {
-        void operator()(uint8_t *p) const { std::free(p); }
-    };
-    std::unique_ptr<uint8_t[], Free> mem_;
-    size_t size_;
+    uint8_t *mem_ = nullptr;
+    size_t size_ = 0;
 };
 
 /** Builds a Bytes buffer from a C string (no terminating NUL). */

@@ -1,9 +1,11 @@
 #include "obs/trace.hpp"
 
-#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cstdio>
 #include <cstring>
+#include <new>
+#include <stdexcept>
 
 namespace salus::obs {
 
@@ -59,6 +61,8 @@ constexpr std::string_view kClose = "}}";
 constexpr std::string_view kTail = "\n]}\n";
 
 constexpr size_t kU64Digits = 20;
+/** The event log's first mapping; it doubles from there. */
+constexpr size_t kInitialLogBytes = 64 << 10;
 constexpr size_t kTidDigits = 1; // tids are 1..kCategoryCount
 static_assert(kCategoryCount < 10);
 
@@ -90,16 +94,113 @@ putMicros(char *p, sim::Nanos ns)
     return p + 4;
 }
 
+/** Decimal digits of v: the bit width estimates log10 (1233/4096 is
+ *  just over log10 2), one table compare corrects it. */
 size_t
 decimalDigits(uint64_t v)
 {
-    size_t n = 1;
-    while (v >= 10) {
-        v /= 10;
-        ++n;
-    }
-    return n;
+    static constexpr uint64_t kPow10[20] = {
+        0, // so that v = 0 counts one digit
+        10ull, 100ull, 1000ull, 10000ull, 100000ull, 1000000ull,
+        10000000ull, 100000000ull, 1000000000ull, 10000000000ull,
+        100000000000ull, 1000000000000ull, 10000000000000ull,
+        100000000000000ull, 1000000000000000ull,
+        10000000000000000ull, 100000000000000000ull,
+        1000000000000000000ull, 10000000000000000000ull};
+    size_t t = size_t(std::bit_width(v)) * 1233 >> 12;
+    return t + 1 - (v < kPow10[t]);
 }
+
+/** The width putMicros writes for ns. */
+size_t
+microsWidth(sim::Nanos ns)
+{
+    return decimalDigits(ns / 1000) + 4;
+}
+
+/** The export's fixed opening: process and per-category track
+ *  metadata, emitted unconditionally so the header never depends on
+ *  which components happened to run. */
+std::string
+traceHead()
+{
+    std::string head =
+        "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":"
+        "\"salus-obs\",\"clock\":\"virtual\",\"unit\":\"ns\"},"
+        "\"traceEvents\":[\n"
+        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
+        "\"process_name\",\"args\":{\"name\":\"salus-sim\"}}";
+    for (size_t i = 0; i < kCategoryCount; ++i) {
+        head += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
+        head += char('1' + i);
+        head += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
+        head += kCategoryNames[i];
+        head += "\"}}";
+    }
+    return head;
+}
+
+/** Renders one event at a time. Each name is escaped once, up front;
+ *  the events then only copy it. */
+class EventWriter
+{
+  public:
+    explicit EventWriter(const std::deque<std::string> &names)
+    {
+        escaped_.reserve(names.size());
+        for (const std::string &name : names)
+            escaped_.push_back(jsonEscape(name));
+    }
+
+    /** The exact number of bytes write() produces for ev, by
+     *  arithmetic: the fixed text plus each field's width. */
+    size_t length(const SpanEvent &ev) const
+    {
+        constexpr size_t kInstantFixed =
+            kInstantHead.size() + kInstantName.size();
+        constexpr size_t kSpanFixed =
+            kSpanHead.size() + kDur.size() + kSpanName.size();
+        constexpr size_t kFixed = kTidDigits + kTs.size() + kCat.size() +
+                                  kArgsId.size() + kParent.size() +
+                                  kClose.size();
+        size_t n = kFixed + microsWidth(ev.begin) +
+                   escaped_[ev.nameId].size() +
+                   kCategoryNames[size_t(ev.cat)].size() +
+                   decimalDigits(ev.id) + decimalDigits(ev.parent);
+        n += ev.instant ? kInstantFixed
+                        : kSpanFixed + microsWidth(ev.end - ev.begin);
+        if (ev.hasValue)
+            n += kValue.size() + decimalDigits(ev.value);
+        return n;
+    }
+
+    /** Writes ev at p. @return one past its last byte. */
+    char *write(char *p, const SpanEvent &ev) const
+    {
+        p = put(p, ev.instant ? kInstantHead : kSpanHead);
+        *p++ = char('1' + size_t(ev.cat));
+        p = putMicros(put(p, kTs), ev.begin);
+        if (ev.instant) {
+            p = put(p, kInstantName);
+        } else {
+            p = putMicros(put(p, kDur), ev.end - ev.begin);
+            p = put(p, kSpanName);
+        }
+        p = put(p, escaped_[ev.nameId]);
+        p = put(put(p, kCat), kCategoryNames[size_t(ev.cat)]);
+        p = putInt(put(p, kArgsId), ev.id);
+        p = putInt(put(p, kParent), ev.parent);
+        if (ev.hasValue)
+            p = putInt(put(p, kValue), ev.value);
+        return put(p, kClose);
+    }
+
+  private:
+    std::vector<std::string> escaped_;
+};
+
+/** The stream buffer of writeChromeTrace. */
+constexpr size_t kStreamBuffer = 64 << 10;
 
 } // namespace
 
@@ -110,8 +211,17 @@ categoryName(Category cat)
 }
 
 TraceRecorder::TraceRecorder(sim::VirtualClock &clock)
-    : clock_(clock)
+    : clock_(clock), log_(kInitialLogBytes)
 {
+}
+
+void
+TraceRecorder::append(const SpanEvent &ev)
+{
+    if ((count_ + 1) * sizeof(SpanEvent) > log_.size())
+        log_.grow(2 * log_.size());
+    new (log_.data() + count_ * sizeof(SpanEvent)) SpanEvent(ev);
+    ++count_;
 }
 
 uint32_t
@@ -164,7 +274,7 @@ TraceRecorder::endSpan(uint32_t id)
         SpanEvent ev = open_.back();
         open_.pop_back();
         ev.end = clock_.now();
-        events_.push_back(ev);
+        append(ev);
         if (ev.id == id)
             return;
     }
@@ -176,16 +286,19 @@ TraceRecorder::instant(Category cat, std::string_view name)
     SpanEvent ev = makeEvent(cat, name);
     ev.instant = true;
     ev.begin = ev.end = clock_.now();
-    events_.push_back(ev);
+    append(ev);
 }
 
 void
 TraceRecorder::instant(Category cat, std::string_view name,
                        uint64_t value)
 {
-    instant(cat, name);
-    events_.back().hasValue = true;
-    events_.back().value = value;
+    SpanEvent ev = makeEvent(cat, name);
+    ev.instant = true;
+    ev.hasValue = true;
+    ev.value = value;
+    ev.begin = ev.end = clock_.now();
+    append(ev);
 }
 
 void
@@ -194,7 +307,7 @@ TraceRecorder::onSpend(const sim::PhaseRecord &record)
     SpanEvent ev = makeEvent(Category::Clock, record.phase);
     ev.begin = record.start;
     ev.end = record.start + record.duration;
-    events_.push_back(ev);
+    append(ev);
 }
 
 sim::Nanos
@@ -204,7 +317,7 @@ TraceRecorder::phaseTotal(std::string_view phase) const
     if (it == nameIds_.end())
         return 0;
     sim::Nanos total = 0;
-    for (const SpanEvent &ev : events_) {
+    for (const SpanEvent &ev : events()) {
         if (ev.cat == Category::Clock && ev.nameId == it->second)
             total += ev.end - ev.begin;
     }
@@ -214,83 +327,58 @@ TraceRecorder::phaseTotal(std::string_view phase) const
 std::string
 TraceRecorder::chromeTraceJson() const
 {
-    std::string head =
-        "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"generator\":"
-        "\"salus-obs\",\"clock\":\"virtual\",\"unit\":\"ns\"},"
-        "\"traceEvents\":[\n"
-        "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":"
-        "\"process_name\",\"args\":{\"name\":\"salus-sim\"}}";
-    // One named track per category, emitted unconditionally so the
-    // header never depends on which components happened to run.
-    for (size_t i = 0; i < kCategoryCount; ++i) {
-        head += ",\n{\"ph\":\"M\",\"pid\":1,\"tid\":";
-        head += char('1' + i);
-        head += ",\"name\":\"thread_name\",\"args\":{\"name\":\"";
-        head += kCategoryNames[i];
-        head += "\"}}";
-    }
+    EventWriter writer(names_);
+    std::string head = traceHead();
+    size_t size = head.size() + kTail.size();
+    for (const SpanEvent &ev : events())
+        size += writer.length(ev);
 
-    // Each name is escaped once; the events then only copy it.
-    std::vector<std::string> escaped;
-    escaped.reserve(names_.size());
-    for (const std::string &name : names_)
-        escaped.push_back(jsonEscape(name));
-
-    // Size bound: every field at its widest, so one allocation holds
-    // the whole export and the string never doubles.
-    constexpr size_t kEventFixed =
-        std::max(kInstantHead.size() + kInstantName.size(),
-                 kSpanHead.size() + kDur.size() + kSpanName.size()) +
-        kTidDigits + kTs.size() + kCat.size() + kArgsId.size() +
-        kParent.size() + kClose.size();
-    sim::Nanos maxTs = 0;
-    size_t bound = head.size() + kTail.size();
-    for (const SpanEvent &ev : events_) {
-        maxTs = std::max(maxTs, ev.end);
-        bound += kEventFixed + escaped[ev.nameId].size() +
-                 kCategoryNames[size_t(ev.cat)].size();
-        if (ev.hasValue)
-            bound += kValue.size() + kU64Digits;
-    }
-    size_t tsWidth = decimalDigits(maxTs / 1000) + 4;
-    size_t idWidth = decimalDigits(nextId_);
-    bound += events_.size() * (2 * tsWidth + 2 * idWidth);
-
-    std::string out;
-    out.resize(bound);
+    std::string out(size, '\0');
     char *p = put(out.data(), head);
-    for (const SpanEvent &ev : events_) {
-        p = put(p, ev.instant ? kInstantHead : kSpanHead);
-        *p++ = char('1' + size_t(ev.cat));
-        p = putMicros(put(p, kTs), ev.begin);
-        if (ev.instant) {
-            p = put(p, kInstantName);
-        } else {
-            p = putMicros(put(p, kDur), ev.end - ev.begin);
-            p = put(p, kSpanName);
-        }
-        p = put(p, escaped[ev.nameId]);
-        p = put(put(p, kCat), kCategoryNames[size_t(ev.cat)]);
-        p = putInt(put(p, kArgsId), ev.id);
-        p = putInt(put(p, kParent), ev.parent);
-        if (ev.hasValue)
-            p = putInt(put(p, kValue), ev.value);
-        p = put(p, kClose);
-    }
+    for (const SpanEvent &ev : events())
+        p = writer.write(p, ev);
     p = put(p, kTail);
-    out.resize(size_t(p - out.data()));
+    if (p != out.data() + out.size())
+        throw std::logic_error(
+            "chromeTraceJson: event lengths disagree with the writer");
     return out;
 }
 
 bool
 TraceRecorder::writeChromeTrace(const std::string &path) const
 {
-    FILE *f = std::fopen(path.c_str(), "w");
+    FILE *f = std::fopen(path.c_str(), "wb");
     if (!f)
         return false;
-    std::string json = chromeTraceJson();
-    size_t written = std::fwrite(json.data(), 1, json.size(), f);
-    return std::fclose(f) == 0 && written == json.size();
+    EventWriter writer(names_);
+    std::vector<char> buffer(kStreamBuffer);
+    size_t used = 0;
+    bool ok = true;
+    auto emit = [&](const char *data, size_t n) {
+        ok = ok && std::fwrite(data, 1, n, f) == n;
+    };
+
+    std::string head = traceHead();
+    emit(head.data(), head.size());
+    for (const SpanEvent &ev : events()) {
+        size_t n = writer.length(ev);
+        if (used + n > buffer.size()) {
+            emit(buffer.data(), used);
+            used = 0;
+            // Only an event with a name longer than the buffer needs
+            // more room than it has.
+            if (n > buffer.size())
+                buffer.resize(n);
+        }
+        char *at = buffer.data() + used;
+        if (writer.write(at, ev) != at + n)
+            throw std::logic_error(
+                "writeChromeTrace: event length disagrees with the writer");
+        used += n;
+    }
+    emit(buffer.data(), used);
+    emit(kTail.data(), kTail.size());
+    return std::fclose(f) == 0 && ok;
 }
 
 // ---- Global enablement ------------------------------------------------

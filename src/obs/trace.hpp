@@ -18,11 +18,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "obs/metrics.hpp"
 #include "sim/clock.hpp"
 
@@ -92,8 +94,12 @@ class TraceRecorder final : public sim::SpendObserver
 
     const sim::VirtualClock &clock() const { return clock_; }
 
-    /** Completed events, in completion order (Chrome convention). */
-    const std::vector<SpanEvent> &events() const { return events_; }
+    /** Completed events, in completion order (Chrome convention).
+     *  Valid until the next event is recorded. */
+    std::span<const SpanEvent> events() const
+    {
+        return {reinterpret_cast<const SpanEvent *>(log_.data()), count_};
+    }
     size_t openSpans() const { return open_.size(); }
 
     /** An event's name; valid for the recorder's lifetime. */
@@ -108,10 +114,12 @@ class TraceRecorder final : public sim::SpendObserver
     sim::Nanos phaseTotal(std::string_view phase) const;
 
     /** Chrome trace_event JSON (complete "X" events + instants, one
-     *  metadata thread per category). Deterministic byte-for-byte. */
+     *  metadata thread per category). Deterministic byte-for-byte.
+     *  The string is allocated at exactly its final size. */
     std::string chromeTraceJson() const;
 
-    /** Writes chromeTraceJson() to a file. @return false on I/O. */
+    /** Streams chromeTraceJson()'s bytes to a file through a 64 KiB
+     *  buffer, never holding the whole export. @return false on I/O. */
     bool writeChromeTrace(const std::string &path) const;
 
   private:
@@ -120,9 +128,15 @@ class TraceRecorder final : public sim::SpendObserver
     uint32_t intern(std::string_view name);
     /** A new event with id, parent, category and name filled in. */
     SpanEvent makeEvent(Category cat, std::string_view name);
+    /** Appends a completed event, doubling the log when full. */
+    void append(const SpanEvent &ev);
 
     sim::VirtualClock &clock_;
-    std::vector<SpanEvent> events_;
+    /** Completed events, on pages of their own: capacity never
+     *  written is never resident, and the log goes back to the OS
+     *  when the recorder dies. */
+    ZeroedBytes log_;
+    size_t count_ = 0;
     std::vector<SpanEvent> open_; ///< stack of open spans
     uint32_t nextId_ = 1;
     std::deque<std::string> names_; ///< stable storage, by nameId

@@ -103,6 +103,16 @@ struct CostModel
      *  list encode and the truncated-HMAC seal. */
     Nanos dmaDescriptorSeal = 2 * kUs;
 
+    // ---- Accelerator workloads (§6.4) ----------------------------------
+    /** Effective EPC/MEE bandwidth for enclave memory traffic in the
+     *  CPU-TEE mode. */
+    double epcBytesPerSec = 2.0e9;
+    /** Per-job accelerator launch overhead (driver + doorbell). */
+    Nanos accelLaunch = 10 * kUs;
+    /** Inline AES-CTR engine line rate at the memory interface (§6.4:
+     *  "high-throughput memory traffic encryption"). */
+    double inlineAesBytesPerSec = 16e9;
+
     // ---- ShEF baseline (§6.3 comparison, boot 5.1 s) -------------------
     /** Bitstream hash/measurement on the embedded security kernel. */
     double shefMeasureBytesPerSec = 8e6;

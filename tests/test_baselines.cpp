@@ -199,7 +199,7 @@ TEST(SgxFpga, SalusCascadedAttestationClosesTheGap)
         ASSERT_TRUE(tb.runDeployment().ok);
     }
 
-    const std::vector<obs::SpanEvent> &trace = slices.events();
+    std::span<const obs::SpanEvent> trace = slices.events();
     ptrdiff_t lastClAuth = -1, lastUserRa = -1;
     for (ptrdiff_t i = 0; i < ptrdiff_t(trace.size()); ++i) {
         if (trace[i].cat != obs::Category::Clock)

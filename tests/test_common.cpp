@@ -1,9 +1,18 @@
 /**
  * @file
- * Tests for common utilities: hex codec, byte helpers, binary serde.
+ * Tests for common utilities: hex codec, byte helpers, ZeroedBytes,
+ * binary serde.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/bytes.hpp"
 #include "common/hex.hpp"
@@ -95,6 +104,85 @@ TEST(BytesUtil, StringConversion)
     Bytes b = bytesFromString("hi");
     EXPECT_EQ(b, (Bytes{'h', 'i'}));
     EXPECT_EQ(stringFromBytes(b), "hi");
+}
+
+namespace {
+
+size_t
+pageSize()
+{
+    return size_t(sysconf(_SC_PAGESIZE));
+}
+
+/** How many pages of [p, p + n) are resident, by mincore. */
+size_t
+residentPages(const uint8_t *p, size_t n)
+{
+    const uintptr_t page = pageSize();
+    uintptr_t begin = uintptr_t(p) & ~(page - 1);
+    uintptr_t end = (uintptr_t(p) + n + page - 1) & ~(page - 1);
+    std::vector<unsigned char> pages((end - begin) / page);
+    EXPECT_EQ(mincore(reinterpret_cast<void *>(begin), end - begin,
+                      pages.data()),
+              0);
+    return size_t(std::count_if(pages.begin(), pages.end(),
+                                [](unsigned char v) { return v & 1; }));
+}
+
+} // namespace
+
+TEST(ZeroedBytes, EveryBufferIsBornWithoutResidentPages)
+{
+    // Not only the first: a heap calloc recycles the block the last
+    // buffer freed and zeroes it by writing, so its later buffers are
+    // born with every page resident.
+    const size_t kSize = 4 << 20, kWritten = 64 << 10;
+    for (int round = 0; round < 3; ++round) {
+        SCOPED_TRACE(round);
+        ZeroedBytes buf(kSize);
+        ASSERT_EQ(buf.size(), kSize);
+        EXPECT_LE(residentPages(buf.data(), kSize), 1u);
+        std::fill_n(buf.data(), kWritten, uint8_t(0xa5));
+        EXPECT_GE(residentPages(buf.data(), kSize), kWritten / pageSize())
+            << "mincore does not see the pages just written";
+    }
+}
+
+TEST(ZeroedBytes, GrowKeepsTheBytesAndZeroFillsTheTail)
+{
+    // Within the last page and across many pages.
+    for (size_t to : {size_t(4000), size_t(3 << 20)}) {
+        SCOPED_TRACE(to);
+        ZeroedBytes buf(3000);
+        for (size_t i = 0; i < buf.size(); ++i)
+            buf.data()[i] = uint8_t(i * 7 + 1);
+        buf.grow(to);
+        ASSERT_EQ(buf.size(), to);
+        for (size_t i = 0; i < 3000; ++i)
+            ASSERT_EQ(buf.data()[i], uint8_t(i * 7 + 1)) << i;
+        EXPECT_TRUE(std::all_of(buf.data() + 3000, buf.data() + to,
+                                [](uint8_t b) { return b == 0; }));
+    }
+
+    ZeroedBytes buf(16);
+    buf.grow(8);
+    EXPECT_EQ(buf.size(), 16u) << "grow never shrinks";
+}
+
+TEST(ZeroedBytes, MovesOwnership)
+{
+    ZeroedBytes a(100);
+    a.data()[99] = 7;
+    const uint8_t *mem = a.data();
+    ZeroedBytes b(std::move(a));
+    EXPECT_EQ(b.data(), mem);
+    EXPECT_EQ(b.data()[99], 7);
+    EXPECT_EQ(a.size(), 0u);
+
+    ZeroedBytes c(1);
+    c = std::move(b);
+    EXPECT_EQ(c.data(), mem);
+    EXPECT_EQ(c.size(), 100u);
 }
 
 TEST(Serde, WriterReaderRoundtrip)

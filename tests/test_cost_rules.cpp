@@ -204,6 +204,9 @@ rules()
         RULE(channelMacPerBlock,      "..R..M..."),
         RULE(dmaCryptoBytesPerSec,    "...D...C."),
         RULE(dmaDescriptorSeal,       "...D....."),
+        RULE(epcBytesPerSec,          ".......C."),
+        RULE(accelLaunch,             "......P.."),
+        RULE(inlineAesBytesPerSec,    "......P.."),
         RULE(shefMeasureBytesPerSec,  ".S......."),
         RULE(shefSignatureOp,         ".S......."),
         RULE(shefCaRoundTrips,        ".S......."),

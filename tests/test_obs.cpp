@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 
 #include "obs/metrics.hpp"
@@ -233,6 +234,38 @@ TEST(Trace, JsonEscapesHostileNames)
               std::string::npos);
     // The raw control byte never reaches the output unescaped.
     EXPECT_EQ(json.find("slash\n"), std::string::npos);
+}
+
+TEST(Trace, StreamedFileEqualsTheStringExport)
+{
+    // Several times the 64 KiB stream buffer, with one event wider
+    // than the whole buffer.
+    sim::VirtualClock clock;
+    obs::TraceRecorder rec(clock);
+    obs::MetricsRegistry reg;
+    obs::ObsScope scope(&rec, &reg);
+    for (uint64_t i = 0; i < 4000; ++i) {
+        obs::Span span(obs::Category::Channel, "burst", i);
+        clock.spend("Phase W", 1000 + i);
+        if (i == 2000)
+            rec.instant(obs::Category::Shell, std::string(100 << 10, 'n'));
+    }
+    std::string json = rec.chromeTraceJson();
+    ASSERT_GT(json.size(), size_t(4 * (64 << 10)));
+
+    std::string path = testing::TempDir() + "salus_trace_stream.json";
+    ASSERT_TRUE(rec.writeChromeTrace(path));
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string file(json.size() + 1, '\0');
+    file.resize(std::fread(file.data(), 1, file.size(), f));
+    std::fclose(f);
+    std::remove(path.c_str());
+    EXPECT_TRUE(file == json) << "file " << file.size() << " B, string "
+                              << json.size() << " B";
+
+    EXPECT_FALSE(rec.writeChromeTrace(testing::TempDir() +
+                                      "no-such-dir/trace.json"));
 }
 
 namespace {

@@ -89,6 +89,24 @@ class CliObs
     std::unique_ptr<obs::ObsScope> scope_;
 };
 
+/** Writes one run-scenario artifact to `path` (skipped when empty).
+ *  @return false, after saying so, when the file cannot be written. */
+bool
+writeArtifact(const char *what, const std::string &path,
+              const std::string &text)
+{
+    if (path.empty())
+        return true;
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    bool ok = f && std::fwrite(text.data(), 1, text.size(), f) ==
+                       text.size();
+    if (f)
+        ok = std::fclose(f) == 0 && ok;
+    std::printf(ok ? "%s: %s\n" : "%s: cannot write %s\n", what,
+                path.c_str());
+    return ok;
+}
+
 netlist::Cell
 loopbackAccel()
 {
@@ -351,31 +369,16 @@ cmdRunScenario(const std::vector<std::string> &args)
                     static_cast<unsigned long long>(out.dmaJobs),
                     static_cast<unsigned long long>(out.dmaBytes));
 
-    if (!g_traceOut.empty()) {
-        std::FILE *f = std::fopen(g_traceOut.c_str(), "wb");
-        if (f) {
-            std::fwrite(out.traceJson.data(), 1, out.traceJson.size(),
-                        f);
-            std::fclose(f);
-            std::printf("trace: %s\n", g_traceOut.c_str());
-        }
-    }
-    if (!g_metricsOut.empty()) {
-        std::FILE *f = std::fopen(g_metricsOut.c_str(), "wb");
-        if (f) {
-            std::fwrite(out.metricsText.data(), 1,
-                        out.metricsText.size(), f);
-            std::fclose(f);
-            std::printf("metrics: %s\n", g_metricsOut.c_str());
-        }
-    }
+    bool written = writeArtifact("trace", g_traceOut, out.traceJson);
+    written = writeArtifact("metrics", g_metricsOut, out.metricsText) &&
+              written;
 
     for (const std::string &v : out.violations)
         std::printf("VIOLATION: %s\n", v.c_str());
     if (!identical)
         std::printf("VIOLATION: same-seed reruns diverged (trace or "
                     "metrics not byte-identical)\n");
-    bool ok = out.passed() && identical;
+    bool ok = out.passed() && identical && written;
     std::printf("scenario '%s': %s\n", sc.name.c_str(),
                 ok ? "PASS" : "FAIL");
     return ok ? 0 : 1;
