@@ -93,6 +93,8 @@ main()
     smDeps.devices = {{&shell, device->dna().value}};
     smDeps.fetchBitstream = [&]() -> ByteView { return storedBitstream; };
     smDeps.sim = {&clock, &cost};
+    Bytes sealedJournal; // host storage for the SM's crash journal
+    smDeps.journal = &sealedJournal;
     SmEnclaveApp smApp(platform, smDeps);
 
     SmTransport transport;

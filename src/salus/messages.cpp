@@ -71,31 +71,23 @@ SmJournal::serialize() const
         w.writeU64(dna);
         w.writeBytes(key);
     }
-    w.writeU32(uint32_t(devices.size()));
-    for (const SmJournalDevice &d : devices) {
-        w.writeU32(d.deviceId);
-        w.writeU64(d.dna);
-        w.writeU8(d.deployed);
-        w.writeU8(d.attested);
-        w.writeU8(d.haveSecrets);
-        w.writeBytes(d.keyAttest);
-        w.writeBytes(d.keySession);
-        w.writeU64(d.ctrBase);
-        w.writeU64(d.ctrReserve);
-        w.writeU64(d.dmaSeqReserve);
-        w.writeU8(d.havePendingRekey);
-        w.writeBytes(d.pendingRekeyMacKey);
-        w.writeU64(d.pendingRekeyNonce);
-        w.writeU32(uint32_t(d.sessions.size()));
-        for (const SmJournalSession &s : d.sessions) {
-            w.writeU32(s.slot);
-            w.writeBytes(s.keySession);
-            w.writeU64(s.openNonce);
-            w.writeU64(s.ctrReserve);
-            w.writeU64(s.dmaSeqReserve);
-        }
-    }
     w.writeU32(activeDevice);
+    w.writeU8(deployed);
+    w.writeU8(attested);
+    w.writeU8(haveSecrets);
+    w.writeBytes(keyAttest);
+    w.writeU64(ctrBase);
+    w.writeU8(havePendingRekey);
+    w.writeBytes(pendingRekeyMacKey);
+    w.writeU64(pendingRekeyNonce);
+    w.writeU32(uint32_t(sessions.size()));
+    for (const SmJournalSession &s : sessions) {
+        w.writeU32(s.slot);
+        w.writeBytes(s.keys);
+        w.writeU64(s.openNonce);
+        w.writeU64(s.regReserved);
+        w.writeU64(s.dmaReserved);
+    }
     w.writeU32(uint32_t(retiredFingerprints.size()));
     for (const Bytes &fp : retiredFingerprints)
         w.writeBytes(fp);
@@ -122,44 +114,36 @@ SmJournal::deserialize(ByteView data)
             throw SerdeError("bad device-key size in journal");
         j.deviceKeys.emplace_back(dna, std::move(key));
     }
-    uint32_t nDevices = boundedCount(r);
-    for (uint32_t i = 0; i < nDevices; ++i) {
-        SmJournalDevice d;
-        d.deviceId = r.readU32();
-        d.dna = r.readU64();
-        d.deployed = r.readU8();
-        d.attested = r.readU8();
-        d.haveSecrets = r.readU8();
-        if (d.deployed > 1 || d.attested > 1 || d.haveSecrets > 1)
-            throw SerdeError("bad journal flag");
-        d.keyAttest = r.readBytes();
-        d.keySession = r.readBytes();
-        if (d.haveSecrets &&
-            (d.keyAttest.size() != 16 || d.keySession.size() != 48))
-            throw SerdeError("bad secret sizes in journal");
-        d.ctrBase = r.readU64();
-        d.ctrReserve = r.readU64();
-        d.dmaSeqReserve = r.readU64();
-        d.havePendingRekey = r.readU8();
-        if (d.havePendingRekey > 1)
-            throw SerdeError("bad journal flag");
-        d.pendingRekeyMacKey = r.readBytes();
-        d.pendingRekeyNonce = r.readU64();
-        uint32_t nSessions = boundedCount(r);
-        for (uint32_t k = 0; k < nSessions; ++k) {
-            SmJournalSession s;
-            s.slot = r.readU32();
-            s.keySession = r.readBytes();
-            if (s.keySession.size() != 48)
-                throw SerdeError("bad session-key size in journal");
-            s.openNonce = r.readU64();
-            s.ctrReserve = r.readU64();
-            s.dmaSeqReserve = r.readU64();
-            d.sessions.push_back(std::move(s));
-        }
-        j.devices.push_back(std::move(d));
-    }
     j.activeDevice = r.readU32();
+    j.deployed = r.readU8();
+    j.attested = r.readU8();
+    j.haveSecrets = r.readU8();
+    if (j.deployed > 1 || j.attested > 1 || j.haveSecrets > 1)
+        throw SerdeError("bad journal flag");
+    j.keyAttest = r.readBytes();
+    if (j.haveSecrets && j.keyAttest.size() != 16)
+        throw SerdeError("bad secret sizes in journal");
+    j.ctrBase = r.readU64();
+    j.havePendingRekey = r.readU8();
+    if (j.havePendingRekey > 1)
+        throw SerdeError("bad journal flag");
+    j.pendingRekeyMacKey = r.readBytes();
+    j.pendingRekeyNonce = r.readU64();
+    uint32_t nSessions = boundedCount(r);
+    for (uint32_t k = 0; k < nSessions; ++k) {
+        SmJournalSession s;
+        s.slot = r.readU32();
+        s.keys = r.readBytes();
+        if (s.keys.size() != 48)
+            throw SerdeError("bad session-key size in journal");
+        s.openNonce = r.readU64();
+        s.regReserved = r.readU64();
+        s.dmaReserved = r.readU64();
+        j.sessions.push_back(std::move(s));
+    }
+    if (j.haveSecrets &&
+        (j.sessions.empty() || j.sessions.front().slot != 0))
+        throw SerdeError("journal secrets without a base session");
     uint32_t nFps = boundedCount(r);
     for (uint32_t i = 0; i < nFps; ++i) {
         Bytes fp = r.readBytes();

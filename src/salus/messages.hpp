@@ -54,39 +54,24 @@ struct ClBootStatus
 
 // ---- SM-enclave crash-recovery journal ------------------------------
 //
-// The SM enclave's durable state: deployment table + session metadata,
-// sealed to the enclave identity and versioned against a platform
-// monotonic counter. The HOST stores the sealed blob (untrusted
-// storage); rollback to an earlier version is detected at rehydration
-// and refused.
+// The SM enclave's durable state: the deployment on the active device
+// and its session slots, sealed to the enclave identity and versioned
+// against a platform monotonic counter. The HOST stores the sealed
+// blob (untrusted storage); rollback to an earlier version is detected
+// at rehydration and refused.
 
-/** One derived fabric session slot (multi-session channel). */
+/** One fabric session slot: slot 0 (the base session, keyed by the
+ *  injected Key_session) or an opened derived slot. */
 struct SmJournalSession
 {
     uint32_t slot = 0;
-    Bytes keySession; ///< 48 bytes (AES + MAC keys)
-    uint64_t openNonce = 0;
-    uint64_t ctrReserve = 0;    ///< write-ahead per-slot counter bound
-    uint64_t dmaSeqReserve = 0; ///< write-ahead DMA sequence bound
-};
-
-/** One device's durable deployment record. */
-struct SmJournalDevice
-{
-    uint32_t deviceId = 0;
-    uint64_t dna = 0;
-    uint8_t deployed = 0;
-    uint8_t attested = 0;
-    uint8_t haveSecrets = 0;
-    Bytes keyAttest;      ///< 16 bytes when haveSecrets
-    Bytes keySession;     ///< 48 bytes when haveSecrets
-    uint64_t ctrBase = 0;
-    uint64_t ctrReserve = 0; ///< write-ahead session-counter reservation
-    uint64_t dmaSeqReserve = 0; ///< write-ahead DMA sequence reservation
-    uint8_t havePendingRekey = 0;
-    Bytes pendingRekeyMacKey;
-    uint64_t pendingRekeyNonce = 0;
-    std::vector<SmJournalSession> sessions; ///< derived slots only
+    Bytes keys;             ///< 48-byte key block (AES + MAC keys)
+    uint64_t openNonce = 0; ///< nonce a derived slot was opened with
+    /** Write-ahead reservations (exclusive): register counters and DMA
+     *  sequence numbers below them may already have reached the
+     *  fabric, so a restart resumes at or above them. */
+    uint64_t regReserved = 0;
+    uint64_t dmaReserved = 0;
 };
 
 /** The journal record (plaintext form; sealed before storage). */
@@ -99,8 +84,21 @@ struct SmJournal
     Bytes metadata; ///< serialized ClMetadata
     /** Per-DNA Key_device cache (dna -> 32-byte key). */
     std::vector<std::pair<uint64_t, Bytes>> deviceKeys;
-    std::vector<SmJournalDevice> devices;
+
+    // The deployment on the active device.
     uint32_t activeDevice = 0;
+    uint8_t deployed = 0;
+    uint8_t attested = 0;
+    uint8_t haveSecrets = 0;
+    Bytes keyAttest;      ///< 16 bytes when haveSecrets
+    uint64_t ctrBase = 0; ///< Ctr_session
+    uint8_t havePendingRekey = 0;
+    Bytes pendingRekeyMacKey;
+    uint64_t pendingRekeyNonce = 0;
+    /** Slot 0 first, then every opened derived slot; parsing refuses
+     *  secrets without slot 0. */
+    std::vector<SmJournalSession> sessions;
+
     /** SHA-256 fingerprints of every retired secret set — the
      *  key-freshness invariant survives SM restarts. */
     std::vector<Bytes> retiredFingerprints;

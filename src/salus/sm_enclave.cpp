@@ -26,10 +26,14 @@ const char *const kDirDown = "salus-chan-s2u"; // SM -> user
 /** Platform monotonic counter backing the journal version. */
 const char *const kJournalCounterId = "salus-sm-journal";
 
-/** Session counters handed out between two journal commits. Larger
- *  strides amortise commits; a crash skips at most this many counter
- *  values (the fabric only requires strict increase). */
-constexpr uint64_t kCtrReserveStride = 64;
+/** The base session's first register counter: the fabric accepts
+ *  only counters above Ctr_session. At the 64-bit top there is none,
+ *  and the span's bound refuses every request. */
+uint64_t
+firstBaseCtr(uint64_t ctrBase)
+{
+    return ctrBase == UINT64_MAX ? ctrBase : ctrBase + 1;
+}
 
 // ---- Secure DMA plane: device-DRAM layout ----------------------------
 //
@@ -126,6 +130,8 @@ SmEnclaveApp::defaultMeasurement()
 SmEnclaveApp::SmEnclaveApp(tee::TeePlatform &platform, SmEnclaveDeps deps)
     : tee::Enclave(platform, defaultImage()), deps_(std::move(deps))
 {
+    if (!deps_.journal)
+        throw SalusError("SM enclave needs host storage for its journal");
     createPeer(); // peer 0, the deployment owner
 }
 
@@ -386,8 +392,10 @@ SmEnclaveApp::attemptSecureBoot(std::string &failure, bool &retryable)
     }
     status_.attested = true;
     // Deployment complete: reserve a counter window and persist the
-    // deployment table so a crashed SM can resume this session.
-    slots_[0].reserve = slots_[0].ctr + kCtrReserveStride;
+    // deployment so a crashed SM can resume this session.
+    CounterSpan &reg = slots_[0].reg;
+    reg.reserved =
+        reg.next + std::min(reg.bound - reg.next, kCtrReserveStride);
     commitJournal();
     return true;
 }
@@ -543,7 +551,7 @@ SmEnclaveApp::deployCl(std::string &failure, bool &retryable)
         retryable = false;
         return false;
     }
-    slots_[0].ctr = secrets_.ctrBase;
+    slots_[0].reg.next = firstBaseCtr(secrets_.ctrBase);
     try {
         obs::Span sub(obs::Category::Bitstream, "inject_secrets");
         sim::ScopedPhase phase(*deps_.sim.clock, phases::kBitstreamManip);
@@ -662,12 +670,14 @@ SmEnclaveApp::rekeySession()
     obs::Span span(obs::Category::Channel, "rekey_session");
     obs::count("channel.rekeys");
 
-    uint64_t ctr = reserveCtrSpan(0, 1);
+    std::optional<uint64_t> ctr = take(slots_[0].reg, 1);
+    if (!ctr)
+        return false; // counter space exhausted
     uint64_t nonce = rng().nextU64();
-    uint64_t mac = regchan::rekeyMac(slotKeys(0).mac(), ctr, nonce);
+    uint64_t mac = regchan::rekeyMac(slotKeys(0).mac(), *ctr, nonce);
 
     shell::Shell &sh = activeShell();
-    sh.registerWrite(pcie::Window::SmSecure, kSmRegIn0, ctr);
+    sh.registerWrite(pcie::Window::SmSecure, kSmRegIn0, *ctr);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn1, nonce);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn3, mac);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegCmd, kSmCmdRekey);
@@ -803,12 +813,14 @@ SmEnclaveApp::slotKeys(uint32_t slot)
 std::pair<uint8_t, uint64_t>
 SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
 {
-    uint64_t ctr = reserveCtrSpan(0, 1);
+    std::optional<uint64_t> ctr = take(slots_[0].reg, 1);
+    if (!ctr)
+        return {0xf7, 0}; // counter space exhausted
     const regchan::SessionKeys &keys = slotKeys(0);
     regchan::SealedRegRequest req;
     {
         obs::Span crypto(obs::Category::Channel, "op_crypto");
-        req = regchan::sealRequest(keys.aes(), keys.mac(), ctr, op);
+        req = regchan::sealRequest(keys.aes(), keys.mac(), *ctr, op);
     }
 
     shell::Shell &sh = activeShell();
@@ -833,7 +845,7 @@ SmEnclaveApp::secureRegOpOnce(const regchan::RegOp &op)
     }
 
     obs::Span crypto(obs::Category::Channel, "op_crypto");
-    auto opened = regchan::openResponse(keys.aes(), keys.mac(), ctr, rsp);
+    auto opened = regchan::openResponse(keys.aes(), keys.mac(), *ctr, rsp);
     if (!opened) {
         obs::count("channel.rejects");
         return {0xfb, 0}; // response forged or corrupted
@@ -861,13 +873,15 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
     // base channel, so it strictly increases across re-opens (the
     // fabric refuses stale opens) and is covered by the journal's
     // write-ahead reservation.
-    uint64_t nonce = reserveCtrSpan(0, 1);
-    uint64_t mac = regchan::sessionOpenMac(slotKeys(0).mac(), slot, nonce);
+    std::optional<uint64_t> nonce = take(slots_[0].reg, 1);
+    if (!nonce)
+        return false; // counter space exhausted
+    uint64_t mac = regchan::sessionOpenMac(slotKeys(0).mac(), slot, *nonce);
 
     shell::Shell &sh = activeShell();
     sim::ScopedPhase transport(*deps_.sim.clock, phases::kChanTransport);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn0, slot);
-    sh.registerWrite(pcie::Window::SmSecure, kSmRegIn1, nonce);
+    sh.registerWrite(pcie::Window::SmSecure, kSmRegIn1, *nonce);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegIn3, mac);
     sh.registerWrite(pcie::Window::SmSecure, kSmRegCmd,
                      kSmCmdOpenSession);
@@ -878,30 +892,13 @@ SmEnclaveApp::ensureFabricSession(uint32_t slot)
     SessionSlot &s = slots_[slot];
     s.opened = true;
     Bytes derived =
-        regchan::deriveSlotSessionKeys(secrets_.keySession, slot, nonce);
+        regchan::deriveSlotSessionKeys(secrets_.keySession, slot, *nonce);
     s.keys = std::make_unique<regchan::SessionKeys>(derived);
     secureZero(derived);
-    s.openNonce = nonce;
+    s.openNonce = *nonce;
     // Persist: a recovered SM must hold the slot keys the fabric holds.
     commitJournal();
     return true;
-}
-
-uint64_t
-SmEnclaveApp::reserveCtrSpan(uint32_t slot, uint64_t n)
-{
-    SessionSlot &s = slots_[slot];
-    uint64_t base = s.ctr + 1;
-    if (s.ctr + n > s.reserve && deps_.storeJournal) {
-        // Write-ahead: extend the reservation BEFORE the counters are
-        // used. If the commit crashes, the old journal's reservation
-        // still covers everything the fabric ever saw, so a recovered
-        // SM resumes past it and never re-issues a counter.
-        s.reserve = s.ctr + n + kCtrReserveStride;
-        commitJournal();
-    }
-    s.ctr += n;
-    return base;
 }
 
 std::vector<regchan::BatchResult>
@@ -928,19 +925,22 @@ SmEnclaveApp::secureRegBatch(uint32_t slot,
                                           ops.begin() + long(at + n));
         std::vector<regchan::BatchResult> chunkResults;
         uint8_t code = 0xfc;
-        bool accepted = runSealedAttempts(slot, "secureRegBatch", [&] {
+        runSealedAttempts(slot, "secureRegBatch", [&] {
             if (!ensureFabricSession(slot)) {
                 code = 0xfc;
-            } else {
-                uint64_t ctrBase = reserveCtrSpan(slot, n);
-                code = secureRegBatchOnce(slot, ctrBase, chunk,
-                                          chunkResults);
+                return false;
             }
+            std::optional<uint64_t> ctrBase = take(slots_[slot].reg, n);
+            if (!ctrBase) {
+                code = 0xf7; // counter space exhausted: not retried
+                return true;
+            }
+            code = secureRegBatchOnce(slot, *ctrBase, chunk, chunkResults);
             return code == 0;
         });
-        if (!accepted) {
-            // The device is reported: fail the remaining ops with the
-            // channel-level status.
+        if (code != 0) {
+            // Counters ran out, or the device is reported: fail the
+            // remaining ops with the channel-level status.
             while (results.size() < ops.size())
                 results.push_back(regchan::BatchResult{code, 0});
             return results;
@@ -1027,28 +1027,6 @@ SmEnclaveApp::secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
 
 // ---- Bulk data plane (sealed DMA descriptors) ------------------------
 
-std::optional<uint64_t>
-SmEnclaveApp::reserveDmaSeqSpan(uint32_t slot, uint64_t n)
-{
-    SessionSlot &s = slots_[slot];
-    // Past kDmaMaxSeq counter strides overlap and the fabric refuses
-    // the descriptors anyway: refuse before journalling anything.
-    if (s.dmaSeq > dmachan::kDmaMaxSeq ||
-        n > dmachan::kDmaMaxSeq - s.dmaSeq)
-        return std::nullopt;
-    uint64_t base = s.dmaSeq;
-    if (s.dmaSeq + n > s.dmaSeqReserve && deps_.storeJournal) {
-        // Write-ahead, same contract as reserveCtrSpan(): the
-        // journal's bound always covers every sequence number the
-        // fabric may have seen, so recovery resumes past it and a seq
-        // (and with it a keystream stride) is never re-issued.
-        s.dmaSeqReserve = s.dmaSeq + n + kCtrReserveStride;
-        commitJournal();
-    }
-    s.dmaSeq += n;
-    return base;
-}
-
 dmachan::DmaTransferReport
 SmEnclaveApp::dmaWrite(uint32_t slot, uint64_t addr, ByteView data,
                        const DmaOptions &opts)
@@ -1111,8 +1089,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
         std::clamp<size_t>(opts.descriptorBytes, dmachan::kDmaBlock,
                            read ? kDmaReadChunkCap : kDmaWriteChunkCap);
     std::vector<DmaChunk> chunks = chunkSgList(sg, chunkBytes);
-    std::optional<uint64_t> seqSpan =
-        reserveDmaSeqSpan(slot, chunks.size());
+    std::optional<uint64_t> seqSpan = take(slots_[slot].dma, chunks.size());
     if (!seqSpan) {
         report.status = 0xf7; // sequence space exhausted
         return report;
@@ -1468,43 +1445,35 @@ SmEnclaveApp::buildJournal() const
         j.metadata = metadata_.serialize();
     for (const auto &[dna, key] : deviceKeys_)
         j.deviceKeys.emplace_back(dna, key);
-    for (uint32_t i = 0; i < deps_.devices.size(); ++i) {
-        SmJournalDevice d;
-        d.deviceId = i;
-        d.dna = deps_.devices[i].dna;
-        if (i == activeDevice_) {
-            d.deployed = status_.deployed ? 1 : 0;
-            d.attested = status_.attested ? 1 : 0;
-            if (haveSecrets_) {
-                d.haveSecrets = 1;
-                d.keyAttest = secrets_.keyAttest;
-                d.keySession = secrets_.keySession;
-                d.ctrBase = secrets_.ctrBase;
-                d.ctrReserve = slots_[0].reserve;
-                d.dmaSeqReserve = slots_[0].dmaSeqReserve;
-                if (havePendingRekey_) {
-                    d.havePendingRekey = 1;
-                    d.pendingRekeyMacKey = pendingRekeyMacKey_;
-                    d.pendingRekeyNonce = pendingRekeyNonce_;
-                }
-                for (uint32_t slot = 0; slot < kSmMaxSessions; ++slot) {
-                    const SessionSlot &s = slots_[slot];
-                    if (!s.opened)
-                        continue; // derived slots only
-                    SmJournalSession js;
-                    js.slot = slot;
-                    js.keySession.assign(s.keys->block().begin(),
-                                         s.keys->block().end());
-                    js.openNonce = s.openNonce;
-                    js.ctrReserve = s.reserve;
-                    js.dmaSeqReserve = s.dmaSeqReserve;
-                    d.sessions.push_back(std::move(js));
-                }
-            }
-        }
-        j.devices.push_back(std::move(d));
-    }
     j.activeDevice = activeDevice_;
+    j.deployed = status_.deployed ? 1 : 0;
+    j.attested = status_.attested ? 1 : 0;
+    if (haveSecrets_) {
+        j.haveSecrets = 1;
+        j.keyAttest = secrets_.keyAttest;
+        j.ctrBase = secrets_.ctrBase;
+        if (havePendingRekey_) {
+            j.havePendingRekey = 1;
+            j.pendingRekeyMacKey = pendingRekeyMacKey_;
+            j.pendingRekeyNonce = pendingRekeyNonce_;
+        }
+        for (uint32_t slot = 0; slot < kSmMaxSessions; ++slot) {
+            const SessionSlot &s = slots_[slot];
+            if (slot != 0 && !s.opened)
+                continue;
+            // Slot 0's SessionKeys are rebuilt lazily (slotKeys()), so
+            // its key block is read from the secrets themselves.
+            ByteView keys =
+                slot == 0 ? ByteView(secrets_.keySession) : s.keys->block();
+            SmJournalSession js;
+            js.slot = slot;
+            js.keys.assign(keys.begin(), keys.end());
+            js.openNonce = s.openNonce;
+            js.regReserved = s.reg.reserved;
+            js.dmaReserved = s.dma.reserved;
+            j.sessions.push_back(std::move(js));
+        }
+    }
     for (const Bytes &fp : retiredFingerprints_)
         j.retiredFingerprints.push_back(fp);
     return j;
@@ -1513,8 +1482,6 @@ SmEnclaveApp::buildJournal() const
 void
 SmEnclaveApp::commitJournal()
 {
-    if (!deps_.storeJournal)
-        return; // journal-less legacy mode
     obs::count("sm.journal_commits");
 
     uint64_t step = journalSeq_++;
@@ -1529,7 +1496,7 @@ SmEnclaveApp::commitJournal()
     // up); anything older is a rollback.
     j.version = platform().monotonicRead(kJournalCounterId) + 1;
     Bytes plain = j.serialize();
-    deps_.storeJournal(seal(plain));
+    *deps_.journal = seal(plain);
     secureZero(plain);
     platform().monotonicIncrement(kJournalCounterId);
 
@@ -1546,7 +1513,7 @@ SmEnclaveApp::rehydrate()
     RecoveryReport rep;
     rep.counter = platform().monotonicRead(kJournalCounterId);
 
-    Bytes blob = deps_.fetchJournal ? deps_.fetchJournal() : Bytes();
+    const Bytes &blob = *deps_.journal;
     if (blob.empty()) {
         if (rep.counter == 0) {
             rep.status = RecoveryStatus::NoJournal;
@@ -1622,45 +1589,39 @@ SmEnclaveApp::rehydrate()
         retiredFingerprints_.insert(fp);
     activeDevice_ = j.activeDevice;
     status_ = ClBootStatus{};
-    for (const SmJournalDevice &d : j.devices) {
-        if (d.deviceId != activeDevice_)
-            continue;
-        status_.deployed = d.deployed != 0;
-        status_.attested = d.attested != 0;
-        if (d.haveSecrets) {
-            secrets_.keyAttest = d.keyAttest;
-            secrets_.keySession = d.keySession;
-            secrets_.ctrBase = d.ctrBase;
-            haveSecrets_ = true;
-            if (d.havePendingRekey) {
-                pendingRekeyMacKey_ = d.pendingRekeyMacKey;
-                pendingRekeyNonce_ = d.pendingRekeyNonce;
-                havePendingRekey_ = true;
-            }
-            // Resume every slot PAST its reservations: counters and
-            // DMA sequence numbers inside them may already have hit
-            // the fabric before the crash. The next transfer's sync
-            // descriptor jumps the fabric's window forward over
-            // whatever part of the reservation was never used.
-            auto resume = [](SessionSlot &s, uint64_t ctrFloor,
-                             uint64_t ctrReserve, uint64_t dmaSeqReserve) {
-                s.reserve = ctrReserve;
-                s.ctr = std::max(ctrFloor, ctrReserve);
-                s.dmaSeqReserve = dmaSeqReserve;
-                s.dmaSeq = dmaSeqReserve;
-            };
-            slots_ = {};
-            resume(slots_[0], d.ctrBase, d.ctrReserve, d.dmaSeqReserve);
-            for (const SmJournalSession &js : d.sessions) {
-                if (js.slot == 0 || js.slot >= kSmMaxSessions)
-                    continue; // implausible journal entry
-                SessionSlot &s = slots_[js.slot];
+    status_.deployed = j.deployed != 0;
+    status_.attested = j.attested != 0;
+    if (j.haveSecrets) {
+        secrets_.keyAttest = j.keyAttest;
+        secrets_.ctrBase = j.ctrBase;
+        haveSecrets_ = true;
+        if (j.havePendingRekey) {
+            pendingRekeyMacKey_ = j.pendingRekeyMacKey;
+            pendingRekeyNonce_ = j.pendingRekeyNonce;
+            havePendingRekey_ = true;
+        }
+        // Resume every slot PAST its reservations: counters and DMA
+        // sequence numbers inside them may already have hit the fabric
+        // before the crash. The next transfer's sync descriptor jumps
+        // the fabric's window forward over whatever part of the
+        // reservation was never used.
+        slots_ = {};
+        for (const SmJournalSession &js : j.sessions) {
+            if (js.slot >= kSmMaxSessions)
+                continue; // implausible journal entry
+            SessionSlot &s = slots_[js.slot];
+            if (js.slot == 0) {
+                secrets_.keySession = js.keys;
+                s.reg.next = firstBaseCtr(j.ctrBase);
+            } else {
                 s.opened = true;
-                s.keys =
-                    std::make_unique<regchan::SessionKeys>(js.keySession);
+                s.keys = std::make_unique<regchan::SessionKeys>(js.keys);
                 s.openNonce = js.openNonce;
-                resume(s, 0, js.ctrReserve, js.dmaSeqReserve);
             }
+            s.reg.reserved = js.regReserved;
+            s.reg.resume(s.reg.next);
+            s.dma.reserved = js.dmaReserved;
+            s.dma.resume(0);
         }
     }
 

@@ -26,7 +26,7 @@
  *    device's session secrets are retired (fingerprinted + wiped) and
  *    may never be reused — deployCl asserts every fresh secret set
  *    against the retirement list;
- *  - persists its deployment table + session metadata in a sealed,
+ *  - persists its deployment record + session slots in a sealed,
  *    monotonic-counter-versioned journal so a crashed SM instance can
  *    rehydrate (rehydrate()); rolled-back journals are rejected and
  *    the enclave fails closed.
@@ -39,6 +39,7 @@
 #ifndef SALUS_SALUS_SM_ENCLAVE_HPP
 #define SALUS_SALUS_SM_ENCLAVE_HPP
 
+#include <algorithm>
 #include <array>
 #include <functional>
 #include <map>
@@ -98,14 +99,61 @@ struct SmEnclaveDeps
     SimHooks sim;
     /** Fault injector consulted at journal-write crash points. */
     sim::FaultInjector *fault = nullptr;
-    /** Host-provided journal storage (untrusted). When unset, the SM
-     *  runs journal-less (legacy behaviour; no crash recovery). */
-    std::function<void(ByteView)> storeJournal;
-    std::function<Bytes()> fetchJournal;
+    /** Host-owned storage (untrusted) for the sealed journal; required.
+     *  Every commit overwrites it and rehydrate() reads it back, so a
+     *  restarted instance pointed at the same bytes resumes the
+     *  deployment. */
+    Bytes *journal = nullptr;
     /** Invoked when a device exhausts the retry schedule on the
      *  register channel or secure boot — the fleet supervisor's cue
      *  to consider failover. */
     std::function<void(uint32_t, const ErrorContext &)> onDeviceFailure;
+};
+
+/** Values a counter span hands out between two journal commits.
+ *  Larger strides amortise commits; a crash skips at most this many
+ *  values (the fabric only requires strict increase). */
+constexpr uint64_t kCtrReserveStride = 64;
+
+/**
+ * One stream of never-reused values with a write-ahead reservation:
+ * a session slot's register-channel counters or its DMA descriptor
+ * sequence numbers. Values below `reserved` may already have reached
+ * the fabric; the journal persists `reserved`, so a restart resumes at
+ * or above it and never re-issues a value (and with it a keystream).
+ */
+struct CounterSpan
+{
+    uint64_t next = 0;     ///< next value handed out
+    uint64_t reserved = 0; ///< journalled reservation (exclusive)
+    uint64_t bound = 0;    ///< first value never handed out
+
+    /**
+     * Hands out the n values [next, next + n). When they run past the
+     * reservation, first extends it to min(bound, next + n +
+     * kCtrReserveStride) and calls `commit` (the journal write): if
+     * that write crashes, the old journal's reservation still covers
+     * every value the fabric saw. A span that would reach past `bound`
+     * is refused with nothing committed.
+     * @return the first value of the span, or nothing when refused.
+     */
+    template <typename Commit>
+    std::optional<uint64_t> reserve(uint64_t n, Commit &&commit)
+    {
+        if (next > bound || n > bound - next)
+            return std::nullopt;
+        uint64_t end = next + n;
+        if (end > reserved) {
+            reserved = end + std::min(bound - end, kCtrReserveStride);
+            commit();
+        }
+        uint64_t first = next;
+        next = end;
+        return first;
+    }
+
+    /** Restart after a crash: never below the journalled reservation. */
+    void resume(uint64_t floor) { next = std::max(floor, reserved); }
 };
 
 /** Tuning knobs for one windowed DMA transfer. */
@@ -171,7 +219,8 @@ class SmEnclaveApp : public tee::Enclave
      * regchan::kMaxBatchOps transparently; one result per op, in
      * order. Channel-level failures surface as per-op statuses: 0xfd
      * no attested CL, 0xfc the fabric rejected every sealed attempt,
-     * 0xfb the response failed authentication.
+     * 0xfb the response failed authentication, 0xf7 the slot's
+     * counter space cannot hold the burst.
      */
     std::vector<regchan::BatchResult>
     secureRegBatch(uint32_t slot, const std::vector<regchan::RegOp> &ops);
@@ -326,8 +375,8 @@ class SmEnclaveApp : public tee::Enclave
      * journal. Rejects rollbacks (journal version behind the platform
      * monotonic counter) and corrupt blobs by FAILING CLOSED: the
      * enclave then refuses channel traffic until redeployed from
-     * scratch. On success every device the journal claims attested is
-     * re-attested before traffic is served.
+     * scratch. On success the active device, when the journal claims
+     * it attested, is re-attested before traffic is served.
      */
     RecoveryReport rehydrate();
 
@@ -364,12 +413,13 @@ class SmEnclaveApp : public tee::Enclave
          *  secrets_.keySession (see slotKeys()). */
         std::unique_ptr<regchan::SessionKeys> keys;
         uint64_t openNonce = 0; ///< nonce the slot was opened with
-        uint64_t ctr = 0;       ///< last counter handed out
-        /** Write-ahead counter reservation persisted in the journal;
-         *  restart resumes past it, never inside it. */
-        uint64_t reserve = 0;
-        uint64_t dmaSeq = 0;        ///< next DMA descriptor sequence
-        uint64_t dmaSeqReserve = 0; ///< write-ahead DMA seq bound
+        /** Register-channel counters. The fabric accepts only values
+         *  above the last it saw, so a derived slot starts at 1 and
+         *  slot 0 just above Ctr_session. */
+        CounterSpan reg{1, 0, UINT64_MAX};
+        /** DMA descriptor sequence numbers; past kDmaMaxSeq the
+         *  counter strides would overlap. */
+        CounterSpan dma{0, 0, dmachan::kDmaMaxSeq};
     };
 
     /** Retry-loop state for converging on a re-key whose completion
@@ -386,11 +436,12 @@ class SmEnclaveApp : public tee::Enclave
      *  every failover the next batch re-opens it under the fresh base
      *  keys). The base slot is always open. */
     bool ensureFabricSession(uint32_t slot);
-    /** Reserves a contiguous span of n counters on the slot, extending
-     *  the journal's write-ahead reservation first when needed, so a
-     *  crash can never re-issue a counter the fabric already consumed.
-     *  @return the first counter of the span. */
-    uint64_t reserveCtrSpan(uint32_t slot, uint64_t n);
+    /** Takes n values from `span`, committing the journal first when
+     *  the reservation must grow (see CounterSpan::reserve). */
+    std::optional<uint64_t> take(CounterSpan &span, uint64_t n)
+    {
+        return span.reserve(n, [this] { commitJournal(); });
+    }
     /** One sealed burst attempt. @return 0 ok (out filled), 0xfc
      *  fabric rejected, 0xfb response forged. */
     uint8_t secureRegBatchOnce(uint32_t slot, uint64_t ctrBase,
@@ -401,12 +452,6 @@ class SmEnclaveApp : public tee::Enclave
      *  re-key convergence, failover and journal restore all replace
      *  those bytes); a derived slot's must already be open. */
     const regchan::SessionKeys &slotKeys(uint32_t slot);
-    /** Reserves n DMA descriptor sequence numbers on the slot,
-     *  extending the journal's write-ahead reservation first when
-     *  needed. @return the first sequence number of the span, or
-     *  nothing (and no journal write) when the span would run past
-     *  dmachan::kDmaMaxSeq - 1. */
-    std::optional<uint64_t> reserveDmaSeqSpan(uint32_t slot, uint64_t n);
     /** The shared windowed-transfer driver behind dmaWrite/dmaRead. */
     dmachan::DmaTransferReport
     dmaTransfer(uint32_t slot, bool read,
@@ -462,7 +507,7 @@ class SmEnclaveApp : public tee::Enclave
     uint64_t activeDna() const;
     /** Fingerprints + wipes the live secrets (no-op when none). */
     void retireCurrentSecrets();
-    /** Persists the deployment table + session metadata: seal, store
+    /** Persists the deployment record + session slots: seal, store
      *  at version counter+1, then increment the counter. Crash points
      *  before and after the store are fault-injectable. */
     void commitJournal();

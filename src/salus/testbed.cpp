@@ -202,10 +202,7 @@ Testbed::makeSmDeps()
     smDeps.retry = config_.retry;
     smDeps.sim = simHooks();
     smDeps.fault = injector_.get();
-    smDeps.storeJournal = [this](ByteView blob) {
-        journalStore_.assign(blob.begin(), blob.end());
-    };
-    smDeps.fetchJournal = [this] { return journalStore_; };
+    smDeps.journal = &journalStore_;
     smDeps.onDeviceFailure = [this](uint32_t deviceId,
                                     const ErrorContext &ctx) {
         if (supervisor_)

@@ -35,6 +35,7 @@
 #include "salus/dma_channel.hpp"
 #include "salus/secrets.hpp"
 #include "salus/sim_hooks.hpp"
+#include "salus/sm_enclave.hpp"
 #include "salus/sm_logic.hpp"
 #include "salus/testbed.hpp"
 
@@ -419,6 +420,95 @@ TEST(DmaDescriptor, CounterBlocksDisjointBelowSeqBound)
         EXPECT_EQ(seen.size(), 2 * dmachan::kDmaCtrStride)
             << "seqs " << a << " and " << b;
     }
+}
+
+// ---- write-ahead counter spans (the host's 0xf7 refusal) ------------
+
+TEST(CounterSpan, DmaSpanRefusesTheSeqBoundAndCommitsNothing)
+{
+    const uint64_t k = 3;
+    const uint64_t bound = dmachan::kDmaMaxSeq;
+    CounterSpan span{bound - k, bound - k, bound};
+    int commits = 0;
+    auto commit = [&] { ++commits; };
+
+    // [2^32 - 3, 2^32 + 1) would reach 2^32: refused, nothing moves.
+    EXPECT_FALSE(span.reserve(k + 1, commit));
+    EXPECT_EQ(commits, 0);
+    EXPECT_EQ(span.next, bound - k);
+    EXPECT_EQ(span.reserved, bound - k);
+
+    // The span ending exactly at the bound fits; its reservation stops
+    // at the bound instead of a stride past it.
+    EXPECT_EQ(span.reserve(k, commit), bound - k);
+    EXPECT_EQ(commits, 1);
+    EXPECT_EQ(span.next, bound);
+    EXPECT_EQ(span.reserved, bound);
+
+    EXPECT_FALSE(span.reserve(1, commit));
+    EXPECT_EQ(commits, 1);
+}
+
+TEST(CounterSpan, RegisterSpanRefusesAtTheTopInsteadOfWrapping)
+{
+    // A Ctr_session drawn just below 2^64: the base session starts
+    // one above it.
+    const uint64_t ctrBase = UINT64_MAX - 10;
+    CounterSpan span{ctrBase + 1, 0, UINT64_MAX};
+    int commits = 0;
+    auto commit = [&] { ++commits; };
+
+    EXPECT_EQ(span.reserve(5, commit), ctrBase + 1);
+    EXPECT_EQ(commits, 1);
+    EXPECT_EQ(span.reserved, UINT64_MAX); // clamped, not wrapped
+    EXPECT_FALSE(span.reserve(5, commit)); // [2^64 - 5, 2^64) passes it
+    EXPECT_FALSE(span.reserve(UINT64_MAX, commit));
+    EXPECT_EQ(commits, 1);
+    EXPECT_EQ(span.reserve(4, commit), ctrBase + 6);
+    EXPECT_EQ(span.next, UINT64_MAX);
+
+    // A restart from the journalled reservation resumes above every
+    // counter handed out, never back at Ctr_session.
+    CounterSpan restarted{ctrBase + 1, span.reserved, UINT64_MAX};
+    restarted.resume(restarted.next);
+    EXPECT_EQ(restarted.next, UINT64_MAX);
+    EXPECT_FALSE(restarted.reserve(1, commit));
+}
+
+TEST(CounterSpan, CommitsExactlyWhenTheSpanPassesTheReservation)
+{
+    CounterSpan span{10, 0, 1000};
+    std::vector<std::pair<uint64_t, uint64_t>> commits; // (next, reserved)
+    auto commit = [&] { commits.emplace_back(span.next, span.reserved); };
+
+    // The journal is written before the span is handed out, and
+    // already covers it.
+    EXPECT_EQ(span.reserve(1, commit), 10u);
+    ASSERT_EQ(commits.size(), 1u);
+    EXPECT_EQ(commits[0], std::make_pair(uint64_t(10),
+                                         uint64_t(11 + kCtrReserveStride)));
+
+    // Up to the reservation: no commit.
+    EXPECT_EQ(span.reserve(kCtrReserveStride, commit), 11u);
+    EXPECT_EQ(commits.size(), 1u);
+    EXPECT_EQ(span.next, span.reserved);
+
+    // One past it: commit.
+    EXPECT_EQ(span.reserve(1, commit), 11 + kCtrReserveStride);
+    ASSERT_EQ(commits.size(), 2u);
+    EXPECT_EQ(span.reserved, 12 + 2 * kCtrReserveStride);
+}
+
+TEST(CounterSpan, ResumeNeverLandsBelowTheReservation)
+{
+    CounterSpan span{5, 200, UINT64_MAX};
+    span.resume(1);
+    EXPECT_EQ(span.next, 200u);
+    span.resume(300);
+    EXPECT_EQ(span.next, 300u);
+    span.next = 0;
+    span.resume(0);
+    EXPECT_EQ(span.next, 200u);
 }
 
 // ---- fabric-side window semantics -----------------------------------

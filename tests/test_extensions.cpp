@@ -575,6 +575,7 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
         std::unique_ptr<UserEnclaveApp> userApp;
         ClMetadata metadata;
         std::string clientEp, hostEp;
+        Bytes journal; ///< host storage for the SM's sealed journal
     };
     std::vector<Tenant> tenants(2);
 
@@ -609,6 +610,7 @@ TEST(MultiRp, TwoFullTenantStacksOnOneDevice)
             return storedBitstream;
         };
         deps.sim = {&clock, &cost};
+        deps.journal = &t.journal;
         t.smApp = std::make_unique<SmEnclaveApp>(platform, deps);
 
         SmTransport transport;

@@ -249,31 +249,25 @@ TEST(Fuzz, JournalParserNeverCrashesOnCorruption)
 {
     crypto::CtrDrbg rng(uint64_t(1011));
 
-    // A realistic journal: two devices, one mid-rekey, retired keys.
+    // A realistic journal: mid-rekey, a base and a derived session
+    // with both reservations, retired keys.
     core::SmJournal j;
     j.version = 9;
     j.haveMetadata = 1;
     j.metadata = rng.bytes(48);
     j.deviceKeys.emplace_back(0x1111ull, rng.bytes(32));
     j.deviceKeys.emplace_back(0x2222ull, rng.bytes(32));
-    for (uint32_t id = 0; id < 2; ++id) {
-        core::SmJournalDevice d;
-        d.deviceId = id;
-        d.dna = 0x1111ull * (id + 1);
-        d.deployed = 1;
-        d.attested = id == 0;
-        d.haveSecrets = id == 0;
-        if (d.haveSecrets) {
-            d.keyAttest = rng.bytes(16);
-            d.keySession = rng.bytes(48);
-            d.ctrBase = 100;
-            d.ctrReserve = 164;
-            d.havePendingRekey = 1;
-            d.pendingRekeyMacKey = rng.bytes(32);
-            d.pendingRekeyNonce = 7;
-        }
-        j.devices.push_back(d);
-    }
+    j.activeDevice = 0;
+    j.deployed = 1;
+    j.attested = 1;
+    j.haveSecrets = 1;
+    j.keyAttest = rng.bytes(16);
+    j.ctrBase = 100;
+    j.havePendingRekey = 1;
+    j.pendingRekeyMacKey = rng.bytes(32);
+    j.pendingRekeyNonce = 7;
+    j.sessions.push_back({0, rng.bytes(48), 0, 165, 66});
+    j.sessions.push_back({1, rng.bytes(48), 101, 67, 130});
     j.retiredFingerprints.push_back(rng.bytes(32));
     j.retiredFingerprints.push_back(rng.bytes(32));
     Bytes valid = j.serialize();

@@ -198,37 +198,47 @@ TEST(FleetSerde, SmJournalRoundTripsAllFields)
     j.metadata = Bytes{1, 2, 3};
     j.deviceKeys.emplace_back(0xd00dull, Bytes(32, 0x11));
     j.deviceKeys.emplace_back(0xbeefull, Bytes(32, 0x22));
-    SmJournalDevice d;
-    d.deviceId = 1;
-    d.dna = 0xbeef;
-    d.deployed = 1;
-    d.attested = 1;
-    d.haveSecrets = 1;
-    d.keyAttest = Bytes(16, 0x33);
-    d.keySession = Bytes(48, 0x44);
-    d.ctrBase = 1000;
-    d.ctrReserve = 1064;
-    d.havePendingRekey = 1;
-    d.pendingRekeyMacKey = Bytes(32, 0x55);
-    d.pendingRekeyNonce = 77;
-    j.devices.push_back(d);
     j.activeDevice = 1;
+    j.deployed = 1;
+    j.attested = 1;
+    j.haveSecrets = 1;
+    j.keyAttest = Bytes(16, 0x33);
+    j.ctrBase = 1000;
+    j.havePendingRekey = 1;
+    j.pendingRekeyMacKey = Bytes(32, 0x55);
+    j.pendingRekeyNonce = 77;
+    j.sessions.push_back({0, Bytes(48, 0x44), 0, 1065, 130});
+    j.sessions.push_back({3, Bytes(48, 0x77), 1031, 97, 4160});
     j.retiredFingerprints.push_back(Bytes(32, 0x66));
 
-    SmJournal j2 = SmJournal::deserialize(j.serialize());
+    Bytes wire = j.serialize();
+    SmJournal j2 = SmJournal::deserialize(wire);
+    EXPECT_EQ(j2.serialize(), wire);
     EXPECT_EQ(j2.version, 17u);
     EXPECT_EQ(j2.haveMetadata, 1);
     EXPECT_EQ(j2.metadata, j.metadata);
     ASSERT_EQ(j2.deviceKeys.size(), 2u);
     EXPECT_EQ(j2.deviceKeys[1].first, 0xbeefull);
     EXPECT_EQ(j2.deviceKeys[1].second, Bytes(32, 0x22));
-    ASSERT_EQ(j2.devices.size(), 1u);
-    EXPECT_EQ(j2.devices[0].dna, 0xbeefull);
-    EXPECT_EQ(j2.devices[0].keyAttest, d.keyAttest);
-    EXPECT_EQ(j2.devices[0].keySession, d.keySession);
-    EXPECT_EQ(j2.devices[0].ctrReserve, 1064u);
-    EXPECT_EQ(j2.devices[0].pendingRekeyNonce, 77u);
     EXPECT_EQ(j2.activeDevice, 1u);
+    EXPECT_EQ(j2.deployed, 1);
+    EXPECT_EQ(j2.attested, 1);
+    EXPECT_EQ(j2.haveSecrets, 1);
+    EXPECT_EQ(j2.keyAttest, j.keyAttest);
+    EXPECT_EQ(j2.ctrBase, 1000u);
+    EXPECT_EQ(j2.havePendingRekey, 1);
+    EXPECT_EQ(j2.pendingRekeyMacKey, j.pendingRekeyMacKey);
+    EXPECT_EQ(j2.pendingRekeyNonce, 77u);
+    ASSERT_EQ(j2.sessions.size(), 2u);
+    for (size_t i = 0; i < 2; ++i) {
+        const SmJournalSession &want = j.sessions[i];
+        const SmJournalSession &got = j2.sessions[i];
+        EXPECT_EQ(got.slot, want.slot) << "session " << i;
+        EXPECT_EQ(got.keys, want.keys) << "session " << i;
+        EXPECT_EQ(got.openNonce, want.openNonce) << "session " << i;
+        EXPECT_EQ(got.regReserved, want.regReserved) << "session " << i;
+        EXPECT_EQ(got.dmaReserved, want.dmaReserved) << "session " << i;
+    }
     ASSERT_EQ(j2.retiredFingerprints.size(), 1u);
     EXPECT_EQ(j2.retiredFingerprints[0], Bytes(32, 0x66));
 }
@@ -251,6 +261,16 @@ TEST(FleetSerde, SmJournalRejectsGarbage)
     k.version = 1;
     k.deviceKeys.emplace_back(1ull, Bytes(31, 0));
     EXPECT_THROW(SmJournal::deserialize(k.serialize()), SerdeError);
+
+    // Secrets need the base session's key block: slot 0 comes first.
+    SmJournal s;
+    s.haveSecrets = 1;
+    s.keyAttest = Bytes(16, 1);
+    EXPECT_THROW(SmJournal::deserialize(s.serialize()), SerdeError);
+    s.sessions.push_back({2, Bytes(48, 2), 9, 10, 0});
+    EXPECT_THROW(SmJournal::deserialize(s.serialize()), SerdeError);
+    s.sessions.insert(s.sessions.begin(), {0, Bytes(48, 3), 0, 70, 0});
+    EXPECT_NO_THROW(SmJournal::deserialize(s.serialize()));
 }
 
 // ---- Typed-error parity ---------------------------------------------

@@ -14,7 +14,8 @@
  *
  * Any command accepts `--trace-out FILE` (Chrome trace_event JSON for
  * chrome://tracing / Perfetto) and `--metrics-out FILE` (text metrics
- * dump); see docs/OBSERVABILITY.md.
+ * dump), and exits 1 when either cannot be written; see
+ * docs/OBSERVABILITY.md.
  */
 
 #include <cctype>
@@ -41,11 +42,13 @@ namespace {
 
 std::string g_traceOut;   // --trace-out FILE (empty = disabled)
 std::string g_metricsOut; // --metrics-out FILE (empty = disabled)
+bool g_outputFailed = false; // a --trace-out/--metrics-out write failed
 
 /**
  * Enables tracing/metrics over a testbed's clock for the duration of
  * one command when the user asked for either output file, and writes
- * the artifacts on destruction.
+ * the artifacts on destruction. A failed write sets g_outputFailed,
+ * which turns the command's exit code 0 into 1.
  */
 class CliObs
 {
@@ -71,19 +74,24 @@ class CliObs
                             g_traceOut.c_str(),
                             recorder_->events().size());
             else
-                std::printf("trace: cannot write %s\n",
-                            g_traceOut.c_str());
+                reportWriteFailure("trace", g_traceOut);
         }
         if (!g_metricsOut.empty()) {
             if (metrics_->writeText(g_metricsOut))
                 std::printf("metrics: %s\n", g_metricsOut.c_str());
             else
-                std::printf("metrics: cannot write %s\n",
-                            g_metricsOut.c_str());
+                reportWriteFailure("metrics", g_metricsOut);
         }
     }
 
   private:
+    static void reportWriteFailure(const char *what,
+                                   const std::string &path)
+    {
+        std::printf("%s: cannot write %s\n", what, path.c_str());
+        g_outputFailed = true;
+    }
+
     std::unique_ptr<obs::TraceRecorder> recorder_;
     std::unique_ptr<obs::MetricsRegistry> metrics_;
     std::unique_ptr<obs::ObsScope> scope_;
@@ -452,7 +460,27 @@ usage()
         "        table1..table6 fig8 fig10 ablations fault_recovery\n\n"
         "global options:\n"
         "  --trace-out FILE    write a Chrome trace_event JSON trace\n"
-        "  --metrics-out FILE  write a text metrics dump\n");
+        "  --metrics-out FILE  write a text metrics dump\n"
+        "  (exit 1 when either file cannot be written)\n");
+}
+
+int
+runCommand(const std::string &cmd, const std::vector<std::string> &args)
+{
+    if (cmd == "boot")
+        return cmdBoot(args);
+    if (cmd == "attack")
+        return cmdAttack(args);
+    if (cmd == "workload")
+        return cmdWorkload(args);
+    if (cmd == "run-scenario")
+        return cmdRunScenario(args);
+    if (cmd == "inspect")
+        return cmdInspect();
+    if (cmd == "paper")
+        return cmdPaper(args);
+    usage();
+    return cmd == "help" ? 0 : 2;
 }
 
 } // namespace
@@ -482,18 +510,7 @@ main(int argc, char **argv)
         }
     }
 
-    if (cmd == "boot")
-        return cmdBoot(args);
-    if (cmd == "attack")
-        return cmdAttack(args);
-    if (cmd == "workload")
-        return cmdWorkload(args);
-    if (cmd == "run-scenario")
-        return cmdRunScenario(args);
-    if (cmd == "inspect")
-        return cmdInspect();
-    if (cmd == "paper")
-        return cmdPaper(args);
-    usage();
-    return cmd == "help" ? 0 : 2;
+    // A command's CliObs writes its files as the command returns.
+    int rc = runCommand(cmd, args);
+    return rc == 0 && g_outputFailed ? 1 : rc;
 }
