@@ -166,6 +166,11 @@ AesGcm::AesGcm(ByteView key) : aes_(key)
     secureZero(h, 16);
 }
 
+AesGcm::~AesGcm()
+{
+    secureZero(reinterpret_cast<uint8_t *>(h_), sizeof(h_));
+}
+
 void
 AesGcm::deriveCounter0(ByteView iv, uint8_t j0[16]) const
 {

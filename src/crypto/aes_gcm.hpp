@@ -36,6 +36,12 @@ class AesGcm
   public:
     /** @param key AES key, 16/24/32 bytes. */
     explicit AesGcm(ByteView key);
+    /** Wipes the GHASH key (the Aes destructor wipes the round keys). */
+    ~AesGcm();
+
+    /** The expanded key schedule, for callers that run other AES modes
+     *  under the same key. */
+    const Aes &aes() const { return aes_; }
 
     /**
      * Encrypts and authenticates.

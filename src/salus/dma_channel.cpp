@@ -17,21 +17,31 @@ constexpr uint32_t kDmaMagic = 0x53444d41;     // "SDMA"
 constexpr uint32_t kDmaRespMagic = 0x53444d52; // "SDMR"
 constexpr uint8_t kDmaVersion = 1;
 
-/** The first 8 bytes of a tag under the slot MAC. */
+/** IV labels by DmaTagKind. None starts with "S", as every CTR
+ *  label under the session key does. */
+constexpr char kTagIvLabels[3][4] = {{'G', 'D', 'S', 'C'},
+                                     {'G', 'R', 'S', 'P'},
+                                     {'G', 'A', 'C', 'K'}};
+
+/** The first 8 bytes of the GMAC of `msg` under `kind`'s IV at `seq`. */
 uint64_t
-truncatedHmac(const crypto::HmacSha256 &mac, ByteView msg)
+truncatedGmac(const crypto::AesGcm &key, DmaTagKind kind, uint64_t seq,
+              ByteView msg)
 {
-    uint8_t tag[crypto::HmacSha256::kTagSize];
-    mac.mac({msg}, tag);
+    std::array<uint8_t, 12> iv = dmaTagIv(kind, seq);
+    uint8_t tag[crypto::kGcmTagSize];
+    // GMAC: GCM's tag with `msg` as additional data and an empty text.
+    key.sealInPlace(iv, msg, {}, tag);
     return loadLe64(tag);
 }
 
-/** Appends the truncated MAC over everything already in `buf`. */
+/** Appends the truncated GMAC over everything already in `buf`. */
 void
-appendMac(const crypto::HmacSha256 &mac, Bytes &buf)
+appendMac(const crypto::AesGcm &key, DmaTagKind kind, uint64_t seq,
+          Bytes &buf)
 {
     uint8_t tag[8];
-    storeLe64(tag, truncatedHmac(mac, buf));
+    storeLe64(tag, truncatedGmac(key, kind, seq, buf));
     buf.insert(buf.end(), tag, tag + 8);
 }
 
@@ -64,16 +74,30 @@ cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
     crypto::AesCtr(aes, ByteView(block, 16)).crypt(data, len);
 }
 
-uint64_t
-descriptorMac(const crypto::HmacSha256 &mac, ByteView encodedSansMac)
+std::array<uint8_t, 12>
+dmaTagIv(DmaTagKind kind, uint64_t seq)
 {
-    return truncatedHmac(mac, encodedSansMac);
+    std::array<uint8_t, 12> iv;
+    std::memcpy(iv.data(), kTagIvLabels[size_t(kind)], 4);
+    storeLe64(iv.data() + 4, seq);
+    return iv;
+}
+
+uint64_t
+descriptorMac(const crypto::AesGcm &key, ByteView encodedSansMac)
+{
+    if (encodedSansMac.size() < kDmaHeaderBytes)
+        throw SerdeError("dma descriptor: shorter than its header");
+    return truncatedGmac(key, DmaTagKind::Descriptor,
+                         loadLe64(encodedSansMac.data() + 16),
+                         encodedSansMac);
 }
 
 Bytes
-encodeDescriptor(const crypto::HmacSha256 &mac, const DmaDescriptor &d)
+encodeDescriptor(const crypto::AesGcm &key, const DmaDescriptor &d,
+                 ByteView plain)
 {
-    size_t encodedLen = dmaEncodedSize(d.sg.size(), d.payload.size());
+    size_t encodedLen = dmaEncodedSize(d.sg.size(), plain.size());
     BinaryWriter w;
     w.reserve(encodedLen);
     w.writeU32(kDmaMagic);
@@ -94,9 +118,11 @@ encodeDescriptor(const crypto::HmacSha256 &mac, const DmaDescriptor &d)
         w.writeU64(e.addr);
         w.writeU32(e.len);
     }
-    w.writeRaw(d.payload);
+    w.writeRaw(plain);
     Bytes out = w.take();
-    appendMac(mac, out);
+    cryptDmaPayload(key.aes(), /*read=*/false, d.ctrBase,
+                    out.data() + out.size() - plain.size(), plain.size());
+    appendMac(key, DmaTagKind::Descriptor, d.seq, out);
     return out;
 }
 
@@ -147,20 +173,19 @@ decodeDescriptor(ByteView encoded)
 }
 
 bool
-verifyDescriptorMac(const crypto::HmacSha256 &mac, ByteView encoded)
+verifyDescriptorMac(const crypto::AesGcm &key, ByteView encoded)
 {
     if (encoded.size() < kDmaHeaderBytes + 8)
         return false;
-    uint64_t expect = descriptorMac(
-        mac, ByteView(encoded.data(), encoded.size() - 8));
+    uint64_t expect =
+        descriptorMac(key, ByteView(encoded.data(), encoded.size() - 8));
     uint64_t got = loadLe64(encoded.data() + encoded.size() - 8);
     return crypto::ctEqual64(expect, got);
 }
 
 Bytes
-sealReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
-                 uint32_t sessionId, uint64_t seq, uint64_t ctrBase,
-                 ByteView plain)
+sealReadResponse(const crypto::AesGcm &key, uint32_t sessionId,
+                 uint64_t seq, uint64_t ctrBase, ByteView plain)
 {
     BinaryWriter w;
     w.reserve(kDmaRespOverhead + plain.size());
@@ -171,16 +196,15 @@ sealReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
     w.writeU64(ctrBase);
     w.writeRaw(plain);
     Bytes out = w.take();
-    cryptDmaPayload(aes, true, ctrBase, out.data() + kDmaRespHeaderBytes,
-                    plain.size());
-    appendMac(mac, out);
+    cryptDmaPayload(key.aes(), true, ctrBase,
+                    out.data() + kDmaRespHeaderBytes, plain.size());
+    appendMac(key, DmaTagKind::Response, seq, out);
     return out;
 }
 
 std::optional<Bytes>
-openReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
-                 uint32_t sessionId, uint64_t seq, uint64_t ctrBase,
-                 ByteView blob)
+openReadResponse(const crypto::AesGcm &key, uint32_t sessionId,
+                 uint64_t seq, uint64_t ctrBase, ByteView blob)
 {
     if (blob.size() < kDmaRespHeaderBytes + 8)
         return std::nullopt;
@@ -194,24 +218,25 @@ openReadResponse(const crypto::Aes &aes, const crypto::HmacSha256 &mac,
         return std::nullopt;
     if (len > kDmaMaxPayload || r.remaining() != size_t(len) + 8)
         return std::nullopt;
-    uint64_t expect =
-        truncatedHmac(mac, ByteView(blob.data(), blob.size() - 8));
+    uint64_t expect = truncatedGmac(key, DmaTagKind::Response, seq,
+                                    ByteView(blob.data(), blob.size() - 8));
     uint64_t got = loadLe64(blob.data() + blob.size() - 8);
     if (!crypto::ctEqual64(expect, got))
         return std::nullopt;
     Bytes plain = r.readRaw(len);
-    cryptDmaPayload(aes, true, ctrBase, plain.data(), plain.size());
+    cryptDmaPayload(key.aes(), true, ctrBase, plain.data(), plain.size());
     return plain;
 }
 
 uint64_t
-ackMac(const crypto::HmacSha256 &mac, uint32_t sessionId, uint64_t ackSeq)
+ackMac(const crypto::AesGcm &key, uint32_t sessionId, uint64_t ackSeq)
 {
     uint8_t msg[16];
     storeLe32(msg, sessionId);
     storeLe64(msg + 4, ackSeq);
     std::memcpy(msg + 12, "dack", 4);
-    return truncatedHmac(mac, ByteView(msg, sizeof(msg)));
+    return truncatedGmac(key, DmaTagKind::Ack, ackSeq,
+                         ByteView(msg, sizeof(msg)));
 }
 
 // ---- Sliding-window engine -------------------------------------------

@@ -2,7 +2,7 @@
  * @file
  * The bulk-data side of the paper's memory channel: AES-CTR-encrypted
  * DMA descriptors with scatter-gather lists, sealed with one truncated
- * HMAC each, pushed through a sliding-window protocol so crypto for
+ * GMAC tag each, pushed through a sliding-window protocol so crypto for
  * descriptor N overlaps transport for descriptor N-1.
  *
  * Wire format ("SDMA" v1, little-endian):
@@ -19,7 +19,22 @@
  *       32     8  respAddr  (reads: DRAM address for the sealed reply)
  *       40  12*n  sg entries (u64 addr, u32 len)
  *         +  ...  payload ciphertext (writes; absent for reads)
- *         +    8  mac = truncated HMAC over every preceding byte
+ *         +    8  mac = truncated GMAC over every preceding byte
+ *
+ * Every tag (descriptor, read response, cumulative ack) is the first
+ * 8 bytes of AES-GMAC under the slot's AES key: GHASH under
+ * H = E_K(0^128) over the whole message as GCM's additional data,
+ * masked with E_K(J0), exactly GCM's tag over an empty text. The
+ * 12-byte IV is a 4-byte label per message kind ("GDSC" descriptor,
+ * "GRSP" read response, "GACK" ack) || LE64(seq), so J0 = IV ||
+ * BE32(1). Every CTR counter block under the same key starts with an
+ * 8-byte label beginning "S" ("SDMAWRIT", "SDMAREAD", "SREGCHAN",
+ * "SRSPCHAN", "SREGBRST", "SRSPBRST"), so no J0, and not the all-zero
+ * block behind H, is ever a keystream block. A GMAC nonce must never
+ * tag two different messages: descriptors are sealed once per seq
+ * (the host reserves seqs write-ahead and retransmits identical
+ * bytes), a response once per applied seq, and an ack's message is a
+ * function of its ackSeq.
  *
  * Replay resistance comes from binding the AES counter stride to the
  * sequence number: ctrBase MUST equal seq * kDmaCtrStride, the MAC
@@ -38,6 +53,7 @@
 #ifndef SALUS_SALUS_DMA_CHANNEL_HPP
 #define SALUS_SALUS_DMA_CHANNEL_HPP
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <optional>
@@ -45,7 +61,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
-#include "crypto/hmac.hpp"
+#include "crypto/aes_gcm.hpp"
 #include "salus/sim_hooks.hpp"
 
 namespace salus::core::dmachan {
@@ -119,7 +135,7 @@ struct DmaDescriptor
     uint64_t respAddr = 0;
     std::vector<DmaSgEntry> sg;
     Bytes payload; ///< ciphertext (writes), empty (reads)
-    uint64_t mac = 0;
+    uint64_t mac = 0; ///< truncated GMAC tag
 
     /** Total bytes named by the scatter-gather list. */
     size_t sgBytes() const;
@@ -131,19 +147,37 @@ size_t dmaCtrBlocks(size_t bytes);
 /** En/decrypts a DMA payload in place under the direction-separated
  *  CTR labels ("SDMAWRIT" host->device, "SDMAREAD" device->host).
  *  Like every seal, open and MAC function below, it borrows the
- *  slot's regchan::SessionKeys schedule (aes()) or keyed HMAC (mac()),
- *  built once per session, not once per megabyte descriptor. */
+ *  slot's regchan::SessionKeys schedule (aes(), or gcm(), which adds
+ *  the GHASH key), built once per session, not once per megabyte
+ *  descriptor. */
 void cryptDmaPayload(const crypto::Aes &aes, bool read, uint64_t ctrBase,
                      uint8_t *data, size_t len);
 
-/** Truncated HMAC over the encoded descriptor minus its MAC field. */
-uint64_t descriptorMac(const crypto::HmacSha256 &mac,
-                       ByteView encodedSansMac);
+/** The message kinds a DMA tag covers; each has its own IV label. */
+enum class DmaTagKind : uint8_t
+{
+    Descriptor, ///< "GDSC", by the descriptor's seq
+    Response,   ///< "GRSP", by the answered descriptor's seq
+    Ack,        ///< "GACK", by ackSeq (which may equal kDmaMaxSeq)
+};
 
-/** Serializes a descriptor (payload must already be ciphertext) and
- *  computes its MAC. */
-Bytes encodeDescriptor(const crypto::HmacSha256 &mac,
-                       const DmaDescriptor &d);
+/** The 12-byte GMAC IV of one message: kind label || LE64(seq). */
+std::array<uint8_t, 12> dmaTagIv(DmaTagKind kind, uint64_t seq);
+
+/** Truncated GMAC over the encoded descriptor minus its MAC field,
+ *  under the IV of the seq it carries (bytes 16-23).
+ *  @throws SerdeError when shorter than a descriptor header. */
+uint64_t descriptorMac(const crypto::AesGcm &key, ByteView encodedSansMac);
+
+/**
+ * Serializes a descriptor and appends its MAC. A write's payload is
+ * `plain`: copied into the encoded buffer once and encrypted there
+ * under "SDMAWRIT" at d.ctrBase, so no separate ciphertext copy is
+ * made (d.payload, which the decoder fills, is not read). Reads carry
+ * no payload.
+ */
+Bytes encodeDescriptor(const crypto::AesGcm &key, const DmaDescriptor &d,
+                       ByteView plain = {});
 
 /**
  * Parses an encoded descriptor, validating magic, version, bounds and
@@ -154,7 +188,7 @@ Bytes encodeDescriptor(const crypto::HmacSha256 &mac,
 DmaDescriptor decodeDescriptor(ByteView encoded);
 
 /** Constant-time MAC check of an encoded descriptor. */
-bool verifyDescriptorMac(const crypto::HmacSha256 &mac, ByteView encoded);
+bool verifyDescriptorMac(const crypto::AesGcm &key, ByteView encoded);
 
 // ---- Read responses --------------------------------------------------
 //
@@ -162,24 +196,22 @@ bool verifyDescriptorMac(const crypto::HmacSha256 &mac, ByteView encoded);
 // bytes into a response blob at the descriptor's respAddr: "SDMR"
 // magic, sessionId, seq, ctrBase echoed from the request, payload
 // encrypted under the "SDMAREAD" label at the same stride, one
-// truncated HMAC over everything before it.
+// truncated GMAC over everything before it.
 
 /** Seals a read-response blob (fabric side). */
-Bytes sealReadResponse(const crypto::Aes &aes,
-                       const crypto::HmacSha256 &mac, uint32_t sessionId,
+Bytes sealReadResponse(const crypto::AesGcm &key, uint32_t sessionId,
                        uint64_t seq, uint64_t ctrBase, ByteView plain);
 
 /** Verifies and decrypts a read-response blob (host side); empty
  *  optional = forged or mismatched. */
-std::optional<Bytes> openReadResponse(const crypto::Aes &aes,
-                                      const crypto::HmacSha256 &mac,
+std::optional<Bytes> openReadResponse(const crypto::AesGcm &key,
                                       uint32_t sessionId, uint64_t seq,
                                       uint64_t ctrBase, ByteView blob);
 
-/** Cumulative-ack MAC: truncated HMAC over sessionId || ackSeq ||
+/** Cumulative-ack MAC: truncated GMAC over sessionId || ackSeq ||
  *  "dack". `ackSeq` is the lowest sequence number NOT yet applied, so
  *  a fresh slot acks 0 and the value only ever grows. */
-uint64_t ackMac(const crypto::HmacSha256 &mac, uint32_t sessionId,
+uint64_t ackMac(const crypto::AesGcm &key, uint32_t sessionId,
                 uint64_t ackSeq);
 
 // ---- Sliding-window engine -------------------------------------------

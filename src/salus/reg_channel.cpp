@@ -143,7 +143,7 @@ migrationTicketMac(ByteView keyAttest, uint32_t fromDevice,
 
 SessionKeys::SessionKeys(ByteView block)
     : block_(checkedKeyBlock(block)),
-      aes_(ByteView(block_).first(16)), mac_(ByteView(block_).subspan(16))
+      gcm_(ByteView(block_).first(16)), mac_(ByteView(block_).subspan(16))
 {
 }
 

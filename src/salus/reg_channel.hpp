@@ -24,6 +24,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/aes.hpp"
+#include "crypto/aes_gcm.hpp"
 #include "crypto/hmac.hpp"
 #include "salus/secrets.hpp"
 
@@ -98,12 +99,15 @@ struct SealedRegResponse
 
 /**
  * One session slot's key block (Key_session, or a slot's derived
- * block) with the expanded AES schedule and the keyed HMAC built from
- * it once. Both channel ends hold one per open slot and seal and open
- * every register and DMA message with it, so no message re-expands a
- * key. This is the only code that splits the block into its AES and
- * HMAC halves. The destructor wipes the block; the Aes and Hmac
- * destructors wipe the round keys and midstates.
+ * block) with the keys built from it once: the AES half's expanded
+ * schedule together with its GHASH key H = E_K(0) (one AesGcm, which
+ * runs the CTR keystreams and the DMA plane's GMAC tags) and the keyed
+ * HMAC of the register channel. Both channel ends hold one per open
+ * slot and seal and open every register and DMA message with it, so no
+ * message re-expands a key. This is the only code that splits the
+ * block into its AES and HMAC halves. The destructor wipes the block;
+ * the AesGcm, Aes and Hmac destructors wipe H, the round keys and the
+ * midstates.
  */
 class SessionKeys
 {
@@ -118,12 +122,14 @@ class SessionKeys
     ByteView block() const { return block_; }
     /** The HMAC half of the block: the re-key KDF's input. */
     ByteView macKey() const;
-    const crypto::Aes &aes() const { return aes_; }
+    const crypto::Aes &aes() const { return gcm_.aes(); }
+    /** The AES key with its GHASH key: the DMA plane's sealing key. */
+    const crypto::AesGcm &gcm() const { return gcm_; }
     const crypto::HmacSha256 &mac() const { return mac_; }
 
   private:
     Bytes block_;
-    crypto::Aes aes_;
+    crypto::AesGcm gcm_;
     crypto::HmacSha256 mac_;
 };
 

@@ -1124,17 +1124,9 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
             d.ctrBase = ctrBase;
             d.respAddr = read ? respAddr : 0;
             d.sg = c.sg;
-            if (!read) {
-                d.payload.assign(data.begin() + long(c.dataOff),
-                                 data.begin() +
-                                     long(c.dataOff + c.bytes));
-                dmachan::cryptDmaPayload(keys->aes(), false, ctrBase,
-                                         d.payload.data(),
-                                         d.payload.size());
-            }
-            Bytes encoded = dmachan::encodeDescriptor(keys->mac(), d);
-            secureZero(d.payload);
-            return encoded;
+            return dmachan::encodeDescriptor(
+                keys->gcm(), d,
+                read ? ByteView() : data.subspan(c.dataOff, c.bytes));
         };
         if (read) {
             size_t bytes = c.bytes;
@@ -1149,7 +1141,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
                     return false;
                 }
                 auto plain = dmachan::openReadResponse(
-                    keys->aes(), keys->mac(), slot, seq, ctrBase, blob);
+                    keys->gcm(), slot, seq, ctrBase, blob);
                 if (!plain || plain->size() != bytes)
                     return false;
                 std::copy(plain->begin(), plain->end(),
@@ -1229,7 +1221,7 @@ SmEnclaveApp::dmaTransfer(uint32_t slot, bool read,
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut0);
         uint64_t mac =
             sh.dmaPostedRegRead(pcie::Window::SmSecure, kSmRegOut1);
-        if (!crypto::ctEqual64(mac, dmachan::ackMac(keys->mac(), slot, seq)))
+        if (!crypto::ctEqual64(mac, dmachan::ackMac(keys->gcm(), slot, seq)))
             return false;
         ackSeq = seq;
         return true;

@@ -231,7 +231,7 @@ class SmEnclaveApp : public tee::Enclave
     /**
      * Moves `data` into device DRAM at `addr` through the sliding-
      * window secure DMA plane: the payload is chunked into AES-CTR-
-     * encrypted, HMAC-sealed descriptors whose counter stride is bound
+     * encrypted, GMAC-tagged descriptors whose counter stride is bound
      * to the per-slot sequence number, so replay is impossible and
      * retransmits resend identical ciphertext. Report statuses: 0 ok,
      * 0xfd no attested CL behind the channel, 0xf7 the slot's DMA

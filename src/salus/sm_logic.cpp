@@ -456,7 +456,7 @@ SmLogic::doDmaDoorbell()
     SessionSlot &slot = sessions_[d.sessionId];
     // Fail closed on the MAC before looking at anything else the
     // descriptor claims; a forged descriptor never mutates state.
-    if (!dmachan::verifyDescriptorMac(slot.keys->mac(), encoded)) {
+    if (!dmachan::verifyDescriptorMac(slot.keys->gcm(), encoded)) {
         reject();
         return;
     }
@@ -525,9 +525,8 @@ SmLogic::applyDmaDescriptor(SessionSlot &slot, uint32_t slotId,
             Bytes part = dram_->read(e.addr, e.len);
             plain.insert(plain.end(), part.begin(), part.end());
         }
-        Bytes blob =
-            dmachan::sealReadResponse(slot.keys->aes(), slot.keys->mac(),
-                                      slotId, d.seq, d.ctrBase, plain);
+        Bytes blob = dmachan::sealReadResponse(slot.keys->gcm(), slotId,
+                                               d.seq, d.ctrBase, plain);
         dram_->write(d.respAddr, blob);
         secureZero(plain);
         statDmaBytes_ += d.sgBytes();
@@ -557,7 +556,7 @@ SmLogic::doDmaAck()
     }
     const SessionSlot &slot = sessions_[slotId];
     out_[0] = slot.dmaExpectedSeq;
-    out_[1] = dmachan::ackMac(slot.keys->mac(),
+    out_[1] = dmachan::ackMac(slot.keys->gcm(),
                               static_cast<uint32_t>(slotId),
                               slot.dmaExpectedSeq);
     status_ = kSmStatusOk;

@@ -65,6 +65,10 @@ struct CostModel
     Nanos keyEscrowProcessing = 480 * kMs;
     /** Extra round trips a verifier spends fetching collateral. */
     int dcapCollateralRoundTrips = 8;
+    /** ShEF's certificate chain fetches. Kept beside the other int so
+     *  that CostModel has no padding a field without a rule row could
+     *  hide in (tests/test_cost_rules.cpp). */
+    int shefCaRoundTrips = 2;
     Nanos localAttestCompute = 300 * kUs; ///< ECDH + report per side
 
     // ---- Bitstream operations (inside SM enclave) ---------------------
@@ -100,7 +104,7 @@ struct CostModel
      *  per-block register-channel path). */
     double dmaCryptoBytesPerSec = 4.0e9;
     /** Fixed per-descriptor cost: header marshalling, scatter-gather
-     *  list encode and the truncated-HMAC seal. */
+     *  list encode and the truncated-GMAC seal. */
     Nanos dmaDescriptorSeal = 2 * kUs;
 
     // ---- Accelerator workloads (§6.4) ----------------------------------
@@ -117,7 +121,6 @@ struct CostModel
     /** Bitstream hash/measurement on the embedded security kernel. */
     double shefMeasureBytesPerSec = 8e6;
     Nanos shefSignatureOp = 120 * kMs; ///< RSA/ECDSA on embedded core
-    int shefCaRoundTrips = 2;          ///< certificate chain fetches
 
     // ---- Helpers -------------------------------------------------------
     /** One request/response over the given link carrying the given

@@ -150,7 +150,7 @@ using ProbeValues = std::array<std::vector<sim::Nanos>, kProbeCount>;
 struct Rule
 {
     const char *field;
-    size_t offset, size, align;
+    size_t offset, size;
     std::function<void(sim::CostModel &)> perturb;
     const char *moves;
 };
@@ -166,7 +166,7 @@ rule(const char *field, T sim::CostModel::*member, const char *moves)
     sim::CostModel c;
     size_t offset = size_t(reinterpret_cast<const char *>(&(c.*member)) -
                            reinterpret_cast<const char *>(&c));
-    return {field, offset, sizeof(T), alignof(T),
+    return {field, offset, sizeof(T),
             [member](sim::CostModel &m) { bump(m.*member); }, moves};
 }
 
@@ -191,6 +191,7 @@ rules()
         RULE(quoteVerification,       "B...FM..X"),
         RULE(keyEscrowProcessing,     "B...FM..."),
         RULE(dcapCollateralRoundTrips,"B...FM..X"),
+        RULE(shefCaRoundTrips,        ".S......."),
         RULE(localAttestCompute,      "B...FM..X"),
         RULE(manipulationBytesPerSec, "B...FM..X"),
         RULE(verifyEncryptBytesPerSec,"B...FM..X"),
@@ -209,7 +210,6 @@ rules()
         RULE(inlineAesBytesPerSec,    "......P.."),
         RULE(shefMeasureBytesPerSec,  ".S......."),
         RULE(shefSignatureOp,         ".S......."),
-        RULE(shefCaRoundTrips,        ".S......."),
     };
     return table;
 }
@@ -332,26 +332,26 @@ runProbes(const sim::CostModel &cost)
 
 TEST(CostRules, EveryFieldHasARuleRow)
 {
-    // In member order, each row's field must start where the previous
-    // one ended (after alignment padding) and the last must end the
-    // struct, so a CostModel field without a row shows as a gap or as
-    // a larger sizeof(CostModel).
+    // In member order, each row's field must start exactly where the
+    // previous one ended and the last must end the struct. CostModel
+    // has no padding, so a field without a row shows as a gap or as a
+    // larger sizeof(CostModel); a field placed where it would add
+    // padding fails too.
     std::vector<const Rule *> rows;
     for (const Rule &r : rules())
         rows.push_back(&r);
     std::sort(rows.begin(), rows.end(), [](const Rule *a, const Rule *b) {
         return a->offset < b->offset;
     });
-    auto alignUp = [](size_t n, size_t a) { return (n + a - 1) / a * a; };
     size_t end = 0;
     for (const Rule *r : rows) {
-        EXPECT_EQ(r->offset, alignUp(end, r->align))
-            << "a CostModel field before " << r->field
-            << " has no rule row (or a row is listed twice)";
+        EXPECT_EQ(r->offset, end)
+            << "a CostModel field (or padding) before " << r->field
+            << " has no rule row, or a row is listed twice";
         end = r->offset + r->size;
     }
-    EXPECT_EQ(alignUp(end, alignof(sim::CostModel)), sizeof(sim::CostModel))
-        << "a CostModel field after " << rows.back()->field
+    EXPECT_EQ(end, sizeof(sim::CostModel))
+        << "a CostModel field (or padding) after " << rows.back()->field
         << " has no rule row";
 }
 

@@ -25,7 +25,7 @@
 #include "common/serde.hpp"
 #include "crash_sweep.hpp"
 #include "crypto/backend.hpp"
-#include "crypto/hmac.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
 #include "fpga/device.hpp"
@@ -85,10 +85,7 @@ sealWrite(const DmaKeys &k, uint32_t sessionId, uint64_t seq, bool sync,
     d.seq = seq;
     d.ctrBase = seq * dmachan::kDmaCtrStride;
     d.sg.push_back({addr, uint32_t(plain.size())});
-    d.payload.assign(plain.begin(), plain.end());
-    dmachan::cryptDmaPayload(k.aes(), /*read=*/false, d.ctrBase,
-                             d.payload.data(), d.payload.size());
-    return dmachan::encodeDescriptor(k.mac(), d);
+    return dmachan::encodeDescriptor(k.gcm(), d, plain);
 }
 
 /** Builds a sealed read (gather) descriptor. */
@@ -103,7 +100,7 @@ sealRead(const DmaKeys &k, uint32_t sessionId, uint64_t seq,
     d.ctrBase = seq * dmachan::kDmaCtrStride;
     d.respAddr = respAddr;
     d.sg.push_back({addr, len});
-    return dmachan::encodeDescriptor(k.mac(), d);
+    return dmachan::encodeDescriptor(k.gcm(), d);
 }
 
 } // namespace
@@ -122,14 +119,11 @@ TEST(DmaDescriptor, WriteRoundTripPreservesEveryField)
         d.seq = seq;
         d.ctrBase = seq * dmachan::kDmaCtrStride;
         d.sg = {{0x1000, 1024}, {0x9000, 3072}};
-        d.payload = plain;
-        dmachan::cryptDmaPayload(k.aes(), false, d.ctrBase,
-                                 d.payload.data(), d.payload.size());
-        EXPECT_NE(d.payload, plain) << "payload not encrypted";
 
-        Bytes encoded = dmachan::encodeDescriptor(k.mac(), d);
-        EXPECT_TRUE(dmachan::verifyDescriptorMac(k.mac(), encoded));
+        Bytes encoded = dmachan::encodeDescriptor(k.gcm(), d, plain);
+        EXPECT_TRUE(dmachan::verifyDescriptorMac(k.gcm(), encoded));
         dmachan::DmaDescriptor back = dmachan::decodeDescriptor(encoded);
+        EXPECT_NE(back.payload, plain) << "payload not encrypted";
         EXPECT_EQ(back.read, d.read);
         EXPECT_EQ(back.sync, d.sync);
         EXPECT_EQ(back.sessionId, d.sessionId);
@@ -158,55 +152,23 @@ TEST(DmaDescriptor, ReadRoundTripAndResponse)
     EXPECT_EQ(back.sgBytes(), 512u);
 
     Bytes plain = pattern(512, 2);
-    Bytes blob = dmachan::sealReadResponse(k.aes(), k.mac(), 2, 5,
-                                           back.ctrBase, plain);
+    Bytes blob =
+        dmachan::sealReadResponse(k.gcm(), 2, 5, back.ctrBase, plain);
     EXPECT_EQ(blob.size(), plain.size() + dmachan::kDmaRespOverhead);
-    auto open = dmachan::openReadResponse(k.aes(), k.mac(), 2, 5,
-                                          back.ctrBase, blob);
+    auto open =
+        dmachan::openReadResponse(k.gcm(), 2, 5, back.ctrBase, blob);
     ASSERT_TRUE(open.has_value());
     EXPECT_EQ(*open, plain);
 
     // Echoed-context mismatches and tampering are all fatal.
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac(), 3, 5,
-                                           back.ctrBase, blob));
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac(), 2, 6,
-                                           back.ctrBase, blob));
+    EXPECT_FALSE(
+        dmachan::openReadResponse(k.gcm(), 3, 5, back.ctrBase, blob));
+    EXPECT_FALSE(
+        dmachan::openReadResponse(k.gcm(), 2, 6, back.ctrBase, blob));
     Bytes flipped = blob;
     flipped[dmachan::kDmaRespHeaderBytes] ^= 0x80;
-    EXPECT_FALSE(dmachan::openReadResponse(k.aes(), k.mac(), 2, 5,
-                                           back.ctrBase, flipped));
-}
-
-TEST(DmaDescriptor, RejectsTruncationBitFlipsAndWrongKey)
-{
-    DmaKeys k = testKeys(23);
-    Bytes plain = pattern(2048, 3);
-    Bytes encoded = sealWrite(k, 1, 4, false, 0x2000, plain);
-
-    for (size_t cut : {size_t(1), size_t(8), encoded.size() / 2}) {
-        Bytes truncated(encoded.begin(),
-                        encoded.end() - ptrdiff_t(cut));
-        EXPECT_THROW(dmachan::decodeDescriptor(truncated), SerdeError)
-            << "cut " << cut;
-    }
-    EXPECT_THROW(dmachan::decodeDescriptor(Bytes()), SerdeError);
-
-    // A flip anywhere — header, sg list, payload, MAC — kills the MAC.
-    for (size_t pos : {size_t(0), size_t(17), size_t(41),
-                       dmachan::kDmaHeaderBytes + 13 + 100,
-                       encoded.size() - 1}) {
-        Bytes flipped = encoded;
-        flipped[pos] ^= 0x01;
-        EXPECT_FALSE(dmachan::verifyDescriptorMac(k.mac(), flipped))
-            << "pos " << pos;
-    }
-
-    DmaKeys other = testKeys(24);
-    EXPECT_FALSE(dmachan::verifyDescriptorMac(other.mac(), encoded));
-    EXPECT_NE(dmachan::ackMac(k.mac(), 1, 4),
-              dmachan::ackMac(other.mac(), 1, 4));
-    EXPECT_NE(dmachan::ackMac(k.mac(), 1, 4), dmachan::ackMac(k.mac(), 2, 4));
-    EXPECT_NE(dmachan::ackMac(k.mac(), 1, 4), dmachan::ackMac(k.mac(), 1, 5));
+    EXPECT_FALSE(
+        dmachan::openReadResponse(k.gcm(), 2, 5, back.ctrBase, flipped));
 }
 
 namespace {
@@ -220,20 +182,66 @@ struct ScopedBackend
 
 } // namespace
 
-// Wire bytes pinned from the implementation that generated the DMA
-// keystream eight blocks per AES call and keyed a fresh HMAC per
-// descriptor. The other DMA tests only round-trip, so a keystream or
-// MAC change made the same way on both ends would pass them; it fails
-// here. Covers a partial tail block (1000 B), the write descriptor
-// size (64 KiB), a full descriptor (1 MiB) and the last legal seq.
+TEST(DmaDescriptor, RejectsTruncationBitFlipsAndWrongKey)
+{
+    ScopedBackend restore;
+    DmaKeys k = testKeys(23);
+    Bytes plain = pattern(2048, 3);
+    Bytes encoded = sealWrite(k, 1, 4, false, 0x2000, plain);
+    const uint64_t ctrBase = 4 * dmachan::kDmaCtrStride;
+    Bytes resp = dmachan::sealReadResponse(k.gcm(), 1, 4, ctrBase, plain);
+
+    for (size_t cut : {size_t(1), size_t(8), encoded.size() / 2}) {
+        Bytes truncated(encoded.begin(),
+                        encoded.end() - ptrdiff_t(cut));
+        EXPECT_THROW(dmachan::decodeDescriptor(truncated), SerdeError)
+            << "cut " << cut;
+    }
+    EXPECT_THROW(dmachan::decodeDescriptor(Bytes()), SerdeError);
+
+    // A one-bit flip in any region fails closed on both backends:
+    // descriptor header, sg list, payload and tag; response header
+    // (each field also echo-checked), payload and tag.
+    for (bool scalar : {false, true}) {
+        crypto::setForceScalar(scalar);
+        for (size_t pos : {size_t(0), size_t(17), size_t(41),
+                           dmachan::kDmaHeaderBytes + 13 + 100,
+                           encoded.size() - 8, encoded.size() - 1}) {
+            Bytes flipped = encoded;
+            flipped[pos] ^= 0x01;
+            EXPECT_FALSE(dmachan::verifyDescriptorMac(k.gcm(), flipped))
+                << "descriptor pos " << pos << " scalar " << scalar;
+        }
+        for (size_t pos : {size_t(0), size_t(13),
+                           dmachan::kDmaRespHeaderBytes + 100,
+                           resp.size() - 8, resp.size() - 1}) {
+            Bytes flipped = resp;
+            flipped[pos] ^= 0x01;
+            EXPECT_FALSE(
+                dmachan::openReadResponse(k.gcm(), 1, 4, ctrBase, flipped))
+                << "response pos " << pos << " scalar " << scalar;
+        }
+    }
+
+    DmaKeys other = testKeys(24);
+    EXPECT_FALSE(dmachan::verifyDescriptorMac(other.gcm(), encoded));
+    EXPECT_NE(dmachan::ackMac(k.gcm(), 1, 4),
+              dmachan::ackMac(other.gcm(), 1, 4));
+    EXPECT_NE(dmachan::ackMac(k.gcm(), 1, 4), dmachan::ackMac(k.gcm(), 2, 4));
+    EXPECT_NE(dmachan::ackMac(k.gcm(), 1, 4), dmachan::ackMac(k.gcm(), 1, 5));
+}
+
+// Wire bytes pinned from the GMAC-tagged implementation. The other
+// DMA tests only round-trip, so a keystream or tag change made the
+// same way on both ends would pass them; it fails here. Covers a
+// partial tail block (1000 B), the write descriptor size (64 KiB), a
+// full descriptor (1 MiB) and the last legal seq.
 TEST(DmaDescriptor, WireFormatKnownAnswers)
 {
     ScopedBackend restore;
-    Bytes aesKey(16), macKey(32);
+    Bytes aesKey(16);
     for (size_t i = 0; i < aesKey.size(); ++i)
         aesKey[i] = uint8_t(i);
-    for (size_t i = 0; i < macKey.size(); ++i)
-        macKey[i] = uint8_t(0x20 + i);
     const uint32_t slot = 3;
     struct Expect
     {
@@ -245,69 +253,83 @@ TEST(DmaDescriptor, WireFormatKnownAnswers)
     // response carrying the same bytes.
     const Expect expects[] = {
         {uint64_t(0), 16,
-         "6e7d9be7fe71b897c398d51d24b13902a94c6bce316968298dab1ad51e6f1f32",
-         "c8d229832f495c5b8b267f93cad76f6134f66f0ff5fcbe0a740c83a654873e80"},
+         "d57d06746a8558ebc101d21b5938742f3a3ae4e3ba3e407f5f129ccd2047092b",
+         "92c54bb825eb0ec133ab8251d6a34b730e7091659d0f6944763b9fdc275b224b"},
         {uint64_t(0), 1000,
-         "049b1c1314220239dbe0f296d45cdfbb526bc3e2923a95ff4e6a8694728aa828",
-         "3a1581758ffec66bd23af31e84e491772c95b5ebece766f2787a78547ca8b3dd"},
+         "54a9c2568416e6e03d9b12a21c700d6ce5828acb103d240c92c27bf83aa419fb",
+         "3985cfc3a7fcb390e31e70c6cd5824a1dd2e9eea0fc99914e57de4221b7ec3fa"},
         {uint64_t(0), size_t(64) << 10,
-         "34123f3a627cbae1bec6e2d3dbb1b2a5470469010c81db5126d40a912860f305",
-         "e19810ddee9b7b2f9ceb718aac5d551ac586b8e721a81dbacb75204cabbd8900"},
+         "ddb0c8406f1a461ed3c7f773e5ff9de31b216c732660ca2a377ca74d2dc9593b",
+         "fb70d39d2da44ec30dc088678443558d65cce43ed3363d7b3cb404a41846fc1e"},
         {uint64_t(0), size_t(1) << 20,
-         "df52b07673314244325b9d2ce48af43da1e8061e6f1983de6830871ccefab2ef",
-         "332af71e1a041b63eff51d15ec62f545b3eeebf5bf7edb89daa09716f749e9f2"},
+         "98005f363a2b112d647bb920ac421855f3b6ca9afa1b289300a9a789e0d43267",
+         "169af9ceea796bbc337f60dd417495e6b78250fe7409af504664d5c717c0ed49"},
         {uint64_t(1), 16,
-         "2d54ab2454dfa433dd49d36be2e0c31381a60b73f974a10b3783324edebc23fa",
-         "eb239201c703cc4b96ed14762a114fd4ccda4f7aae4688f18964669721880d7b"},
+         "09cfff96307ba68d361238f3f32acb769cc13372ec4845c853d9b6e40f89846f",
+         "b0169534f7996e35f44fcb68ea9f73a2c890f71e195dd4f39679f92536b01e58"},
         {uint64_t(1), 1000,
-         "3c7c939c5661c0c1a717ace7705628ec365716d6c15ead11920fb37e161117d1",
-         "546091a7f32ff75223b55f39c99a02178691bc85803d02b82fe24e7dcc01ac0f"},
+         "1918ff6d79d3e2986e3c2b289107b3bc7db4c533ba88cb7f7d05b4a889b1eef5",
+         "9183a6dab77c3431a3c15336ee2fa0d1b7ea6372dda3739038dfae2a0962b609"},
         {uint64_t(1), size_t(64) << 10,
-         "9a733e9a50daf34068de7acfd8b60257c0730d3d67420c7099a0df2344c9162f",
-         "94e2071128ca5133c70838e47efae153b5427f155f552e7c5c00a836646052da"},
+         "1d9702ebbde2ba938b6321d021e4d0f5dd647b1ca54530b2c2ec3901d9c45f68",
+         "36e0b7d8ab0427f220217181cd86ae1fa42d31226d2002df3f83ff9544a6f993"},
         {uint64_t(1), size_t(1) << 20,
-         "2955348efb717376c8efd8b174ef6bf2f0f31061a520b3026a058644bb8cae80",
-         "6380837b9ccd7197081d61a2917b02974b1291ea4d368d53275a3e57f6e36de9"},
+         "c7d46cbe5720054472d01b13a8df801a504f2d52eb520970b0236c3589da9ce2",
+         "f2616a80586043a54c4c06aabd9f884b73e9097bd5636eae7b6009b3791634e5"},
         {dmachan::kDmaMaxSeq - 1, 16,
-         "8da819fc265381852a90c9723acce5db036ea2187f8234befae0907df6dd04a7",
-         "0018cd10aad559a8dcf9b2ee7148d86c88a32fe59897b8d249d81dc403be604d"},
+         "d470138120282e9c029f9953c7a1e91160574d280aa26ab99d6ae73a99060da4",
+         "d74f56d365c7ab6cc9b1facbe96186653ecb88e986bae12bf89a4cd961890e2d"},
         {dmachan::kDmaMaxSeq - 1, 1000,
-         "320829b2333b0181f0002b0d423481fe27dd1f266461fada493c01ce7c33a03c",
-         "3e56f41eb0e622ec353f04e938ce8a319e43ba6d311a3a4301585a8e7b58e3ef"},
+         "174232fc918661850ba0494cbf88daa2e48cd62833a6b77091dd28dc4f8940b6",
+         "4ba19c523f9bb3fa7c8ebebfd2e456118376ecc3468e695585e0ea5473c4bf7f"},
         {dmachan::kDmaMaxSeq - 1, size_t(64) << 10,
-         "3a5be4178c9a865c038378c14f9c20b47dbf9b8272068ae702af0450e22f3e3d",
-         "9a482dc58dfbcfaba5285f005cc1380e428f9ae0fa60202ae038eebd2639d419"},
+         "617737c7dc4dec6c1f41c30b0a1dd34f1145c2fdc698a1cf82f65dbdc011cba4",
+         "950bec9ffedf391732116a63e0279415531710e5a166d5d8d565866716ed279c"},
         {dmachan::kDmaMaxSeq - 1, size_t(1) << 20,
-         "907e5718654121ff88c91a55338932f0d38ef84ce938d9029dfdda080ffa4b98",
-         "571a7a0dbfe49d6424a7d2c23b28e2b38c8bc56ec2e46cf1b0202e899bc3b052"},
+         "d0f673493a6d9041bcefec3181db7ae38900614c3c1fdc8acff904d30ff18ed9",
+         "bfdd9d13d38918321d2eeeb14861fa91145248f7d70b617c44b822834f2629f8"},
     };
-    // The full wire bytes of the 16-byte case, per seq.
-    const std::map<uint64_t, std::pair<const char *, const char *>>
-        fullHex = {
-            {0,
-             {"414d445301000100030000004c000000000000000000000000000000"
-              "00000000000000000000000000100000000000001000000089a15f34"
-              "0e87ca6b2ca8501b1e56f2318ab374799454cf5f",
-              "524d4453030000001000000000000000000000000000000000000000"
-              "aec996087575dd83c27e75f6e32d4b2da025f4724f3e3ff7"}},
-            {1,
-             {"414d445301000100030000004c000000010000000000000000000100"
-              "000000000000000000000000001000000000000010000000d063adbc"
-              "2a1a9b26fe4d682cc200b25a5fafbed40605c5e2",
-              "524d4453030000001000000001000000000000000000010000000000"
-              "5a3a11228302f945663c4ecb916f74c92d8c1119ccf171f9"}},
-            {dmachan::kDmaMaxSeq - 1,
-             {"414d445301000100030000004c000000ffffffff000000000000ffff"
-              "ffff00000000000000000000001000000000000010000000ebea0a3a"
-              "440297cd07da5a76b2e36dd09b21b895e03a28fb",
-              "524d44530300000010000000ffffffff000000000000ffffffff0000"
-              "1d87bb5e50929b4e92cb29f7bcedefa35dc8d2c97142daf4"}},
-        };
+    // The full wire bytes of the 16-byte case, per seq, as the
+    // truncated-HMAC-SHA256 implementation sealed them (HMAC key
+    // 0x20..0x3f). The GMAC tag replaced only the trailing 8 bytes:
+    // the header and the ciphertext are unchanged. The seq-0 tags
+    // match OpenSSL's AES-GCM over the same IV and bytes.
+    struct Wire
+    {
+        const char *hmacDesc, *hmacResp; ///< HMAC-tagged wire bytes
+        const char *descTag, *respTag;   ///< the GMAC tags now sent
+    };
+    const std::map<uint64_t, Wire> fullHex = {
+        {0,
+         {"414d445301000100030000004c000000000000000000000000000000"
+          "00000000000000000000000000100000000000001000000089a15f34"
+          "0e87ca6b2ca8501b1e56f2318ab374799454cf5f",
+          "524d4453030000001000000000000000000000000000000000000000"
+          "aec996087575dd83c27e75f6e32d4b2da025f4724f3e3ff7",
+          "d12504db84ecdefa", "b36d819c48a5d8b2"}},
+        {1,
+         {"414d445301000100030000004c000000010000000000000000000100"
+          "000000000000000000000000001000000000000010000000d063adbc"
+          "2a1a9b26fe4d682cc200b25a5fafbed40605c5e2",
+          "524d4453030000001000000001000000000000000000010000000000"
+          "5a3a11228302f945663c4ecb916f74c92d8c1119ccf171f9",
+          "016304b203aa5fe1", "9de5dcef93ef764a"}},
+        {dmachan::kDmaMaxSeq - 1,
+         {"414d445301000100030000004c000000ffffffff000000000000ffff"
+          "ffff00000000000000000000001000000000000010000000ebea0a3a"
+          "440297cd07da5a76b2e36dd09b21b895e03a28fb",
+          "524d44530300000010000000ffffffff000000000000ffffffff0000"
+          "1d87bb5e50929b4e92cb29f7bcedefa35dc8d2c97142daf4",
+          "6183e33613ade728", "32102415f8d43ed8"}},
+    };
+    // Everything but the trailing 8-byte tag, in hex.
+    auto sansTag = [](const std::string &hex) {
+        return hex.substr(0, hex.size() - 16);
+    };
 
     for (bool scalar : {false, true}) {
         crypto::setForceScalar(scalar);
-        crypto::Aes aes(aesKey);
-        crypto::HmacSha256 mac(macKey);
+        crypto::AesGcm key(aesKey);
         for (const Expect &e : expects) {
             SCOPED_TRACE("seq " + std::to_string(e.seq) + " n " +
                          std::to_string(e.n) +
@@ -319,19 +341,189 @@ TEST(DmaDescriptor, WireFormatKnownAnswers)
             d.seq = e.seq;
             d.ctrBase = ctrBase;
             d.sg.push_back({0x1000, uint32_t(e.n)});
-            d.payload = plain;
-            dmachan::cryptDmaPayload(aes, false, ctrBase, d.payload.data(),
-                                     d.payload.size());
-            Bytes desc = dmachan::encodeDescriptor(mac, d);
-            Bytes resp = dmachan::sealReadResponse(aes, mac, slot, e.seq,
-                                                   ctrBase, plain);
+            Bytes desc = dmachan::encodeDescriptor(key, d, plain);
+            Bytes resp =
+                dmachan::sealReadResponse(key, slot, e.seq, ctrBase, plain);
             EXPECT_EQ(hexEncode(crypto::Sha256::digest(desc)), e.descSha);
             EXPECT_EQ(hexEncode(crypto::Sha256::digest(resp)), e.respSha);
             if (e.n == 16) {
-                EXPECT_EQ(hexEncode(desc), fullHex.at(e.seq).first);
-                EXPECT_EQ(hexEncode(resp), fullHex.at(e.seq).second);
+                const Wire &w = fullHex.at(e.seq);
+                EXPECT_EQ(hexEncode(desc),
+                          sansTag(w.hmacDesc) + w.descTag);
+                EXPECT_EQ(hexEncode(resp),
+                          sansTag(w.hmacResp) + w.respTag);
             }
         }
+    }
+}
+
+// ---- GMAC tags --------------------------------------------------------
+
+namespace {
+
+/** The first 8 bytes of GCM's tag over `msg` as additional data and an
+ *  empty text, from the copying seal() the NIST vectors check. */
+uint64_t
+gcmTag8(const crypto::AesGcm &gcm, const std::array<uint8_t, 12> &iv,
+        ByteView msg)
+{
+    crypto::GcmSealed sealed = gcm.seal(iv, msg, ByteView());
+    EXPECT_TRUE(sealed.ciphertext.empty());
+    return loadLe64(sealed.tag.data());
+}
+
+} // namespace
+
+TEST(DmaTag, IsTheTruncatedGcmTagOfTheMessage)
+{
+    ScopedBackend restore;
+    // The IV layout: a 4-byte label per kind, then LE64(seq).
+    EXPECT_EQ(hexEncode(dmachan::dmaTagIv(dmachan::DmaTagKind::Descriptor,
+                                          0x0102030405060708ULL)),
+              "474453430807060504030201");
+    EXPECT_EQ(hexEncode(dmachan::dmaTagIv(dmachan::DmaTagKind::Response, 1)),
+              "475253500100000000000000");
+    EXPECT_EQ(hexEncode(dmachan::dmaTagIv(dmachan::DmaTagKind::Ack,
+                                          dmachan::kDmaMaxSeq)),
+              "4741434b0000000001000000");
+
+    for (bool scalar : {false, true}) {
+        crypto::setForceScalar(scalar);
+        SCOPED_TRACE(scalar ? "scalar" : "dispatched");
+        DmaKeys k = testKeys(25);
+        crypto::AesGcm ref(k.block().first(16));
+        auto iv = [](dmachan::DmaTagKind kind, uint64_t seq) {
+            return dmachan::dmaTagIv(kind, seq);
+        };
+        for (uint64_t seq : {uint64_t(0), uint64_t(9),
+                             dmachan::kDmaMaxSeq - 1}) {
+            for (size_t n : {size_t(16), size_t(1000), size_t(64) << 10}) {
+                Bytes desc = sealWrite(k, 2, seq, false, 0x1000, pattern(n));
+                ByteView body = ByteView(desc).first(desc.size() - 8);
+                uint64_t tag = loadLe64(desc.data() + desc.size() - 8);
+                EXPECT_EQ(tag, gcmTag8(ref, iv(dmachan::DmaTagKind::Descriptor,
+                                               seq),
+                                       body));
+                EXPECT_EQ(tag, dmachan::descriptorMac(k.gcm(), body));
+
+                Bytes resp = dmachan::sealReadResponse(
+                    k.gcm(), 2, seq, seq * dmachan::kDmaCtrStride,
+                    pattern(n));
+                EXPECT_EQ(loadLe64(resp.data() + resp.size() - 8),
+                          gcmTag8(ref, iv(dmachan::DmaTagKind::Response, seq),
+                                  ByteView(resp).first(resp.size() - 8)));
+            }
+            Bytes read = sealRead(k, 2, seq, 0x1000, 512, 0x340000);
+            EXPECT_EQ(loadLe64(read.data() + read.size() - 8),
+                      gcmTag8(ref, iv(dmachan::DmaTagKind::Descriptor, seq),
+                              ByteView(read).first(read.size() - 8)));
+        }
+        // The ack message: LE32(sessionId) || LE64(ackSeq) || "dack".
+        for (uint64_t ackSeq : {uint64_t(0), uint64_t(9),
+                                dmachan::kDmaMaxSeq}) {
+            uint8_t msg[16];
+            storeLe32(msg, 2);
+            storeLe64(msg + 4, ackSeq);
+            std::memcpy(msg + 12, "dack", 4);
+            EXPECT_EQ(dmachan::ackMac(k.gcm(), 2, ackSeq),
+                      gcmTag8(ref, iv(dmachan::DmaTagKind::Ack, ackSeq),
+                              ByteView(msg, sizeof(msg))));
+        }
+    }
+}
+
+TEST(DmaTag, NoJ0OrHashKeyIsACounterBlock)
+{
+    DmaKeys k = testKeys(26);
+    const crypto::Aes &aes = k.aes();
+    using Block = std::array<uint8_t, 16>;
+    auto encrypt = [&](const Block &in) {
+        Block out;
+        aes.encryptBlock(in.data(), out.data());
+        return out;
+    };
+
+    // E_K of every J0 = IV || BE32(1) the tags use here, and the GHASH
+    // key H = E_K(0^128). AES is a permutation, so a J0 (or the zero
+    // block) equal to a counter block would show as an equal
+    // keystream block.
+    const uint64_t last = dmachan::kDmaMaxSeq - 1;
+    std::map<Block, std::string> masks;
+    masks[encrypt(Block{})] = "H";
+    std::vector<Block> j0s;
+    for (auto kind : {dmachan::DmaTagKind::Descriptor,
+                      dmachan::DmaTagKind::Response,
+                      dmachan::DmaTagKind::Ack}) {
+        for (uint64_t seq : {uint64_t(0), last, dmachan::kDmaMaxSeq}) {
+            Block j0{};
+            std::array<uint8_t, 12> iv = dmachan::dmaTagIv(kind, seq);
+            std::memcpy(j0.data(), iv.data(), 12);
+            storeBe32(j0.data() + 12, 1);
+            j0s.push_back(j0);
+            masks[encrypt(j0)] =
+                "J0 kind " + std::to_string(int(kind)) + " seq " +
+                std::to_string(seq);
+        }
+    }
+    ASSERT_EQ(masks.size(), 1 + j0s.size()) << "two masks coincide";
+    for (const Block &j0 : j0s)
+        for (const char *label : {"SDMAWRIT", "SDMAREAD", "SREGCHAN",
+                                  "SRSPCHAN", "SREGBRST", "SRSPBRST"})
+            EXPECT_NE(std::memcmp(j0.data(), label, 8), 0) << label;
+
+    auto expectNoMask = [&](ByteView ks, const std::string &what) {
+        ASSERT_EQ(ks.size() % 16, 0u);
+        for (size_t off = 0; off < ks.size(); off += 16) {
+            Block b;
+            std::memcpy(b.data(), ks.data() + off, 16);
+            auto hit = masks.find(b);
+            EXPECT_TRUE(hit == masks.end())
+                << hit->second << " == " << what << " block " << off / 16;
+        }
+    };
+
+    // DMA payload keystreams, both directions: blocks 0 and
+    // kDmaCtrStride - 1 of seqs 0 and 2^32 - 1.
+    for (bool read : {false, true}) {
+        for (uint64_t seq : {uint64_t(0), last}) {
+            Bytes ks(dmachan::kDmaMaxPayload, 0);
+            dmachan::cryptDmaPayload(aes, read,
+                                     seq * dmachan::kDmaCtrStride,
+                                     ks.data(), ks.size());
+            std::string what = std::string(read ? "SDMAREAD" : "SDMAWRIT") +
+                               " seq " + std::to_string(seq);
+            expectNoMask(ByteView(ks).first(16), what);
+            expectNoMask(ByteView(ks).last(16), what);
+        }
+    }
+
+    // Register keystreams at the same counters, and at the counter
+    // whose LE64 bytes equal a J0's last eight, where only the label
+    // could tell the two blocks apart.
+    std::vector<uint64_t> ctrs = {0, last, last * dmachan::kDmaCtrStride};
+    for (const Block &j0 : j0s)
+        ctrs.push_back(loadLe64(j0.data() + 8));
+    for (uint64_t ctr : ctrs) {
+        std::string at = " ctr " + std::to_string(ctr);
+        for (bool response : {false, true}) {
+            uint8_t ks[16] = {};
+            regchan::cryptBatchBlocks(aes, response, ctr, ks, 1);
+            expectNoMask(ByteView(ks, 16),
+                         (response ? "SRSPBRST" : "SREGBRST") + at);
+        }
+        // A zero op and a zero result encode as an all-zero block, so
+        // their ciphertext is the keystream.
+        regchan::SealedRegRequest req =
+            regchan::sealRequest(aes, k.mac(), ctr, regchan::RegOp{});
+        regchan::SealedRegResponse rsp =
+            regchan::sealResponse(aes, k.mac(), ctr, 0, 0);
+        uint8_t ks[32];
+        storeLe64(ks, req.ct0);
+        storeLe64(ks + 8, req.ct1);
+        storeLe64(ks + 16, rsp.ct0);
+        storeLe64(ks + 24, rsp.ct1);
+        expectNoMask(ByteView(ks, 16), "SREGCHAN" + at);
+        expectNoMask(ByteView(ks + 16, 16), "SRSPCHAN" + at);
     }
 }
 
@@ -575,7 +767,7 @@ struct FabricRig
         EXPECT_EQ(sm->readRegister(kSmRegStatus), kSmStatusOk);
         uint64_t seq = sm->readRegister(kSmRegOut0);
         EXPECT_EQ(sm->readRegister(kSmRegOut1),
-                  dmachan::ackMac(keys.mac(), slot, seq));
+                  dmachan::ackMac(keys.gcm(), slot, seq));
         return seq;
     }
 
@@ -621,8 +813,7 @@ TEST(DmaFabric, RejectsReplayDuplicateAndBadCtrBinding)
     d.seq = 2;
     d.ctrBase = 7; // not 2 * kDmaCtrStride
     d.sg.push_back({0x1200, 16});
-    d.payload = pattern(16, 7);
-    Bytes bad = dmachan::encodeDescriptor(rig.keys.mac(), d);
+    Bytes bad = dmachan::encodeDescriptor(rig.keys.gcm(), d, pattern(16, 7));
     EXPECT_EQ(rig.doorbell(bad), kSmStatusRejected);
     EXPECT_EQ(rig.ack(), 2u);
     EXPECT_EQ(rig.stat(kSmRegStatDmaRejected), 3u);
@@ -708,7 +899,12 @@ TEST(DmaFabric, RejectsSequenceAtTheBound)
     EXPECT_EQ(rig.doorbell(sealWrite(rig.keys, 0, dmachan::kDmaMaxSeq - 1,
                                      true, 0x1000, last)),
               kSmStatusOk);
+    // ack() verifies the tag of ackSeq 2^32. Its IV keeps all 64 bits
+    // of ackSeq, so it shares no nonce with ack 0.
     EXPECT_EQ(rig.ack(), dmachan::kDmaMaxSeq);
+    EXPECT_NE(dmachan::dmaTagIv(dmachan::DmaTagKind::Ack, 0),
+              dmachan::dmaTagIv(dmachan::DmaTagKind::Ack,
+                                dmachan::kDmaMaxSeq));
     EXPECT_EQ(rig.device.dram().read(0x1000, last.size()), last);
 }
 
@@ -723,8 +919,7 @@ TEST(DmaFabric, ReadGatherSealsVerifiableResponse)
     EXPECT_EQ(rig.ack(), 1u);
     Bytes blob = rig.device.dram().read(
         0x340000, plain.size() + dmachan::kDmaRespOverhead);
-    auto open = dmachan::openReadResponse(rig.keys.aes(), rig.keys.mac(), 0,
-                                          0, 0, blob);
+    auto open = dmachan::openReadResponse(rig.keys.gcm(), 0, 0, 0, blob);
     ASSERT_TRUE(open.has_value());
     EXPECT_EQ(*open, plain);
     // The sealed blob never exposes the plaintext on the bus.

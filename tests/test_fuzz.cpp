@@ -618,17 +618,13 @@ TEST(Fuzz, ScenarioParserNeverCrashesOnMangledCampaigns)
 TEST(Fuzz, DmaDescriptorDecodeNeverCrashesOrFalselyAccepts)
 {
     crypto::CtrDrbg rng(uint64_t(6003));
-    crypto::Aes aes(rng.bytes(16));
-    crypto::HmacSha256 mac(rng.bytes(32));
+    crypto::AesGcm key(rng.bytes(16));
     core::dmachan::DmaDescriptor d;
     d.sessionId = 1;
     d.seq = 3;
     d.ctrBase = 3 * core::dmachan::kDmaCtrStride;
     d.sg = {{0x1000, 512}, {0x2000, 512}};
-    d.payload = rng.bytes(1024);
-    core::dmachan::cryptDmaPayload(aes, false, d.ctrBase,
-                                   d.payload.data(), d.payload.size());
-    Bytes valid = core::dmachan::encodeDescriptor(mac, d);
+    Bytes valid = core::dmachan::encodeDescriptor(key, d, rng.bytes(1024));
 
     for (int i = 0; i < 400; ++i) {
         Bytes bad = corrupt(valid, rng);
@@ -644,7 +640,7 @@ TEST(Fuzz, DmaDescriptorDecodeNeverCrashesOrFalselyAccepts)
             EXPECT_LE(back.sg.size(), core::dmachan::kDmaMaxSg);
             EXPECT_LE(back.payload.size(),
                       core::dmachan::kDmaMaxPayload);
-            EXPECT_FALSE(core::dmachan::verifyDescriptorMac(mac, bad))
+            EXPECT_FALSE(core::dmachan::verifyDescriptorMac(key, bad))
                 << "iteration " << i;
         } catch (const SalusError &) {
             // typed rejection — the expected outcome
@@ -658,7 +654,7 @@ TEST(Fuzz, DmaDescriptorDecodeNeverCrashesOrFalselyAccepts)
         }
     }
     EXPECT_NO_THROW(core::dmachan::decodeDescriptor(valid));
-    EXPECT_TRUE(core::dmachan::verifyDescriptorMac(mac, valid));
+    EXPECT_TRUE(core::dmachan::verifyDescriptorMac(key, valid));
 }
 
 // ---- libFuzzer entry points -----------------------------------------
@@ -779,10 +775,10 @@ salus_fuzz_scenario_file(const uint8_t *data, size_t size)
 extern "C" int
 salus_fuzz_dma_descriptor(const uint8_t *data, size_t size)
 {
-    static const crypto::HmacSha256 mac(Bytes(32, 0x77));
+    static const crypto::AesGcm key(Bytes(16, 0x77));
     try {
         (void)core::dmachan::decodeDescriptor(ByteView(data, size));
-        (void)core::dmachan::verifyDescriptorMac(mac,
+        (void)core::dmachan::verifyDescriptorMac(key,
                                                  ByteView(data, size));
     } catch (const SalusError &) {
     }

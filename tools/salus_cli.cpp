@@ -12,10 +12,12 @@
  *   salus_cli paper [table1|...|fault_recovery]
  *   salus_cli help
  *
- * Any command accepts `--trace-out FILE` (Chrome trace_event JSON for
- * chrome://tracing / Perfetto) and `--metrics-out FILE` (text metrics
- * dump), and exits 1 when either cannot be written; see
- * docs/OBSERVABILITY.md.
+ * Every command that runs a testbed (boot, attack, workload,
+ * run-scenario) accepts `--trace-out FILE` (Chrome trace_event JSON
+ * for chrome://tracing / Perfetto) and `--metrics-out FILE` (text
+ * metrics dump), and exits 1 when either cannot be written; see
+ * docs/OBSERVABILITY.md. inspect and paper run none, so they refuse
+ * both with exit 2 instead of writing nothing.
  */
 
 #include <cctype>
@@ -458,7 +460,7 @@ usage()
         "  paper [name]                      print the paper's tables "
         "and figures:\n"
         "        table1..table6 fig8 fig10 ablations fault_recovery\n\n"
-        "global options:\n"
+        "options of boot, attack, workload and run-scenario:\n"
         "  --trace-out FILE    write a Chrome trace_event JSON trace\n"
         "  --metrics-out FILE  write a text metrics dump\n"
         "  (exit 1 when either file cannot be written)\n");
@@ -475,10 +477,15 @@ runCommand(const std::string &cmd, const std::vector<std::string> &args)
         return cmdWorkload(args);
     if (cmd == "run-scenario")
         return cmdRunScenario(args);
-    if (cmd == "inspect")
-        return cmdInspect();
-    if (cmd == "paper")
-        return cmdPaper(args);
+    if (cmd == "inspect" || cmd == "paper") {
+        // Neither runs a testbed, so there would be nothing to write.
+        if (!g_traceOut.empty() || !g_metricsOut.empty()) {
+            std::printf("%s takes no --trace-out or --metrics-out\n",
+                        cmd.c_str());
+            return 2;
+        }
+        return cmd == "inspect" ? cmdInspect() : cmdPaper(args);
+    }
     usage();
     return cmd == "help" ? 0 : 2;
 }
