@@ -253,10 +253,10 @@ main(int argc, char **argv)
                  backendSummary().c_str());
     std::fprintf(
         f,
-        "  \"cpu\": {\"aesni\": %d, \"vaes\": %d, \"pclmul\": %d, "
-        "\"shani\": %d},\n",
-        info.aesni ? 1 : 0, info.vaes ? 1 : 0, info.pclmul ? 1 : 0,
-        info.shani ? 1 : 0);
+        "  \"cpu\": {\"aesni\": %d, \"vaes\": %d, \"vaes512\": %d, "
+        "\"pclmul\": %d, \"shani\": %d},\n",
+        info.aesni ? 1 : 0, info.vaes ? 1 : 0, info.vaes512 ? 1 : 0,
+        info.pclmul ? 1 : 0, info.shani ? 1 : 0);
     std::fprintf(f, "  \"violations\": %d,\n", violations);
     std::fprintf(f, "  \"points\": [\n");
     for (size_t i = 0; i < points.size(); ++i) {

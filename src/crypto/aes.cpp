@@ -246,7 +246,8 @@ Aes::ctrXor(uint8_t ctr[16], const uint8_t *in, uint8_t *out,
 #ifdef SALUS_CRYPTO_HAVE_X86_BACKEND
         if (aesBackendActive()) {
             x86::aesniCtrXor(roundKeyBytes_.data(), rounds_, ctr, in, out,
-                             run, backendInfo().vaes);
+                             run, backendInfo().vaes,
+                             backendInfo().vaes512);
         } else
 #endif
         {

@@ -104,7 +104,8 @@ struct AesGcm::Ghash
     {
 #ifdef SALUS_CRYPTO_HAVE_X86_BACKEND
         if (ghashBackendActive()) {
-            x86::pclmulGhashBlocks(yh, yl, data, n, h0, h1);
+            x86::pclmulGhashBlocks(yh, yl, data, n, h0, h1,
+                                   backendInfo().vaes512);
             return;
         }
 #endif

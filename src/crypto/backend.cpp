@@ -16,7 +16,7 @@ namespace {
 #ifdef SALUS_CRYPTO_X86
 
 /** XCR0 via xgetbv — the OS must have enabled YMM state for any
- *  256-bit (VAES) path to be usable. */
+ *  256-bit (VAES) path to be usable, and ZMM state for 512-bit. */
 uint64_t
 readXcr0()
 {
@@ -48,8 +48,16 @@ probe()
         bool vaes = (ecx7 & bit_VAES) != 0;
         // YMM registers only survive context switches when the OS
         // opted in (XCR0 bits 1|2); otherwise 256-bit paths are off.
-        bool ymmOs = osxsave && (readXcr0() & 0x6) == 0x6;
+        const uint64_t xcr0 = osxsave ? readXcr0() : 0;
+        bool ymmOs = (xcr0 & 0x6) == 0x6;
         info.vaes = vaes && avx2 && avxCpu && ymmOs && info.aesni;
+        // The zmm kernels also need the opmask and both ZMM state
+        // components (XCR0 bits 5-7) on top of the YMM ones.
+        bool zmmOs = (xcr0 & 0xe6) == 0xe6;
+        bool avx512 = (ebx7 & bit_AVX512F) != 0 &&
+                      (ebx7 & bit_AVX512BW) != 0 &&
+                      (ecx7 & bit_VPCLMULQDQ) != 0;
+        info.vaes512 = info.vaes && info.pclmul && avx512 && zmmOs;
     }
     return info;
 }
@@ -140,6 +148,7 @@ backendSummary()
     };
     add(info.aesni, "aesni");
     add(info.vaes, "vaes");
+    add(info.vaes512, "vaes512");
     add(info.pclmul, "pclmul");
     add(info.shani, "shani");
     if (ext.empty())

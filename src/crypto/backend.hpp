@@ -7,8 +7,9 @@
  * x86-64 hosts with the matching ISA extensions the hot paths
  * dispatch to hardware kernels instead:
  *
- *   AES (ECB block / CTR keystream / GCM CTR)  -> AES-NI, VAES+AVX2
- *   GHASH (GCM authentication)                 -> PCLMULQDQ
+ *   AES (ECB block / CTR keystream / GCM CTR)  -> AES-NI, VAES+AVX2,
+ *                                                 CTR also VAES on zmm
+ *   GHASH (GCM authentication)                 -> PCLMULQDQ, VPCLMULQDQ
  *   SHA-256 compression                        -> SHA-NI (+SSSE3/SSE4.1)
  *   CRC-32 (bitstream integrity word)          -> PCLMULQDQ
  *
@@ -33,6 +34,10 @@ struct BackendInfo
 {
     bool aesni = false;  ///< AES-NI (implies SSE2 on x86-64)
     bool vaes = false;   ///< VAES + AVX2, OS-enabled (XCR0 checks out)
+    /// 512-bit tier of the CTR and GHASH kernels: vaes and pclmul plus
+    /// AVX512F, AVX512BW and VPCLMULQDQ, with opmask and ZMM state
+    /// OS-enabled.
+    bool vaes512 = false;
     bool pclmul = false; ///< PCLMULQDQ
     bool shani = false;  ///< SHA extensions + SSSE3 + SSE4.1
 };
@@ -60,7 +65,7 @@ bool crc32BackendActive();
 
 /**
  * One-line human-readable summary for test/bench preambles, e.g.
- * "hardware (aesni+vaes+pclmul+shani)" or "scalar (forced by
+ * "hardware (aesni+vaes+vaes512+pclmul+shani)" or "scalar (forced by
  * SALUS_FORCE_SCALAR)".
  */
 std::string backendSummary();

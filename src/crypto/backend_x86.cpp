@@ -4,6 +4,8 @@
 
 #include <immintrin.h>
 
+#include "common/bytes.hpp"
+
 namespace salus::crypto::x86 {
 
 namespace {
@@ -165,11 +167,12 @@ ctrAesni(const uint8_t *rk, int rounds, const uint8_t *ctr,
     }
 }
 
-/** 16-wide VAES CTR: each ymm carries counters c+2i and c+2i+1.
- *  Runs whole 16-block batches; returns how many blocks it did. */
+/** 16-wide VAES CTR starting `first` blocks past ctr: each ymm
+ *  carries counters c+2i and c+2i+1. Runs whole 16-block batches;
+ *  returns how many blocks it did. */
 __attribute__((target("vaes,avx2,aes"))) size_t
 ctrVaes(const uint8_t *rk, int rounds, const uint8_t *ctr,
-        const uint8_t *in, uint8_t *out, size_t n)
+        uint64_t first, const uint8_t *in, uint8_t *out, size_t n)
 {
     __m256i k[15];
     for (int r = 0; r <= rounds; ++r)
@@ -182,7 +185,7 @@ ctrVaes(const uint8_t *rk, int rounds, const uint8_t *ctr,
             _mm256_broadcastsi128_si256(_mm_loadu_si128(
                 reinterpret_cast<const __m128i *>(ctr))),
             bswap),
-        _mm256_set_epi64x(0, 1, 0, 0));
+        _mm256_set_epi64x(0, int64_t(first + 1), 0, int64_t(first)));
     size_t done = 0;
     for (; n - done >= 16; done += 16) {
         __m256i b[8];
@@ -215,6 +218,68 @@ ctrVaes(const uint8_t *rk, int rounds, const uint8_t *ctr,
     return done;
 }
 
+/** One 128-bit lane in all four lanes of a zmm register. GCC 12's
+ *  unmasked 512-bit broadcast and lane-extract intrinsics pass an
+ *  _mm*_undefined_* operand that -Wall reports as uninitialized; the
+ *  zero-masking forms with every lane selected are the same
+ *  instructions and keep the build warning-free. */
+__attribute__((target("avx512f"))) inline __m512i
+broadcastLane(__m128i v)
+{
+    return _mm512_maskz_broadcast_i32x4(__mmask16(0xffff), v);
+}
+
+/** 32-wide VAES CTR on zmm: each register carries counters c+4i ..
+ *  c+4i+3, eight registers in flight. Runs whole 32-block batches
+ *  from ctr itself; returns how many blocks it did. */
+__attribute__((target("vaes,avx512f,avx512bw,aes"))) size_t
+ctrVaes512(const uint8_t *rk, int rounds, const uint8_t *ctr,
+           const uint8_t *in, uint8_t *out, size_t n)
+{
+    __m512i k[15];
+    for (int r = 0; r <= rounds; ++r)
+        k[r] = broadcastLane(_mm_loadu_si128(
+            reinterpret_cast<const __m128i *>(rk + 16 * r)));
+    const __m512i bswap = broadcastLane(_mm_set_epi8(
+        0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+    __m512i base = _mm512_add_epi64(
+        _mm512_shuffle_epi8(
+            broadcastLane(_mm_loadu_si128(
+                reinterpret_cast<const __m128i *>(ctr))),
+            bswap),
+        _mm512_set_epi64(0, 3, 0, 2, 0, 1, 0, 0));
+    size_t done = 0;
+    for (; n - done >= 32; done += 32) {
+        __m512i b[8];
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i)
+            b[i] = _mm512_xor_si512(
+                _mm512_shuffle_epi8(
+                    _mm512_add_epi64(base,
+                                     _mm512_set_epi64(0, 4 * i, 0, 4 * i,
+                                                      0, 4 * i, 0, 4 * i)),
+                    bswap),
+                k[0]);
+        base = _mm512_add_epi64(base,
+                                _mm512_set_epi64(0, 32, 0, 32, 0, 32, 0, 32));
+        for (int r = 1; r < rounds; ++r)
+#pragma GCC unroll 8
+            for (int i = 0; i < 8; ++i)
+                b[i] = _mm512_aesenc_epi128(b[i], k[r]);
+#pragma GCC unroll 8
+        for (int i = 0; i < 8; ++i) {
+            const uint8_t *src = in + done * 16 + 64 * i;
+            uint8_t *dst = out + done * 16 + 64 * i;
+            _mm512_storeu_si512(
+                dst, _mm512_xor_si512(
+                         _mm512_loadu_si512(src),
+                         _mm512_aesenclast_epi128(b[i], k[rounds])));
+        }
+    }
+    _mm256_zeroupper();
+    return done;
+}
+
 // ---- PCLMULQDQ GHASH --------------------------------------------------
 
 /**
@@ -229,8 +294,9 @@ ctrVaes(const uint8_t *rk, int rounds, const uint8_t *ctr,
  *
  * The product is linear in each operand, so several products can be
  * XOR-summed before one reduction. ghashBlocks uses that for the
- * standard aggregated form (Gueron-Kounavis): four blocks are
- * multiplied by H^4, H^3, H^2, H and reduced once.
+ * standard aggregated form (Gueron-Kounavis): k blocks are multiplied
+ * by H^k, ..., H^2, H and reduced once, with k = 32 on zmm (four
+ * blocks per register, eight registers) and k = 4 on xmm.
  */
 
 /** Unreduced 256-bit product as its three schoolbook partial sums. */
@@ -301,25 +367,104 @@ loadBlock(const uint8_t *p)
         _mm_loadu_si128(reinterpret_cast<const __m128i *>(p)), kReverse);
 }
 
+/** The hash-key powers one call needs, pw[32 - k] = H^k for k = 1 ..
+ *  count (count a power of two, at most 32), so each group of four
+ *  blocks finds its multipliers H^(k+3) .. H^k in consecutive
+ *  entries. Doubling rounds: H^(m+1) .. H^(2m) = H^m * (H .. H^m),
+ *  whose products are independent of each other and overlap. */
+__attribute__((target("pclmul,sse4.1"))) void
+hashKeyPowers(__m128i pw[32], __m128i h, int count)
+{
+    pw[31] = h;
+    for (int m = 1; m < count; m *= 2)
+        for (int k = 1; k <= m; ++k)
+            pw[32 - m - k] = ghashMult(pw[32 - m], pw[32 - k]);
+}
+
+/** XOR of a zmm register's four 128-bit lanes (zero-masking
+ *  extracts, as in broadcastLane). */
+__attribute__((target("avx512f"))) inline __m128i
+foldLanes(__m512i v)
+{
+    const __mmask8 all = 0xf;
+    return _mm_xor_si128(
+        _mm_xor_si128(_mm512_maskz_extracti32x4_epi32(all, v, 0),
+                      _mm512_maskz_extracti32x4_epi32(all, v, 1)),
+        _mm_xor_si128(_mm512_maskz_extracti32x4_epi32(all, v, 2),
+                      _mm512_maskz_extracti32x4_epi32(all, v, 3)));
+}
+
+/** 32 blocks per reduction on zmm: register j holds blocks 4j .. 4j+3,
+ *  one per lane, and is multiplied lane by lane against H^(32-4j) ..
+ *  H^(29-4j). The lanes of the three partial sums fold into one Wide,
+ *  which the shared reduce() finishes. Absorbs `batches` 512-byte
+ *  batches; pw must hold all 32 powers. */
+__attribute__((target("vpclmulqdq,avx512f,avx512bw,pclmul,sse4.1")))
+__m128i
+ghashBlocks32(__m128i y, const __m128i pw[32], const uint8_t *data,
+              size_t batches)
+{
+    __m512i p[8];
+    for (int j = 0; j < 8; ++j)
+        p[j] = _mm512_loadu_si512(pw + 4 * j);
+    const __m512i reverse = broadcastLane(
+        _mm_set_epi8(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15));
+    for (; batches > 0; --batches, data += 512) {
+        __m512i lo = _mm512_setzero_si512();
+        __m512i mid = _mm512_setzero_si512();
+        __m512i hi = _mm512_setzero_si512();
+#pragma GCC unroll 8
+        for (int j = 0; j < 8; ++j) {
+            __m512i x = _mm512_shuffle_epi8(
+                _mm512_loadu_si512(data + 64 * j), reverse);
+            if (j == 0) // Y joins the first block: (Y + X1) H^32
+                x = _mm512_xor_si512(
+                    x, _mm512_inserti32x4(_mm512_setzero_si512(), y, 0));
+            lo = _mm512_xor_si512(lo, _mm512_clmulepi64_epi128(x, p[j], 0x00));
+            hi = _mm512_xor_si512(hi, _mm512_clmulepi64_epi128(x, p[j], 0x11));
+            mid = _mm512_ternarylogic_epi64(
+                mid, _mm512_clmulepi64_epi128(x, p[j], 0x10),
+                _mm512_clmulepi64_epi128(x, p[j], 0x01), 0x96);
+        }
+        Wide w;
+        w.lo = foldLanes(lo);
+        w.mid = foldLanes(mid);
+        w.hi = foldLanes(hi);
+        y = reduce(w);
+    }
+    _mm256_zeroupper();
+    return y;
+}
+
 __attribute__((target("pclmul,sse4.1"))) void
 ghashBlocks(uint64_t &yh, uint64_t &yl, const uint8_t *data, size_t n,
-            uint64_t h0, uint64_t h1)
+            uint64_t h0, uint64_t h1, bool useVaes512)
 {
     const __m128i h = _mm_set_epi64x(int64_t(h0), int64_t(h1));
     __m128i y = _mm_set_epi64x(int64_t(yh), int64_t(yl));
     if (n >= 4) {
+        // H^5 .. H^32 take 28 more multiplies: one 32-block batch
+        // does not repay them, two do (measured break-even near 64).
+        const bool wide = useVaes512 && n >= 64;
+        const int powers = wide ? 32 : 4;
+        __m128i pw[32];
+        hashKeyPowers(pw, h, powers);
+        if (wide) {
+            y = ghashBlocks32(y, pw, data, n / 32);
+            data += 512 * (n / 32);
+            n %= 32;
+        }
         // Y' = (Y + X1) H^4 + X2 H^3 + X3 H^2 + X4 H, one reduction.
-        const __m128i h2 = ghashMult(h, h);
-        const __m128i h3 = ghashMult(h2, h);
-        const __m128i h4 = ghashMult(h3, h);
         for (; n >= 4; n -= 4, data += 64) {
             Wide w;
-            clmulAcc(w, _mm_xor_si128(y, loadBlock(data)), h4);
-            clmulAcc(w, loadBlock(data + 16), h3);
-            clmulAcc(w, loadBlock(data + 32), h2);
-            clmulAcc(w, loadBlock(data + 48), h);
+            clmulAcc(w, _mm_xor_si128(y, loadBlock(data)), pw[28]);
+            clmulAcc(w, loadBlock(data + 16), pw[29]);
+            clmulAcc(w, loadBlock(data + 32), pw[30]);
+            clmulAcc(w, loadBlock(data + 48), pw[31]);
             y = reduce(w);
         }
+        secureZero(reinterpret_cast<uint8_t *>(pw + 32 - powers),
+                   sizeof(__m128i) * size_t(powers));
     }
     for (; n > 0; --n, data += 16)
         y = ghashMult(_mm_xor_si128(y, loadBlock(data)), h);
@@ -424,11 +569,15 @@ aesniEcbEncrypt(const uint8_t *roundKeyBytes, int rounds,
 
 void
 aesniCtrXor(const uint8_t *roundKeyBytes, int rounds, const uint8_t ctr[16],
-            const uint8_t *in, uint8_t *out, size_t nBlocks, bool useVaes)
+            const uint8_t *in, uint8_t *out, size_t nBlocks, bool useVaes,
+            bool useVaes512)
 {
     size_t done = 0;
-    if (useVaes && nBlocks >= 16)
-        done = ctrVaes(roundKeyBytes, rounds, ctr, in, out, nBlocks);
+    if (useVaes512 && nBlocks >= 32)
+        done = ctrVaes512(roundKeyBytes, rounds, ctr, in, out, nBlocks);
+    if (useVaes && nBlocks - done >= 16)
+        done += ctrVaes(roundKeyBytes, rounds, ctr, done, in + 16 * done,
+                        out + 16 * done, nBlocks - done);
     if (done < nBlocks)
         ctrAesni(roundKeyBytes, rounds, ctr, done, in + 16 * done,
                  out + 16 * done, nBlocks - done);
@@ -436,9 +585,9 @@ aesniCtrXor(const uint8_t *roundKeyBytes, int rounds, const uint8_t ctr[16],
 
 void
 pclmulGhashBlocks(uint64_t &yh, uint64_t &yl, const uint8_t *data,
-                  size_t n, uint64_t h0, uint64_t h1)
+                  size_t n, uint64_t h0, uint64_t h1, bool useVaes512)
 {
-    ghashBlocks(yh, yl, data, n, h0, h1);
+    ghashBlocks(yh, yl, data, n, h0, h1, useVaes512);
 }
 
 void

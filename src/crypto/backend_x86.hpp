@@ -4,8 +4,8 @@
  *
  * Callers must gate every call on the matching backend predicate in
  * crypto/backend.hpp — these functions execute AES-NI / VAES /
- * PCLMULQDQ / SHA-NI instructions unconditionally and fault on CPUs
- * without them. They are compiled with per-function target
+ * PCLMULQDQ / AVX-512 / SHA-NI instructions unconditionally and fault
+ * on CPUs without them. They are compiled with per-function target
  * attributes, so the rest of the translation unit (and every other
  * file) stays baseline-ISA clean.
  *
@@ -42,23 +42,28 @@ void aesniEcbEncrypt(const uint8_t *roundKeyBytes, int rounds,
  * registers: ctr is byte-reversed once, stepped with 64-bit adds and
  * byte-reversed back per block, so the caller must guarantee that the
  * low 64 counter bits do not wrap within the call; ctr itself is not
- * advanced. 16-wide VAES+AVX2 batches when useVaes, 8-wide AES-NI
- * for the rest. Same round-key layout as aesniEcbEncrypt.
+ * advanced. Whole 32-block batches on 512-bit VAES when useVaes512,
+ * then at most one 16-block VAES+AVX2 batch when useVaes, then 8-wide
+ * AES-NI for the rest. Same round-key layout as aesniEcbEncrypt.
  */
 void aesniCtrXor(const uint8_t *roundKeyBytes, int rounds,
                  const uint8_t ctr[16], const uint8_t *in, uint8_t *out,
-                 size_t nBlocks, bool useVaes);
+                 size_t nBlocks, bool useVaes, bool useVaes512);
 
 /**
  * GHASH: absorbs n 16-byte blocks into the accumulator (yh, yl) under
  * hash key (h0, h1), all in the scalar code's representation (the
- * big-endian-loaded halves of the field elements). PCLMULQDQ with
- * 4-block aggregated reduction: from n >= 4 on, four blocks are
- * multiplied by H^4..H (computed per call) and reduced once; the
- * remaining 0-3 blocks take one multiply + reduction each.
+ * big-endian-loaded halves of the field elements). Aggregated
+ * reduction: with useVaes512 and n >= 64, each 32 blocks are
+ * multiplied by H^32..H on 512-bit VPCLMULQDQ and reduced once; then
+ * each four blocks are multiplied by H^4..H on PCLMULQDQ and reduced
+ * once; the last 0-3 blocks take one multiply and reduction each. The
+ * powers of H are computed per call (H^2..H^4 from n >= 4 on, up to
+ * H^32 only for the 32-block path) and wiped before returning.
  */
 void pclmulGhashBlocks(uint64_t &yh, uint64_t &yl, const uint8_t *data,
-                       size_t n, uint64_t h0, uint64_t h1);
+                       size_t n, uint64_t h0, uint64_t h1,
+                       bool useVaes512);
 
 /**
  * SHA-256: compresses n consecutive 64-byte blocks into state

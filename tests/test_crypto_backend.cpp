@@ -196,8 +196,10 @@ runCtrXor(const Aes &aes, uint8_t ctr[16], const Bytes &in, bool inPlace)
 } // namespace
 
 // Aes::ctrXor against the forced-scalar reference and the keystream's
-// definition, across the 8/16-wide pipeline edges and with the low 64
-// counter bits wrapping at every position inside a VAES batch.
+// definition, across the 8/16/32-wide pipeline edges (a 48-block run
+// takes one 32-block zmm batch and one 16-block ymm batch) and with
+// the low 64 counter bits wrapping at every position inside a 32-block
+// batch.
 TEST(CryptoBackend, CtrXorAgreesAcrossBackends)
 {
     CtrDrbg rng(0xc7a1c);
@@ -206,11 +208,12 @@ TEST(CryptoBackend, CtrXorAgreesAcrossBackends)
         for (size_t blocks :
              {size_t(0), size_t(1), size_t(7), size_t(8), size_t(9),
               size_t(15), size_t(16), size_t(17), size_t(31), size_t(32),
-              size_t(33), size_t(4096)}) {
+              size_t(33), size_t(47), size_t(48), size_t(49), size_t(63),
+              size_t(64), size_t(65), size_t(4096)}) {
             Bytes in = rng.bytes(blocks * kAesBlockSize);
             Bytes hi = rng.bytes(8);
             // One random counter, then low halves UINT64_MAX - k.
-            for (int k = -1; k < 20; ++k) {
+            for (int k = -1; k < 32; ++k) {
                 uint8_t ctr0[16];
                 std::memcpy(ctr0, hi.data(), 8);
                 storeBe64(ctr0 + 8, k < 0 ? loadBe64(rng.bytes(8).data())
@@ -410,14 +413,29 @@ TEST(CryptoBackend, GcmSealAgreesAcrossBackends)
                         "len=" + std::to_string(len));
     }
 
-    // GHASH takes four blocks per reduction from four blocks on, then
-    // one at a time: cover 0-9 blocks of text, each with a partial
-    // block on either side, behind AAD that is empty, partial, exactly
-    // four blocks, and four blocks plus one byte.
+    // GHASH takes 32 blocks per reduction (on zmm hosts, from 64
+    // blocks on), then four, then one at a time. The GMAC form first,
+    // the DMA tag's shape: AAD of 0-70 blocks, each with a partial
+    // block on either side, and no text.
     AesGcm gcm(rng.bytes(32));
-    for (size_t aadLen : {size_t(0), size_t(13), size_t(64), size_t(65)}) {
+    for (size_t blocks = 0; blocks <= 70; ++blocks) {
+        for (int partial : {-7, 0, 5}) {
+            if (blocks == 0 && partial < 0)
+                continue;
+            size_t len = 16 * blocks + size_t(partial);
+            expectGcmAgrees(gcm, rng.bytes(12), rng.bytes(len), Bytes(),
+                            "gmac aad=" + std::to_string(len));
+        }
+    }
+
+    // Then 0-70 blocks of text (31-33 and 63-65 straddle the 32-block
+    // batches and the zmm path's entry), each with a partial block on
+    // either side, behind AAD that is empty, partial, exactly four
+    // blocks, four blocks plus one byte, and 32.5 and 64.5 blocks.
+    for (size_t aadLen : {size_t(0), size_t(13), size_t(64), size_t(65),
+                          size_t(520), size_t(1032)}) {
         Bytes aad = rng.bytes(aadLen);
-        for (size_t blocks = 0; blocks <= 9; ++blocks) {
+        for (size_t blocks = 0; blocks <= 70; ++blocks) {
             for (int partial : {-7, 0, 5}) {
                 if (blocks == 0 && partial < 0)
                     continue;

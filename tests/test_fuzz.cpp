@@ -844,29 +844,33 @@ salus_fuzz_aes_backend(const uint8_t *data, size_t size)
     // run through the dispatch-selected backend and the forced-scalar
     // reference; any byte of disagreement traps. On hosts without the
     // ISA extensions both runs take the scalar path and the harness
-    // degrades to a (still useful) determinism check.
-    if (size < 2)
+    // degrades to a (still useful) determinism check. The AAD (up to
+    // 1275 bytes, from data[2]) and the text (up to 16 KiB) both reach
+    // GHASH's 32-block batches.
+    if (size < 3)
         return 0;
     size_t keyLen = size_t(16) + 8 * (data[0] % 3); // 16/24/32
     size_t ivLen = (data[1] % 2) ? 12 : 16;
-    size_t need = 2 + keyLen + 16;
+    size_t need = 3 + keyLen + 16;
     if (size < need)
         return 0;
-    Bytes key(data + 2, data + 2 + keyLen);
-    Bytes ctrBlock(data + 2 + keyLen, data + 2 + keyLen + 16);
-    size_t msgLen = std::min<size_t>(size - need, 4096);
-    Bytes msg(data + need, data + need + msgLen);
+    Bytes key(data + 3, data + 3 + keyLen);
+    Bytes ctrBlock(data + 3 + keyLen, data + need);
+    size_t aadLen = std::min<size_t>(size - need, 5 * size_t(data[2]));
+    Bytes aad(data + need, data + need + aadLen);
+    size_t msgLen = std::min<size_t>(size - need - aadLen, 16384);
+    Bytes msg(data + need + aadLen, data + need + aadLen + msgLen);
 
     crypto::setForceScalar(false);
     Bytes fastCtr = crypto::aesCtrCrypt(key, ctrBlock, msg);
     crypto::AesGcm gcm(key);
     crypto::GcmSealed fastGcm =
-        gcm.seal(ByteView(ctrBlock).subspan(0, ivLen), ctrBlock, msg);
+        gcm.seal(ByteView(ctrBlock).subspan(0, ivLen), aad, msg);
 
     crypto::setForceScalar(true);
     Bytes slowCtr = crypto::aesCtrCrypt(key, ctrBlock, msg);
     crypto::GcmSealed slowGcm =
-        gcm.seal(ByteView(ctrBlock).subspan(0, ivLen), ctrBlock, msg);
+        gcm.seal(ByteView(ctrBlock).subspan(0, ivLen), aad, msg);
     crypto::setForceScalar(false);
 
     if (fastCtr != slowCtr || fastGcm.ciphertext != slowGcm.ciphertext ||
@@ -909,7 +913,7 @@ TEST(Fuzz, AesBackendDifferentialSweep)
     // not just the clang fuzz-smoke job.
     crypto::CtrDrbg rng(0xd1ff01);
     for (int i = 0; i < 200; ++i) {
-        Bytes input = rng.bytes(2 + 48 + 16 + rng.below(512));
+        Bytes input = rng.bytes(3 + 48 + 16 + rng.below(1275 + 16384));
         salus_fuzz_aes_backend(input.data(), input.size());
     }
 }
