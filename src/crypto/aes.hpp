@@ -68,6 +68,10 @@ class Aes
     /** Number of rounds (10/12/14). */
     int rounds() const { return rounds_; }
 
+    /** The schedule serialized as bytes, 16 * (rounds() + 1) of them:
+     *  the form the raw kernels in crypto/backend_x86.hpp take. */
+    const uint8_t *roundKeyBytes() const { return roundKeyBytes_.data(); }
+
   private:
     void encryptBlockScalar(const uint8_t in[16],
                             uint8_t out[16]) const;

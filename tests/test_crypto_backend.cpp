@@ -4,21 +4,26 @@
  * backends: scalar vs hardware bit-equality across primitives,
  * keystream continuity across the 128-bit counter's low-word carry,
  * GCM's 32-bit counter wrap at 2^32, the split-call regression for
- * the CTR keystream, and the fused counter-mode kernel (Aes::ctrXor)
- * against the scalar reference.
+ * the CTR keystream, the fused counter-mode kernel (Aes::ctrXor)
+ * against the scalar reference, and the raw x86 CTR and GHASH kernels
+ * at every tier the host has.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/hex.hpp"
 #include "crypto/aes.hpp"
 #include "crypto/aes_ctr.hpp"
 #include "crypto/aes_gcm.hpp"
 #include "crypto/backend.hpp"
+#include "crypto/backend_x86.hpp"
 #include "crypto/random.hpp"
 #include "crypto/sha256.hpp"
 
@@ -245,6 +250,143 @@ TEST(CryptoBackend, CtrXorAgreesAcrossBackends)
         }
     }
 }
+
+// ---- The x86 kernels at every tier the host has ----------------------
+
+#ifdef SALUS_CRYPTO_HAVE_X86_BACKEND
+
+namespace {
+
+/** The (useVaes, useVaes512) tiers of the x86 AES kernels this host
+ *  can run, the narrower ones included: dispatch only ever takes the
+ *  widest, so a wide host runs the narrower loops over long inputs
+ *  only when a test asks for them. */
+std::vector<std::pair<bool, bool>>
+hostAesTiers()
+{
+    const BackendInfo &b = backendInfo();
+    std::vector<std::pair<bool, bool>> tiers;
+    if (b.aesni)
+        tiers.emplace_back(false, false);
+    if (b.aesni && b.vaes)
+        tiers.emplace_back(true, false);
+    if (b.aesni && b.vaes512)
+        tiers.emplace_back(true, true);
+    return tiers;
+}
+
+/** GHASH one bit at a time (SP 800-38D, Algorithm 1), in the kernels'
+ *  representation: the big-endian-loaded halves of each element. */
+void
+refGhash(uint64_t &yh, uint64_t &yl, const uint8_t *data, size_t n,
+         uint64_t h0, uint64_t h1)
+{
+    for (size_t b = 0; b < n; ++b, data += 16) {
+        const uint64_t xh = yh ^ loadBe64(data);
+        const uint64_t xl = yl ^ loadBe64(data + 8);
+        uint64_t zh = 0, zl = 0, vh = h0, vl = h1;
+        for (int i = 0; i < 128; ++i) {
+            if ((i < 64 ? xh >> (63 - i) : xl >> (127 - i)) & 1) {
+                zh ^= vh;
+                zl ^= vl;
+            }
+            const uint64_t lsb = vl & 1;
+            vl = (vl >> 1) | (vh << 63);
+            vh = (vh >> 1) ^ (lsb ? 0xe100000000000000ULL : 0);
+        }
+        yh = zh;
+        yl = zl;
+    }
+}
+
+} // namespace
+
+// x86::aesniCtrXor at each tier against the scalar keystream, over
+// 0-70 blocks (every batch edge of every width, and the 64-70 blocks
+// where the 32-block batch repeats) and 4096 blocks (256 batches of
+// the 16-block loop when that is the widest), with a random counter
+// and with the last counter at UINT64_MAX.
+TEST(CryptoBackend, X86CtrKernelAgreesAtEveryTier)
+{
+    const auto tiers = hostAesTiers();
+    if (tiers.empty())
+        GTEST_SKIP() << "no AES-NI on this host";
+    CtrDrbg rng(0xc7a1d);
+    std::vector<size_t> sizes;
+    for (size_t blocks = 0; blocks <= 70; ++blocks)
+        sizes.push_back(blocks);
+    sizes.push_back(4096);
+    for (size_t keyLen : {size_t(16), size_t(24), size_t(32)}) {
+        Aes aes(rng.bytes(keyLen));
+        for (size_t blocks : sizes) {
+            Bytes in = rng.bytes(blocks * kAesBlockSize);
+            for (bool atTop : {false, true}) {
+                uint8_t ctr[16];
+                std::memcpy(ctr, rng.bytes(16).data(), 16);
+                storeBe64(ctr + 8, atTop ? UINT64_MAX - (blocks - 1)
+                                         : loadBe64(ctr + 8) >> 1);
+                Bytes expect;
+                {
+                    ScopedForceScalar force;
+                    expect = refCtrKeystream(aes, ctr, blocks);
+                }
+                for (size_t i = 0; i < expect.size(); ++i)
+                    expect[i] ^= in[i];
+                for (auto [vaes, vaes512] : tiers) {
+                    for (bool inPlace : {false, true}) {
+                        Bytes out = inPlace ? in : Bytes(in.size(), 0xa5);
+                        x86::aesniCtrXor(aes.roundKeyBytes(), aes.rounds(),
+                                         ctr,
+                                         inPlace ? out.data() : in.data(),
+                                         out.data(), blocks, vaes, vaes512);
+                        EXPECT_EQ(out, expect)
+                            << "keyLen=" << keyLen << " blocks=" << blocks
+                            << " atTop=" << atTop << " vaes=" << vaes
+                            << " vaes512=" << vaes512
+                            << " inPlace=" << inPlace;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// x86::pclmulGhashBlocks with and without the 512-bit path against the
+// bitwise reference, over 0-70 blocks (the 4-block loop and its 0-3
+// block tail; the 32-block path from 64 blocks on) and 4096 blocks.
+TEST(CryptoBackend, X86GhashKernelAgreesAtEveryTier)
+{
+    const BackendInfo &b = backendInfo();
+    if (!b.pclmul)
+        GTEST_SKIP() << "no PCLMULQDQ on this host";
+    std::vector<bool> wides = {false};
+    if (b.vaes512)
+        wides.push_back(true);
+    CtrDrbg rng(0xc7a1e);
+    std::vector<size_t> sizes;
+    for (size_t blocks = 0; blocks <= 70; ++blocks)
+        sizes.push_back(blocks);
+    sizes.push_back(4096);
+    for (size_t blocks : sizes) {
+        const Bytes data = rng.bytes(blocks * 16);
+        const Bytes init = rng.bytes(32);
+        const uint64_t h0 = loadBe64(init.data());
+        const uint64_t h1 = loadBe64(init.data() + 8);
+        const uint64_t y0h = loadBe64(init.data() + 16);
+        const uint64_t y0l = loadBe64(init.data() + 24);
+        uint64_t eh = y0h, el = y0l;
+        refGhash(eh, el, data.data(), blocks, h0, h1);
+        for (bool wide : wides) {
+            uint64_t yh = y0h, yl = y0l;
+            x86::pclmulGhashBlocks(yh, yl, data.data(), blocks, h0, h1,
+                                   wide);
+            EXPECT_EQ(yh, eh) << "blocks=" << blocks << " vaes512=" << wide;
+            EXPECT_EQ(yl, el) << "blocks=" << blocks << " vaes512=" << wide;
+        }
+    }
+}
+
+#endif // SALUS_CRYPTO_HAVE_X86_BACKEND
 
 // ---- Counter carry edges ---------------------------------------------
 
